@@ -5,17 +5,13 @@ profiles."""
 __version__ = "0.1.0"
 
 from .partitions import (
-    Composition,
     Partition,
     SumInterval,
     format_parts,
-    frobenius_interval_bound,
     interval_partition,
     parse_partition,
     partial_sums,
     partitions_of,
-    rearrangements,
-    reverse,
     two_coin_representation,
 )
 from .graphs import (

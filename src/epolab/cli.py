@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -33,12 +31,13 @@ from .graphs import (
 )
 from .obstructions import (
     describe_inapplicability,
+    parallel_map,
     sixm_full_check,
     sweep_c40,
     sweep_c500,
     theorem_decide,
 )
-from .partitions import format_parts, parse_partition
+from .partitions import format_parts, parse_partition, partitions_of
 from .symfunc import csf_e, is_e_positive
 
 EXIT_OK = 0
@@ -47,24 +46,12 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: what to run, where I/O goes, how parallel."""
-
-    command: str
-    source: Optional[str] = None
-    json_out: bool = False
-    jobs: int = 1
-    mode: str = "full"
-    cache: Optional[str] = None
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("parallelism must be >= 1")
-
-
 class SpecError(ValueError):
-    """Raised for malformed graph/profile shorthands or files."""
+    """Malformed input (graph/profile shorthand, file, type, range): exit 2."""
+
+
+class GuardError(Exception):
+    """Input beyond a subcommand's size guard: exit 3."""
 
 
 def parse_graph_spec(spec: str) -> Graph:
@@ -119,16 +106,25 @@ def parse_profile_spec(spec: str) -> CutProfile:
 
 
 class ResultCache:
-    """Append-only JSONL cache keyed by (command, canonical input, version)."""
+    """Append-only JSONL cache keyed by (command, canonical input, version).
+
+    A line that does not parse is what an interrupted append leaves behind: it
+    is skipped, and the next append starts on a fresh line so that its record
+    stays whole.
+    """
 
     def __init__(self, path: Optional[str]):
         self.path = Path(path) if path else None
         self._records = {}
+        self._torn_tail = False
         if self.path and self.path.exists():
-            for line in self.path.read_text().splitlines():
-                if not line.strip():
+            text = self.path.read_text()
+            self._torn_tail = bool(text) and not text.endswith("\n")
+            for line in text.splitlines():
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError:
                     continue
-                rec = json.loads(line)
                 self._records[(rec["command"], rec["key"], rec["version"])] = rec["result"]
 
     def get(self, command: str, key: str):
@@ -139,14 +135,12 @@ class ResultCache:
             return
         self._records[(command, key, __version__)] = result
         if self.path:
+            record = {"command": command, "key": key, "version": __version__, "result": result}
             with self.path.open("a") as fh:
-                fh.write(
-                    json.dumps(
-                        {"command": command, "key": key, "version": __version__, "result": result},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                if self._torn_tail:
+                    fh.write("\n")
+                    self._torn_tail = False
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _tree_cache_key(G: Graph) -> str:
@@ -159,44 +153,26 @@ def _tree_cache_key(G: Graph) -> str:
 # Subcommands
 
 
+def _checked_graph(G: Graph, limit: Optional[int] = None, connected: bool = False) -> Graph:
+    """G once it passes the subcommand's size guard and connectivity check."""
+    if limit is not None and G.n > limit:
+        raise GuardError(f"size guard, n={G.n} > {limit}")
+    if connected and not is_graph_connected(G):
+        raise SpecError("graph must be connected")
+    return G
+
+
 def cmd_csf(args) -> int:
-    try:
-        G = parse_graph_spec(args.graph)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if G.n > 20:
-        print(f"error: size guard, n={G.n} > 20", file=sys.stderr)
-        return EXIT_GUARD
-    X = csf_e(G)
-    if args.json:
-        print(json.dumps(X.to_json_dict()))
-    else:
-        print(X.to_text())
+    X = csf_e(_checked_graph(parse_graph_spec(args.graph), 20))
+    print(json.dumps(X.to_json_dict()) if args.json else X.to_text())
     return EXIT_OK
 
 
 def cmd_epos(args) -> int:
-    try:
-        G = parse_graph_spec(args.graph)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if G.n > 20:
-        print(f"error: size guard, n={G.n} > 20", file=sys.stderr)
-        return EXIT_GUARD
-    verdict = is_e_positive(G)
+    verdict = is_e_positive(_checked_graph(parse_graph_spec(args.graph), 20))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "e_positive": verdict.positive,
-                    "negatives": [
-                        {"lambda": list(lam), "coeff": str(c)} for lam, c in verdict.negatives
-                    ],
-                }
-            )
-        )
+        negatives = [{"lambda": list(lam), "coeff": str(c)} for lam, c in verdict.negatives]
+        print(json.dumps({"e_positive": verdict.positive, "negatives": negatives}))
     elif verdict.positive:
         print("e-positive")
     else:
@@ -207,22 +183,15 @@ def cmd_epos(args) -> int:
 
 
 def cmd_connparts(args) -> int:
+    G = parse_graph_spec(args.graph)
     try:
-        G = parse_graph_spec(args.graph)
         lam = parse_partition(args.type) if args.type else None
-    except (SpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if G.n > 25:
-        print(f"error: size guard, n={G.n} > 25", file=sys.stderr)
-        return EXIT_GUARD
-    if not is_graph_connected(G):
-        print("error: graph must be connected", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+    _checked_graph(G, 25, connected=True)
     if lam is not None:
         if lam.total != G.n:
-            print(f"error: type {lam} does not sum to n={G.n}", file=sys.stderr)
-            return EXIT_USAGE
+            raise SpecError(f"type {lam} does not sum to n={G.n}")
         witness = has_connected_partition(G, lam)
         if args.json:
             blocks = [sorted(b) for b in witness.blocks] if witness else None
@@ -245,30 +214,21 @@ def cmd_connparts(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    spec = args.spec
-    try:
-        if spec.startswith("profile:"):
-            profiles = [(None, parse_profile_spec(spec))]
-        else:
-            G = parse_graph_spec(spec)
-            if not is_graph_connected(G):
-                print("error: graph must be connected", file=sys.stderr)
-                return EXIT_USAGE
-            profiles = cut_profiles(G)
-            if not profiles:
-                print("NOT-APPLICABLE: no cut vertex splits the graph into >= 3 components")
-                return EXIT_NEGATIVE
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    for _, profile in profiles:
+    if args.spec.startswith("profile:"):
+        profiles = [parse_profile_spec(args.spec)]
+    else:
+        G = _checked_graph(parse_graph_spec(args.spec), connected=True)
+        profiles = [p for _, p in cut_profiles(G)]
+        if not profiles:
+            print("NOT-APPLICABLE: no cut vertex splits the graph into >= 3 components")
+            return EXIT_NEGATIVE
+    for profile in profiles:
         cert = theorem_decide(profile)
         if cert is not None:
             print(json.dumps(cert.to_json_dict()))
             return EXIT_OK
     reasons = "; ".join(
-        f"(a={p.a},b={p.b},cs={list(p.cs)}): {describe_inapplicability(p)}"
-        for _, p in profiles
+        f"(a={p.a},b={p.b},cs={list(p.cs)}): {describe_inapplicability(p)}" for p in profiles
     )
     print(f"NOT-APPLICABLE: {reasons}")
     return EXIT_NEGATIVE
@@ -276,66 +236,34 @@ def cmd_prove(args) -> int:
 
 def _tree_scan_worker(payload):
     n, idx, edges = payload
-    from .graphs import Graph as _G
-
-    G = _G(n, edges)
-    verdict = is_e_positive(G)
-    return (idx, verdict.positive)
+    return (idx, is_e_positive(Graph(n, edges)).positive)
 
 
 def cmd_trees_scan(args) -> int:
     n_max = args.n_max
     if not 1 <= n_max <= 14:
-        print(f"error: size guard, n_max={n_max} > 14", file=sys.stderr)
-        return EXIT_GUARD
+        raise GuardError(f"size guard, n_max={n_max} > 14")
     cache = ResultCache(args.cache)
     counterexamples = []
     rows = []
     for n in range(1, n_max + 1):
-        qualifying = []
-        keys = []
-        for G in enumerate_free_trees(n):
-            if max_degree(G) >= 4:
-                qualifying.append(G)
-                keys.append(_tree_cache_key(G))
-        results = {}
-        todo = []
-        for i, (G, key) in enumerate(zip(qualifying, keys)):
-            hit = cache.get("trees-scan", key)
-            if hit is not None:
-                results[i] = hit["e_positive"]
-            else:
-                todo.append((n, i, sorted(G.edges)))
-        if todo:
-            if args.jobs > 1 and len(todo) > 1:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    outcomes = list(pool.map(_tree_scan_worker, todo))
-            else:
-                outcomes = [_tree_scan_worker(p) for p in todo]
-            for idx, positive in outcomes:
-                results[idx] = positive
-                cache.put(
-                    "trees-scan",
-                    keys[idx],
-                    {"n": n, "max_degree": max_degree(qualifying[idx]), "e_positive": positive},
-                )
+        qualifying = [G for G in enumerate_free_trees(n) if max_degree(G) >= 4]
+        keys = [_tree_cache_key(G) for G in qualifying]
+        hits = [cache.get("trees-scan", key) for key in keys]
+        # results keep cache hits first, then fresh verdicts, both in tree order
+        results = {i: hit["e_positive"] for i, hit in enumerate(hits) if hit is not None}
+        todo = [(n, i, sorted(G.edges)) for i, G in enumerate(qualifying) if i not in results]
+        for idx, positive in parallel_map(_tree_scan_worker, todo, args.jobs):
+            results[idx] = positive
+            entry = {"n": n, "max_degree": max_degree(qualifying[idx]), "e_positive": positive}
+            cache.put("trees-scan", keys[idx], entry)
         bad = [qualifying[i] for i, positive in results.items() if positive]
         counterexamples.extend(bad)
         rows.append((n, len(qualifying), len(bad)))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "n_max": n_max,
-                    "rows": [
-                        {"n": n, "degree4_trees": q, "counterexamples": b} for n, q, b in rows
-                    ],
-                    "counterexamples": [sorted(g.edges) for g in counterexamples],
-                }
-            )
-        )
+        table = [{"n": n, "degree4_trees": q, "counterexamples": b} for n, q, b in rows]
+        found = [sorted(g.edges) for g in counterexamples]
+        print(json.dumps({"n_max": n_max, "rows": table, "counterexamples": found}))
     else:
         print(f"{'n':>3} {'deg>=4 trees':>13} {'e-positive (unexpected)':>24}")
         for n, q, b in rows:
@@ -367,19 +295,15 @@ def cmd_sweep(args) -> int:
         else:
             lo, hi = _parse_range(args.range, 41, 500)
             report = sweep_c500(lo, hi, mode=args.mode, jobs=args.jobs)
-    except (SpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:  # the sweeps reject out-of-range parameters
+        raise SpecError(str(exc)) from None
     payload = json.dumps(report.to_json_dict(), sort_keys=True)
     if args.out:
         Path(args.out).write_text(payload + "\n")
     print(payload)
     if args.csv:
         with open(args.csv, "w") as fh:
-            if args.kind == "c40":
-                fh.write("c,b,n_lo,n_hi,cells,failures\n")
-            else:
-                fh.write("c,b,q\n")
+            fh.write("c,b,n_lo,n_hi,cells,failures\n" if args.kind == "c40" else "c,b,q\n")
             for row in report.per_cell:
                 fh.write(",".join(str(v) for v in row) + "\n")
     return EXIT_OK if report.ok else EXIT_NEGATIVE
@@ -387,20 +311,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_sixm(args) -> int:
     if not 1 <= args.m <= 3:
-        print(f"error: need 1 <= m <= 3, got {args.m}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecError(f"need 1 <= m <= 3, got {args.m}")
+    if args.cross_check and args.m != 1:
+        raise SpecError("--cross-check is only feasible for m=1")
     report = sixm_full_check(args.m)
     agree = None
     if args.cross_check:
-        if args.m != 1:
-            print("error: --cross-check is only feasible for m=1", file=sys.stderr)
-            return EXIT_USAGE
-        from .partitions import partitions_of
-
         G = spider((6, 4, 1, 1))
-        agree = all(
-            has_connected_partition(G, lam) is not None for lam in partitions_of(13)
-        )
+        agree = all(has_connected_partition(G, lam) is not None for lam in partitions_of(13))
     if args.json:
         out = report.to_json_dict()
         if agree is not None:
@@ -416,9 +334,7 @@ def cmd_sixm(args) -> int:
             print(f"  brute-force search agrees: {agree}")
         for lam, err in report.failures:
             print(f"  FAILURE at {lam}: {err}")
-    if report.failures or agree is False:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return EXIT_NEGATIVE if report.failures or agree is False else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Chromatic symmetric functions, connected partitions, and missing-type certificates.",
     )
     parser.add_argument("--version", action="version", version=f"epolab {__version__}")
-    default_jobs = int(os.environ.get("EPOLAB_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("csf", help="print the e-basis expansion of X_G")
@@ -454,14 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["c40", "c500"])
     p.add_argument("range", nargs="?", help="LO..HI (defaults: 2..40 / 41..500)")
     p.add_argument("--mode", choices=["full", "sampled"], default="full")
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the JSON report to this file")
     p.add_argument("--csv", help="write per-cell rows to this CSV file")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("trees-scan", help="degree>=4 trees are never e-positive")
     p.add_argument("n_max", type=int)
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache", help="append-only JSONL result cache")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_trees_scan)
@@ -477,19 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.config = RunConfig(
-            command=args.command,
-            source=getattr(args, "graph", None) or getattr(args, "spec", None),
-            json_out=getattr(args, "json", False),
-            jobs=getattr(args, "jobs", 1),
-            mode=getattr(args, "mode", "full"),
-            cache=getattr(args, "cache", None),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_USAGE
-    else:
+        if getattr(args, "jobs", 1) < 1:
+            raise SpecError("parallelism must be >= 1")
         code = args.fn(args)
+    except (SpecError, GuardError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_GUARD if isinstance(exc, GuardError) else EXIT_USAGE
     if argv is None:
         sys.exit(code)
     return code

@@ -9,57 +9,43 @@ and component computations cheap at the sizes this library targets.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from .partitions import Partition, partitions_of
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "_adj")
+    Edges are stored once each as (u, v) with u < v; adj[v] is the adjacency
+    bitmask of v, with bit u set iff {u, v} is an edge.
+    """
 
-    def __init__(self, n: int, edges):
-        n = int(n)
+    n: int
+    edges: frozenset
+    adj: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.n
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
         norm = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
+        masks = [0] * n
+        for u, v in self.edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "n", n)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "_adj", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    @property
-    def adj(self) -> Tuple[int, ...]:
-        """Adjacency bitmasks, adj[v] has bit u set iff {u,v} is an edge."""
-        if self._adj is None:
-            masks = [0] * self.n
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            object.__setattr__(self, "_adj", tuple(masks))
-        return self._adj
+        object.__setattr__(self, "adj", tuple(masks))
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and (self.n, self.edges) == (other.n, other.edges)
-
-    def __hash__(self):
-        return hash(("Graph", self.n, self.edges))
-
-    def __repr__(self):
-        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
     def to_text(self) -> str:
         lines = [str(self.n)]
@@ -83,25 +69,22 @@ class Graph:
         return cls(n, edges)
 
 
+@dataclass(frozen=True, slots=True)
 class CutProfile:
     """Component sizes around a cut vertex: a >= b >= c1 >= ... >= ck >= 1."""
 
-    __slots__ = ("a", "b", "cs")
+    a: int
+    b: int
+    cs: Tuple[int, ...]
 
-    def __init__(self, a: int, b: int, cs):
-        a, b = int(a), int(b)
-        cs = tuple(int(x) for x in cs)
+    def __post_init__(self):
+        cs = tuple(self.cs)
         if not cs:
             raise ValueError("need at least one small component (k >= 1)")
-        chain = (a, b) + cs
+        chain = (self.a, self.b) + cs
         if any(chain[i] < chain[i + 1] for i in range(len(chain) - 1)) or cs[-1] < 1:
             raise ValueError(f"sizes must satisfy a >= b >= c1 >= ... >= ck >= 1, got {chain}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         object.__setattr__(self, "cs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CutProfile is immutable")
 
     @property
     def c(self) -> int:
@@ -115,33 +98,15 @@ class CutProfile:
     def n(self) -> int:
         return self.a + self.b + self.c + 1
 
-    def __eq__(self, other):
-        return isinstance(other, CutProfile) and (self.a, self.b, self.cs) == (
-            other.a,
-            other.b,
-            other.cs,
-        )
 
-    def __hash__(self):
-        return hash(("CutProfile", self.a, self.b, self.cs))
-
-    def __repr__(self):
-        return f"CutProfile(a={self.a}, b={self.b}, cs={self.cs})"
-
-
+@dataclass(frozen=True, slots=True)
 class ConnectedPartition:
     """Disjoint vertex blocks covering V, each inducing a connected subgraph."""
 
-    __slots__ = ("blocks",)
+    blocks: Tuple[frozenset, ...]
 
-    def __init__(self, blocks):
-        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in blocks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConnectedPartition is immutable")
-
-    def type_parts(self) -> tuple:
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
 
     def validate(self, G: Graph, lam=None) -> None:
         """Raise unless blocks are disjoint, cover V, and induce connected subgraphs."""
@@ -154,16 +119,11 @@ class ConnectedPartition:
             raise AssertionError("blocks do not cover the vertex set")
         adj = G.adj
         for b in self.blocks:
-            mask = 0
-            for v in b:
-                mask |= 1 << v
+            mask = sum(1 << v for v in b)
             if _component_masks(adj, mask) != [mask]:
                 raise AssertionError(f"block {sorted(b)} is not connected")
-        if lam is not None and self.type_parts() != tuple(sorted(lam, reverse=True)):
+        if lam is not None and sorted(len(b) for b in self.blocks) != sorted(lam):
             raise AssertionError("block sizes do not match the declared type")
-
-    def __repr__(self):
-        return f"ConnectedPartition({[sorted(b) for b in self.blocks]})"
 
 
 def spider(legs) -> Graph:
@@ -180,8 +140,7 @@ def spider(legs) -> Graph:
     edges = []
     offset = 1
     for length in legs:
-        for i in range(offset, offset + length - 1):
-            edges.append((i, i + 1))
+        edges += [(i, i + 1) for i in range(offset, offset + length - 1)]
         edges.append((offset + length - 1, 0))
         offset += length
     return Graph(n, edges)
@@ -255,8 +214,6 @@ def cut_profiles(G: Graph) -> List[Tuple[int, CutProfile]]:
     full = (1 << G.n) - 1
     for v in range(G.n):
         rest = full & ~(1 << v)
-        if not rest:
-            continue
         sizes = sorted((m.bit_count() for m in _component_masks(G.adj, rest)), reverse=True)
         if len(sizes) >= 3:
             out.append((v, CutProfile(sizes[0], sizes[1], sizes[2:])))
@@ -378,11 +335,7 @@ def _level_sequences(n: int) -> Iterator[List[int]]:
     L = list(range(1, n + 1))
     while True:
         yield L[:]
-        p = None
-        for i in range(n - 1, -1, -1):
-            if L[i] > 2:
-                p = i
-                break
+        p = next((i for i in range(n - 1, -1, -1) if L[i] > 2), None)
         if p is None:
             return
         q = p - 1
@@ -404,35 +357,21 @@ def _parents_from_levels(L) -> List[int]:
 
 def tree_centroids(n: int, adjsets) -> List[int]:
     """The one or two vertices minimizing the largest remaining component."""
-    size = [1] * n
-    order = []
-    visited = [False] * n
     parent = [-1] * n
-    stack = [0]
-    visited[0] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
+    order = [0]  # breadth-first from 0: parents before children
+    for v in order:
         for u in adjsets[v]:
-            if not visited[u]:
-                visited[u] = True
+            if u != parent[v]:
                 parent[u] = v
-                stack.append(u)
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    best = n + 1
-    out: List[int] = []
-    for v in range(n):
-        heaviest = n - size[v]
-        for u in adjsets[v]:
-            if parent[u] == v:
-                heaviest = max(heaviest, size[u])
-        if heaviest < best:
-            best, out = heaviest, [v]
-        elif heaviest == best:
-            out.append(v)
-    return out
+                order.append(u)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    heaviest = [
+        max([n - size[v]] + [size[u] for u in adjsets[v] if u != parent[v]]) for v in range(n)
+    ]
+    best = min(heaviest)
+    return [v for v in range(n) if heaviest[v] == best]
 
 
 def _rooted_encoding(root: int, adjsets) -> tuple:
@@ -446,7 +385,7 @@ def tree_canonical_key(G: Graph) -> tuple:
     """Canonical encoding of a free tree (equal iff trees are isomorphic)."""
     if len(G.edges) != G.n - 1 or not is_connected(G):
         raise ValueError("not a tree")
-    adjsets = [sorted(_mask_vertices(m)) for m in G.adj]
+    adjsets = [_mask_vertices(m) for m in G.adj]
     return min(_rooted_encoding(r, adjsets) for r in tree_centroids(G.n, adjsets))
 
 

@@ -15,14 +15,13 @@ rationals, integer square roots); no floats touch a decision.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .graphs import ConnectedPartition, CutProfile, spider
+from .graphs import ConnectedPartition, CutProfile, _mask_vertices, spider
 from .partitions import (
     SumInterval,
     interval_partition,
@@ -148,9 +147,7 @@ def q_interval(b: int, c: int, q: int) -> Optional[SumInterval]:
     return SumInterval(x, y)
 
 
-def q_certificate_search(
-    profile: CutProfile, q_max: Optional[int] = None
-) -> Optional[MissingTypeCertificate]:
+def q_certificate_search(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     """Scan q downward for a compressed interval whose sums realize n.
 
     Larger q gives wider relative windows, so the scan starts at floor(b/c1),
@@ -158,28 +155,18 @@ def q_certificate_search(
     admits a partition of n wins.
     """
     b, c, c1, n = profile.b, profile.c, profile.c1, profile.n
-    top = b // c1
-    if q_max is not None:
-        top = min(top, q_max)
-    for q in range(top, 0, -1):
+    for q in range(b // c1, 0, -1):
         J = q_interval(b, c, q)
         if J is None or J.lo < c1 + 1:
             continue
         lam = interval_partition(n, J)
         if lam is None:
             continue
-        cert = MissingTypeCertificate(
-            profile=profile,
-            lam=lam.parts,
-            kind="q-interval",
-            q=q,
-            x=J.lo,
-            y=J.hi,
-            verified=check_partsums_obstruction(lam.parts, profile),
+        if not check_partsums_obstruction(lam.parts, profile):
+            raise RuntimeError(f"q={q} certificate failed re-verification for {profile}")
+        return MissingTypeCertificate(
+            profile=profile, lam=lam.parts, kind="q-interval", q=q, x=J.lo, y=J.hi, verified=True
         )
-        if not cert.verified:
-            raise RuntimeError(f"q-interval certificate failed re-verification: {cert}")
-        return cert
     return None
 
 
@@ -228,18 +215,10 @@ def analysis_q(b: int, c: int) -> QSelectionTrace:
         internals = {"q0": q0, "c0": c0, "r0": r0, "r1": r1, "r": r0 + r1 + 3}
         case = 4
 
-    x = -(-(b + 1) // q)
-    y = (b + c) // q
-    if not (x >= c + 1 and x < y and (-(-(x - 1) // (y - x))) * x <= 2 * b + c + 1):
+    if not strategy_check(b, c, q):
         raise RuntimeError(f"selected q={q} fails verification for b={b}, c={c} (case {case})")
-    return QSelectionTrace(b=b, c=c, case=case, q=q, x=x, y=y, internals=internals)
-
-
-def _special_b3c2_type(n: int) -> tuple:
-    """All 2s when n is even, a single leading 3 otherwise (b=3, c=2 case)."""
-    if n % 2 == 0:
-        return (2,) * (n // 2)
-    return (3,) + (2,) * ((n - 3) // 2)
+    J = q_interval(b, c, q)
+    return QSelectionTrace(b=b, c=c, case=case, q=q, x=J.lo, y=J.hi, internals=internals)
 
 
 def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
@@ -255,40 +234,20 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     if c < 2:
         return None
 
-    cert: Optional[MissingTypeCertificate] = None
+    q = window = cert = None  # the interval arms set window, the others cert
     if b <= 2 * c - 2:
-        window = SumInterval(b + 1, b + c)
-        lam = interval_partition(n, window)
-        if lam is None:
-            raise RuntimeError(f"interval witness unexpectedly absent for {profile}")
-        cert = MissingTypeCertificate(
-            profile=profile, lam=lam.parts, kind="explicit-interval",
-            x=window.lo, y=window.hi,
-        )
+        window = obstruction_interval(profile)
     elif c >= c1 + 1 and b == 2 * c - 1:
         if c == 2:
-            cert = MissingTypeCertificate(
-                profile=profile, lam=_special_b3c2_type(n), kind="special-b-2c-1",
-            )
+            # b = 3: all 2s when n is even, a single leading 3 otherwise
+            lam = (2,) * (n // 2) if n % 2 == 0 else (3,) + (2,) * ((n - 3) // 2)
+            cert = MissingTypeCertificate(profile=profile, lam=lam, kind="special-b-2c-1")
         else:
-            q = 2
-            J = q_interval(b, c, q)
-            lam = interval_partition(n, J)
-            if lam is None:
-                raise RuntimeError(f"q=2 witness unexpectedly absent for {profile}")
-            cert = MissingTypeCertificate(
-                profile=profile, lam=lam.parts, kind="q-interval", q=q, x=J.lo, y=J.hi,
-            )
+            q, window = 2, q_interval(b, c, 2)
     elif 2 * c <= b and 2 * b <= c * c:
         if c >= 500:
             trace = analysis_q(b, c)
-            lam = interval_partition(n, SumInterval(trace.x, trace.y))
-            if lam is None:
-                raise RuntimeError(f"analysis witness unexpectedly absent for {profile}")
-            cert = MissingTypeCertificate(
-                profile=profile, lam=lam.parts, kind="q-interval",
-                q=trace.q, x=trace.x, y=trace.y,
-            )
+            q, window = trace.q, SumInterval(trace.x, trace.y)
         else:
             cert = q_certificate_search(profile)
             if cert is None:
@@ -298,20 +257,22 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
         if two_coin is None:
             raise RuntimeError(f"two-coin witness unexpectedly absent for {profile}")
         a1, a2 = two_coin
-        cert = MissingTypeCertificate(
-            profile=profile, lam=(c,) * a1 + (c - 1,) * a2, kind="parts-c-c1",
-        )
-
-    if cert is None:
+        lam = (c,) * a1 + (c - 1,) * a2
+        cert = MissingTypeCertificate(profile=profile, lam=lam, kind="parts-c-c1")
+    else:
         return None
+
+    if window is not None:
+        lam = interval_partition(n, window)
+        if lam is None:
+            raise RuntimeError(f"interval witness unexpectedly absent for {profile}, q={q}")
+        kind = "explicit-interval" if q is None else "q-interval"
+        cert = MissingTypeCertificate(
+            profile=profile, lam=lam.parts, kind=kind, q=q, x=window.lo, y=window.hi
+        )
     if not check_partsums_obstruction(cert.lam, profile):
         raise RuntimeError(f"certificate failed re-verification: {cert}")
-    if not cert.verified:
-        cert = MissingTypeCertificate(
-            profile=cert.profile, lam=cert.lam, kind=cert.kind,
-            q=cert.q, x=cert.x, y=cert.y, verified=True,
-        )
-    return cert
+    return replace(cert, verified=True)
 
 
 def describe_inapplicability(profile: CutProfile) -> str:
@@ -376,7 +337,8 @@ def _c40_scan_c(c: int) -> Tuple[int, List[tuple], List[tuple]]:
         n_lo = 2 * b + c + 1
         n_hi = (-(-b // (c - 1))) * (b + 1)
         width = n_hi - n_lo + 1
-        covered = np.zeros(width, dtype=bool)
+        full = (1 << width) - 1
+        covered = 0  # bit i set once n_lo + i is realized
         for q in range(b // c, 0, -1):  # q <= b/c keeps x = ceil((b+1)/q) >= c+1
             x = -(-(b + 1) // q)
             y = (b + c) // q
@@ -386,14 +348,28 @@ def _c40_scan_c(c: int) -> Tuple[int, List[tuple], List[tuple]]:
                 lo = max(t * x, n_lo)
                 hi = min(t * y, n_hi)
                 if lo <= hi:
-                    covered[lo - n_lo : hi - n_lo + 1] = True
-            if covered.all():
+                    covered |= ((1 << (hi - lo + 1)) - 1) << (lo - n_lo)
+            if covered == full:
                 break
         cells += width
-        miss = np.flatnonzero(~covered)
-        failures.extend((b, c, n_lo + int(i)) for i in miss)
+        miss = _mask_vertices(full & ~covered)
+        failures.extend((b, c, n_lo + i) for i in miss)
         rows.append((c, b, n_lo, n_hi, width, len(miss)))
     return cells, failures, rows
+
+
+def _sweep(kind: str, params: dict, scan, items: list, jobs: int) -> SweepReport:
+    """Run a per-c scan over items and concatenate its (cells, failures, rows)."""
+    start = time.perf_counter()
+    results = parallel_map(scan, items, jobs)
+    return SweepReport(
+        kind=kind,
+        params=params,
+        cells=sum(r[0] for r in results),
+        failures=[f for r in results for f in r[1]],
+        wall_time_ms=int((time.perf_counter() - start) * 1000),
+        per_cell=[row for r in results for row in r[2]],
+    )
 
 
 def sweep_c40(c_lo: int = 2, c_hi: int = 40, jobs: int = 1) -> SweepReport:
@@ -405,20 +381,8 @@ def sweep_c40(c_lo: int = 2, c_hi: int = 40, jobs: int = 1) -> SweepReport:
     """
     if not 2 <= c_lo <= c_hi:
         raise ValueError(f"bad c range {c_lo}..{c_hi}")
-    start = time.perf_counter()
-    cs = list(range(c_lo, c_hi + 1))
-    results = _run_per_c(_c40_scan_c, cs, jobs)
-    cells = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
-    per_cell = [row for r in results for row in r[2]]
-    return SweepReport(
-        kind="c40",
-        params={"c_lo": c_lo, "c_hi": c_hi},
-        cells=cells,
-        failures=failures,
-        wall_time_ms=int((time.perf_counter() - start) * 1000),
-        per_cell=per_cell,
-    )
+    params = {"c_lo": c_lo, "c_hi": c_hi}
+    return _sweep("c40", params, _c40_scan_c, list(range(c_lo, c_hi + 1)), jobs)
 
 
 def _c500_scan_c(args: tuple) -> Tuple[int, List[tuple], List[tuple]]:
@@ -450,33 +414,29 @@ def sweep_c500(c_lo: int, c_hi: int, mode: str = "full", jobs: int = 1) -> Sweep
     if mode not in ("full", "sampled"):
         raise ValueError(f"bad mode {mode!r}")
     c_stride, b_stride = (3, 7) if mode == "sampled" else (1, 1)
-    start = time.perf_counter()
+    params = {"c_lo": c_lo, "c_hi": c_hi, "mode": mode}
     cs = [(c, b_stride) for c in range(c_lo, c_hi + 1, c_stride)]
-    results = _run_per_c(_c500_scan_c, cs, jobs)
-    cells = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
-    per_cell = [row for r in results for row in r[2]]
-    return SweepReport(
-        kind="c500",
-        params={"c_lo": c_lo, "c_hi": c_hi, "mode": mode},
-        cells=cells,
-        failures=failures,
-        wall_time_ms=int((time.perf_counter() - start) * 1000),
-        per_cell=per_cell,
-    )
+    return _sweep("c500", params, _c500_scan_c, cs, jobs)
 
 
-def _run_per_c(fn, items: list, jobs: int) -> list:
-    """Map fn over independent work items, optionally across processes.
+def worker_count(jobs: int, items: int) -> int:
+    """Processes worth starting: at most one per item and one per core."""
+    return max(1, min(jobs, items, os.cpu_count() or 1))
 
-    Results come back in item order, so reports are identical for any job
-    count.
+
+def parallel_map(fn, items: list, jobs: int) -> list:
+    """Map fn over independent work items, across processes when jobs > 1.
+
+    The pool starts every worker at once, so its size is clamped by
+    worker_count.  Results come back in item order, so output is identical
+    for any job count.
     """
-    if jobs <= 1 or len(items) <= 1:
+    workers = worker_count(jobs, len(items))
+    if workers == 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -488,9 +448,10 @@ def _run_per_c(fn, items: list, jobs: int) -> list:
 class Spider4Verdict:
     """Classification of a four-leg spider: always not e-positive."""
 
+    e_positive = False  # a class constant, not a field: every verdict is negative
+
     legs: Tuple[int, ...]
     profile: CutProfile
-    e_positive: bool
     method: str  # "obstruction-certificate" | "external:zheng-cor-4.6"
     certificate: Optional[MissingTypeCertificate]
     note: str
@@ -508,26 +469,14 @@ def spider4_classify(legs) -> Spider4Verdict:
         raise ValueError(f"need exactly 4 legs, got {legs}")
     profile = CutProfile(legs[0], legs[1], legs[2:])
     b, c, n = profile.b, profile.c, profile.n
-    if 2 * b <= c * c:
-        cert = theorem_decide(profile)
-        if cert is None:
-            raise RuntimeError(f"no obstruction arm applied for 4-leg spider {legs}")
-        return Spider4Verdict(
-            legs=legs,
-            profile=profile,
-            e_positive=False,
-            method="obstruction-certificate",
-            certificate=cert,
-            note=f"missing connected partition of type {cert.lam}",
-        )
-    return Spider4Verdict(
-        legs=legs,
-        profile=profile,
-        e_positive=False,
-        method="external:zheng-cor-4.6",
-        certificate=None,
-        note=f"n = {n} >= c^2+c+1 = {c * c + c + 1}; not e-positive by Zheng, Cor. 4.6",
-    )
+    if 2 * b > c * c:
+        note = f"n = {n} >= c^2+c+1 = {c * c + c + 1}; not e-positive by Zheng, Cor. 4.6"
+        return Spider4Verdict(legs, profile, "external:zheng-cor-4.6", None, note)
+    cert = theorem_decide(profile)
+    if cert is None:
+        raise RuntimeError(f"no obstruction arm applied for 4-leg spider {legs}")
+    note = f"missing connected partition of type {cert.lam}"
+    return Spider4Verdict(legs, profile, "obstruction-certificate", cert, note)
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +700,4 @@ def sixm_full_check(m: int) -> SixmReport:
                 materialized += 1
         except Exception as exc:  # a failure here would falsify the claim
             failures.append((lam.parts, repr(exc)))
-    return SixmReport(
-        m=m, total=total, case_tallies=tallies, failures=failures, materialized=materialized
-    )
+    return SixmReport(m, total, tallies, failures, materialized)

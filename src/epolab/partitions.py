@@ -1,4 +1,4 @@
-"""Integer compositions, partitions, prefix sums, and interval representability.
+"""Integer partitions, prefix sums, and interval representability.
 
 All arithmetic is exact (Python ints).  Values are immutable and hashable, so
 they can be shared freely across threads and used as dict keys.
@@ -6,26 +6,29 @@ they can be shared freely across threads and used as dict keys.
 
 from __future__ import annotations
 
-import itertools
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Optional
 
 
-class Composition:
-    """Ordered sequence of positive integers."""
+@dataclass(frozen=True, slots=True)
+class Partition:
+    """Nonempty tuple of positive integers in weakly decreasing order."""
 
-    __slots__ = ("parts", "total")
+    parts: tuple
 
-    def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
-        if not parts:
+    def __post_init__(self):
+        p = self.parts
+        if not p:
             raise ValueError("composition needs at least one part")
-        if any(p < 1 for p in parts):
-            raise ValueError(f"parts must be positive: {parts}")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "total", sum(parts))
+        if min(p) < 1:
+            raise ValueError(f"parts must be positive: {p}")
+        if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+            raise ValueError(f"parts must be weakly decreasing: {p}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
+    @property
+    def total(self) -> int:
+        return sum(self.parts)
 
     def __iter__(self):
         return iter(self.parts)
@@ -33,60 +36,23 @@ class Composition:
     def __len__(self):
         return len(self.parts)
 
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.parts))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.parts})"
-
     def __str__(self):
         return format_parts(self.parts)
 
 
-class Partition(Composition):
-    """Composition whose parts are weakly decreasing."""
-
-    __slots__ = ()
-
-    def __init__(self, parts):
-        super().__init__(parts)
-        p = self.parts
-        if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-            raise ValueError(f"parts must be weakly decreasing: {p}")
-
-
+@dataclass(frozen=True, slots=True)
 class SumInterval:
     """Closed integer interval [lo, hi] with 1 <= lo <= hi."""
 
-    __slots__ = ("lo", "hi")
+    lo: int
+    hi: int
 
-    def __init__(self, lo: int, hi: int):
-        lo, hi = int(lo), int(hi)
-        if not 1 <= lo <= hi:
-            raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SumInterval is immutable")
+    def __post_init__(self):
+        if not 1 <= self.lo <= self.hi:
+            raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
     def __contains__(self, v: int) -> bool:
         return self.lo <= v <= self.hi
-
-    def __eq__(self, other):
-        return isinstance(other, SumInterval) and (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self):
-        return hash(("SumInterval", self.lo, self.hi))
-
-    def __repr__(self):
-        return f"SumInterval({self.lo}, {self.hi})"
 
 
 def format_parts(parts) -> str:
@@ -110,42 +76,7 @@ def parse_partition(text: str) -> Partition:
 
 def partial_sums(alpha) -> frozenset:
     """Set of proper prefix sums of a composition (empty for a single part)."""
-    parts = tuple(alpha)
-    acc = 0
-    out = []
-    for p in parts[:-1]:
-        acc += p
-        out.append(acc)
-    return frozenset(out)
-
-
-def reverse(alpha: Composition) -> Composition:
-    """Composition with the parts in reverse order."""
-    return Composition(tuple(alpha)[::-1])
-
-
-def rearrangements(lam) -> Iterator[Composition]:
-    """All distinct orderings of the parts, in lexicographic order.
-
-    Streams via multiset next-permutation, O(len) memory; the number of
-    results is the multinomial of the part multiplicities.
-    """
-    cur = sorted(lam)
-    n = len(cur)
-    yield Composition(cur)
-    while True:
-        # next permutation of a multiset
-        i = n - 2
-        while i >= 0 and cur[i] >= cur[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while cur[j] <= cur[i]:
-            j -= 1
-        cur[i], cur[j] = cur[j], cur[i]
-        cur[i + 1 :] = reversed(cur[i + 1 :])
-        yield Composition(cur)
+    return frozenset(accumulate(tuple(alpha)[:-1]))
 
 
 def _partition_tuples(n: int, max_part: int) -> Iterator[tuple]:
@@ -180,27 +111,12 @@ def interval_partition(n: int, J: SumInterval) -> Optional[Partition]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     x, y = J.lo, J.hi
-    t = -(-n // y)  # smallest t with t*y >= n
-    if t < 1:
-        t = 1
+    t = -(-n // y)  # smallest t with t*y >= n; at least 1 since n >= 1
     if t * x > n:
         return None
     q, r = divmod(n, t)
     # t*x <= n <= t*y guarantees x <= q and (q < y or r == 0)
     return Partition((q + 1,) * r + (q,) * (t - r))
-
-
-def frobenius_interval_bound(J: SumInterval) -> int:
-    """Threshold above which every n has a partition with parts in J.
-
-    Equals ceil((lo-1)/(hi-lo)) * lo; past that point consecutive t-part
-    ranges [t*lo, t*hi] overlap.  Sufficient but not necessary; undefined
-    when lo == hi.
-    """
-    x, y = J.lo, J.hi
-    if x == y:
-        raise ValueError("bound undefined for a single-value interval; use divisibility")
-    return (-(-(x - 1) // (y - x))) * x
 
 
 def two_coin_representation(n: int, c: int) -> Optional[tuple]:
@@ -217,25 +133,3 @@ def two_coin_representation(n: int, c: int) -> Optional[tuple]:
         if rem % (c - 1) == 0:
             return (a1, rem // (c - 1))
     return None
-
-
-def multiset_key(parts) -> tuple:
-    """Canonical key (sorted descending) for a multiset of parts."""
-    return tuple(sorted(parts, reverse=True))
-
-
-def count_rearrangements(lam) -> int:
-    """Number of distinct orderings: multinomial of multiplicities."""
-    import math
-    from collections import Counter
-
-    parts = tuple(lam)
-    out = math.factorial(len(parts))
-    for mult in Counter(parts).values():
-        out //= math.factorial(mult)
-    return out
-
-
-def take(it, k: int) -> list:
-    """First k items of an iterator (test/demo convenience)."""
-    return list(itertools.islice(it, k))

@@ -10,45 +10,38 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, List, Tuple
 
-from .graphs import Graph, _component_masks
+from .graphs import Graph, _component_masks, _mask_vertices
 from .partitions import format_parts
 
 
+@dataclass(frozen=True, slots=True)
 class ESymExpansion:
     """Association from partitions of `degree` to exact integer coefficients.
 
     Zero coefficients are never stored.
     """
 
-    __slots__ = ("degree", "coeffs")
+    degree: int
+    coeffs: Dict[tuple, int] = field(repr=False)
 
-    def __init__(self, degree: int, coeffs: Dict[tuple, int]):
+    def __post_init__(self):
         clean = {}
-        for key, val in coeffs.items():
+        for key, val in self.coeffs.items():
             key = tuple(key)
-            if sum(key) != degree:
-                raise ValueError(f"key {key} is not a partition of {degree}")
+            if sum(key) != self.degree:
+                raise ValueError(f"key {key} is not a partition of {self.degree}")
             if any(key[i] < key[i + 1] for i in range(len(key) - 1)):
                 raise ValueError(f"key {key} is not weakly decreasing")
             if val != 0:
                 clean[key] = int(val)
-        object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "coeffs", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ESymExpansion is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ESymExpansion)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
     def __hash__(self):
-        return hash(("ESymExpansion", self.degree, frozenset(self.coeffs.items())))
+        return hash((self.degree, frozenset(self.coeffs.items())))
 
     def __getitem__(self, key) -> int:
         return self.coeffs.get(tuple(key), 0)
@@ -68,36 +61,29 @@ class ESymExpansion:
             ],
         }
 
-    def __repr__(self):
-        return f"ESymExpansion(degree={self.degree}, terms={len(self.coeffs)})"
 
-
+@dataclass(frozen=True, slots=True)
 class EposVerdict:
-    """Positivity verdict plus every strictly negative term."""
+    """Positivity verdict plus every strictly negative (partition, coefficient) term."""
 
-    __slots__ = ("positive", "negatives")
+    negatives: Tuple[Tuple[tuple, int], ...]
 
-    def __init__(self, negatives):
-        negatives = tuple((tuple(lam), int(c)) for lam, c in negatives)
-        object.__setattr__(self, "negatives", negatives)
-        object.__setattr__(self, "positive", not negatives)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EposVerdict is immutable")
-
-    def __repr__(self):
-        return f"EposVerdict(positive={self.positive}, negatives={list(self.negatives)})"
+    @property
+    def positive(self) -> bool:
+        return not self.negatives
 
 
 _P_IN_E_CACHE: Dict[int, ESymExpansion] = {}
 _PROD_E_CACHE: Dict[tuple, ESymExpansion] = {}
 
 
-def _mult_by_ek(coeffs: Dict[tuple, int], k: int, scale: int) -> Dict[tuple, int]:
+def _merge(A: Dict[tuple, int], B: Dict[tuple, int]) -> Dict[tuple, int]:
+    """Product of two partition-keyed tallies: keys merge as multisets."""
     out: Dict[tuple, int] = {}
-    for lam, c in coeffs.items():
-        key = tuple(sorted(lam + (k,), reverse=True))
-        out[key] = out.get(key, 0) + c * scale
+    for ka, ca in A.items():
+        for kb, cb in B.items():
+            key = tuple(sorted(ka + kb, reverse=True))
+            out[key] = out.get(key, 0) + ca * cb
     return out
 
 
@@ -117,7 +103,7 @@ def p_in_e(k: int) -> ESymExpansion:
         acc: Dict[tuple, int] = {}
         sign = 1
         for i in range(1, k):
-            for key, val in _mult_by_ek(p_in_e(k - i).coeffs, i, sign).items():
+            for key, val in _merge(p_in_e(k - i).coeffs, {(i,): sign}).items():
                 acc[key] = acc.get(key, 0) + val
             sign = -sign
         acc[(k,)] = acc.get((k,), 0) + sign * k
@@ -128,12 +114,7 @@ def p_in_e(k: int) -> ESymExpansion:
 
 def multiply_e(A: ESymExpansion, B: ESymExpansion) -> ESymExpansion:
     """Product of two expansions; keys merge as multisets, degrees add."""
-    out: Dict[tuple, int] = {}
-    for ka, ca in A.coeffs.items():
-        for kb, cb in B.coeffs.items():
-            key = tuple(sorted(ka + kb, reverse=True))
-            out[key] = out.get(key, 0) + ca * cb
-    return ESymExpansion(A.degree + B.degree, out)
+    return ESymExpansion(A.degree + B.degree, _merge(A.coeffs, B.coeffs))
 
 
 def _prod_p_in_e(lam: tuple) -> ESymExpansion:
@@ -176,14 +157,6 @@ def _subset_type_tally(n: int, edges: List[tuple]) -> Counter:
     return tally
 
 
-def _merge_type_tallies(t1: Counter, t2: Counter) -> Counter:
-    out: Counter = Counter()
-    for k1, c1 in t1.items():
-        for k2, c2 in t2.items():
-            out[tuple(sorted(k1 + k2, reverse=True))] += c1 * c2
-    return out
-
-
 def _tree_type_tally(n: int, adj, root_mask: int) -> Counter:
     """Forest fast path: signed type tally of one tree component via a DP.
 
@@ -219,7 +192,8 @@ def _tree_type_tally(n: int, adj, root_mask: int) -> Counter:
     return tally
 
 
-def _type_tally(G: Graph) -> Counter:
+def _type_tally(G: Graph) -> Dict[tuple, int]:
+    """Signed count of component-size types over all edge subsets of G."""
     adj = G.adj
     full = (1 << G.n) - 1
     comps = _component_masks(adj, full)
@@ -227,25 +201,15 @@ def _type_tally(G: Graph) -> Counter:
     tallies = []
     for comp in comps:
         if comp.bit_count() == 1:
-            tallies.append(Counter({(1,): 1}))
+            tallies.append({(1,): 1})
         elif edge_count_ok:
             tallies.append(_tree_type_tally(G.n, adj, comp))
         else:
-            verts = []
-            mm = comp
-            while mm:
-                low = mm & -mm
-                mm &= mm - 1
-                verts.append(low.bit_length() - 1)
+            verts = _mask_vertices(comp)
             relabel = {v: i for i, v in enumerate(verts)}
-            edges = [
-                (relabel[u], relabel[v]) for u, v in sorted(G.edges) if (1 << u) & comp
-            ]
+            edges = [(relabel[u], relabel[v]) for u, v in sorted(G.edges) if (1 << u) & comp]
             tallies.append(_subset_type_tally(len(verts), edges))
-    out = tallies[0]
-    for t in tallies[1:]:
-        out = _merge_type_tallies(out, t)
-    return out
+    return reduce(_merge, tallies)
 
 
 def csf_e(G: Graph) -> ESymExpansion:
@@ -269,8 +233,7 @@ def csf_e(G: Graph) -> ESymExpansion:
 def is_e_positive(G: Graph) -> EposVerdict:
     """Verdict plus all strictly negative coefficients, in stream order."""
     X = csf_e(G)
-    negatives = [(lam, c) for lam, c in X.stream_items() if c < 0]
-    return EposVerdict(negatives)
+    return EposVerdict(tuple((lam, c) for lam, c in X.stream_items() if c < 0))
 
 
 def specialize_e(X: ESymExpansion, k: int) -> int:
@@ -307,20 +270,11 @@ def _chrompoly(n: int, edges: frozenset) -> tuple:
     if cached is not None:
         return cached
 
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    comps = _component_masks(adj, (1 << n) - 1)
+    comps = _component_masks(Graph(n, edges).adj, (1 << n) - 1)
     if len(comps) > 1:
         result = (1,)
         for comp in comps:
-            verts = []
-            mm = comp
-            while mm:
-                low = mm & -mm
-                mm &= mm - 1
-                verts.append(low.bit_length() - 1)
+            verts = _mask_vertices(comp)
             relabel = {v: i for i, v in enumerate(verts)}
             sub = frozenset(
                 (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))

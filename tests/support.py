@@ -3,18 +3,109 @@
 Everything here is deliberately separate from the library routes it checks:
 brute-force coloring tallies, 0-1 matrix counts for monomial coefficients,
 labeled-tree enumeration via sequence decoding, subset-sum existence, full
-rearrangement scans, and an isomorphism-class enumerator for small connected
-graphs built on an individualization-refinement canonical form.
+rearrangement scans, a cell-by-cell scan of the c <= 40 sweep, and an
+isomorphism-class enumerator for small connected graphs built on an
+individualization-refinement canonical form.  Compositions and their
+rearrangements live here too: only the tests need ordered parts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
 from epolab.graphs import Graph
+from epolab.partitions import SumInterval, format_parts
+
+
+# ---------------------------------------------------------------------------
+# Compositions
+
+
+@dataclass(frozen=True)
+class Composition:
+    """Ordered sequence of positive integers."""
+
+    parts: tuple
+
+    def __post_init__(self):
+        parts = tuple(int(p) for p in self.parts)
+        if not parts:
+            raise ValueError("composition needs at least one part")
+        if any(p < 1 for p in parts):
+            raise ValueError(f"parts must be positive: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    @property
+    def total(self) -> int:
+        return sum(self.parts)
+
+    def __iter__(self):
+        return iter(self.parts)
+
+    def __len__(self):
+        return len(self.parts)
+
+    def __getitem__(self, i):
+        return self.parts[i]
+
+    def __str__(self):
+        return format_parts(self.parts)
+
+
+def reverse(alpha: Composition) -> Composition:
+    """Composition with the parts in reverse order."""
+    return Composition(tuple(alpha)[::-1])
+
+
+def rearrangements(lam) -> Iterator[Composition]:
+    """All distinct orderings of the parts, in lexicographic order.
+
+    Streams via multiset next-permutation, O(len) memory; the number of
+    results is the multinomial of the part multiplicities.
+    """
+    cur = sorted(lam)
+    n = len(cur)
+    yield Composition(cur)
+    while True:
+        # next permutation of a multiset
+        i = n - 2
+        while i >= 0 and cur[i] >= cur[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while cur[j] <= cur[i]:
+            j -= 1
+        cur[i], cur[j] = cur[j], cur[i]
+        cur[i + 1 :] = reversed(cur[i + 1 :])
+        yield Composition(cur)
+
+
+def count_rearrangements(lam) -> int:
+    """Number of distinct orderings: multinomial of multiplicities."""
+    parts = tuple(lam)
+    out = math.factorial(len(parts))
+    for mult in Counter(parts).values():
+        out //= math.factorial(mult)
+    return out
+
+
+def frobenius_interval_bound(J: SumInterval) -> int:
+    """Threshold above which every n has a partition with parts in J.
+
+    Equals ceil((lo-1)/(hi-lo)) * lo; past that point consecutive t-part
+    ranges [t*lo, t*hi] overlap.  Sufficient but not necessary; undefined
+    when lo == hi.
+    """
+    x, y = J.lo, J.hi
+    if x == y:
+        raise ValueError("bound undefined for a single-value interval; use divisibility")
+    return (-(-(x - 1) // (y - x))) * x
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +274,6 @@ def zero_one_matrix_count(rows: tuple, cols: tuple) -> int:
 
 def distinct_orderings(mu: tuple, slots: int) -> int:
     """Number of distinct vectors of length `slots` whose sorted form is mu."""
-    import math
-
     padded = tuple(mu) + (0,) * (slots - len(mu))
     out = math.factorial(slots)
     for mult in Counter(padded).values():
@@ -334,3 +423,33 @@ def brute_force_partitions(n: int) -> List[tuple]:
 
     rec(n, n, ())
     return out
+
+
+def c40_cells_bruteforce(c_lo: int, c_hi: int) -> Tuple[List[tuple], List[tuple]]:
+    """(failure cells, per-(c, b) rows) of the c <= 40 sweep, cell by cell.
+
+    A cell (b, c, n) is covered when some block count q, with its window
+    x = ceil((b+1)/q), y = floor((b+c)/q) satisfying c+1 <= x <= y, and some
+    part count t give t*x <= n <= t*y.  Every q from 1 to b and every t is
+    tried for every n on its own; rows match sweep_c40's per_cell format
+    (c, b, n_lo, n_hi, cells, failures).
+    """
+    failures: List[tuple] = []
+    rows: List[tuple] = []
+    for c in range(c_lo, c_hi + 1):
+        for b in range(2 * c, c * c // 2 + 1):
+            windows = []
+            for q in range(1, b + 1):
+                x, y = -(-(b + 1) // q), (b + c) // q
+                if c + 1 <= x <= y:
+                    windows.append((x, y))
+            n_lo = 2 * b + c + 1
+            n_hi = -(-b // (c - 1)) * (b + 1)
+            missed = [
+                (b, c, n)
+                for n in range(n_lo, n_hi + 1)
+                if not any(t * x <= n <= t * y for x, y in windows for t in range(1, n // x + 1))
+            ]
+            failures += missed
+            rows.append((c, b, n_lo, n_hi, n_hi - n_lo + 1, len(missed)))
+    return failures, rows

@@ -207,3 +207,45 @@ def test_sixm_cli(capsys):
     assert rep["total"] == 1958 and rep["failures"] == []
     code, _, _ = run(capsys, "sixm", "4")
     assert code == 2
+
+
+def test_epolab_jobs_env_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("EPOLAB_JOBS", "abc")
+    code, out, _ = run(capsys, "prove", "profile:a=2,b=2,cs=2,2,2")
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
+def test_trees_scan_cache_survives_torn_last_line(capsys, tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    code, expected, _ = run(capsys, "trees-scan", "6", "--cache", str(clean))
+    assert code == 0
+    text = clean.read_text()
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text(text[: text.rindex("\n", 0, -1) + 1 + 20])  # last record cut mid-line
+    code, out, _ = run(capsys, "trees-scan", "6", "--cache", str(torn))
+    assert code == 0 and out == expected
+    repaired = torn.read_text()
+    assert repaired.endswith(text.splitlines()[-1] + "\n")  # re-appended whole, on its own line
+    code, out, _ = run(capsys, "trees-scan", "6", "--cache", str(torn))
+    assert code == 0 and out == expected
+    assert torn.read_text() == repaired
+
+
+def test_cli_import_leaves_numpy_out():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import epolab
+
+    src = str(Path(epolab.__file__).resolve().parents[1])
+    probe = "import sys, epolab.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

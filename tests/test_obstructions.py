@@ -56,7 +56,7 @@ def test_check_partsums_vs_full_enumeration():
         CutProfile(4, 3, (2, 2)),
         CutProfile(5, 4, (2, 1, 1)),
     ]
-    from epolab.partitions import count_rearrangements
+    from support import count_rearrangements
 
     for profile in profiles:
         lo, hi = profile.b + 1, profile.b + profile.c
@@ -130,7 +130,7 @@ def test_compressed_interval_types_are_obstructed():
         if lam is None:
             continue
         assert check_partsums_obstruction(lam, profile), (profile, q, lam)
-        from epolab.partitions import count_rearrangements
+        from support import count_rearrangements
 
         if count_rearrangements(lam.parts) <= 20000:
             assert support.all_rearrangements_hit(lam.parts, b + 1, b + profile.c)
@@ -469,3 +469,24 @@ def test_sweep_range_validation():
         sweep_c500(41, 501)
     with pytest.raises(ValueError):
         sweep_c500(41, 50, mode="other")
+
+
+def test_sweep_c40_matches_cell_by_cell_oracle():
+    report = sweep_c40(2, 8)
+    failures, rows = support.c40_cells_bruteforce(2, 8)
+    assert report.per_cell == rows
+    assert report.failures == failures
+    assert report.cells == sum(row[4] for row in rows)
+
+
+def test_worker_count_is_clamped():
+    import os
+
+    from epolab.obstructions import worker_count
+
+    cores = os.cpu_count() or 1
+    assert worker_count(1, 100) == 1
+    assert worker_count(10**6, 3) == min(3, cores)
+    assert worker_count(10**6, 10**6) == cores
+    assert worker_count(4, 0) == 1
+    assert worker_count(2, 1) == 1

@@ -6,19 +6,21 @@ import pytest
 
 import support
 from epolab.partitions import (
-    Composition,
     Partition,
     SumInterval,
-    count_rearrangements,
     format_parts,
-    frobenius_interval_bound,
     interval_partition,
     parse_partition,
     partial_sums,
     partitions_of,
+    two_coin_representation,
+)
+from support import (
+    Composition,
+    count_rearrangements,
+    frobenius_interval_bound,
     rearrangements,
     reverse,
-    two_coin_representation,
 )
 
 
