@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / positive outcome, 1 negative finding (not e-positive,
 missing type, sweep failure, theorem not applicable), 2 usage or parse error,
-3 size-guard violation.
+3 size-guard violation or state budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ from .obstructions import (
     theorem_decide,
 )
 from .partitions import format_parts, parse_partition, partitions_of
-from .symfunc import csf_e, is_e_positive
+from .symfunc import CSF_ROUTE, StateBudgetError, csf_e, is_e_positive
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 class SpecError(ValueError):
@@ -106,11 +107,12 @@ def parse_profile_spec(spec: str) -> CutProfile:
 
 
 class ResultCache:
-    """Append-only JSONL cache keyed by (command, canonical input, version).
+    """Append-only JSONL cache keyed by (command, canonical input, version, route).
 
-    A line that does not parse is what an interrupted append leaves behind: it
-    is skipped, and the next append starts on a fresh line so that its record
-    stays whole.
+    The route tag names the algorithms behind a result (symfunc.CSF_ROUTE), so
+    a record without it, or with another, is a miss.  A line that does not
+    parse is what an interrupted append leaves behind: it is skipped, and the
+    next append starts on a fresh line so that its record stays whole.
     """
 
     def __init__(self, path: Optional[str]):
@@ -125,17 +127,18 @@ class ResultCache:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                self._records[(rec["command"], rec["key"], rec["version"])] = rec["result"]
+                self._records[(rec["command"], rec["key"], rec["version"], rec.get("route"))] = rec["result"]
 
     def get(self, command: str, key: str):
-        return self._records.get((command, key, __version__))
+        return self._records.get((command, key, __version__, CSF_ROUTE))
 
     def put(self, command: str, key: str, result) -> None:
-        if (command, key, __version__) in self._records:
+        if (command, key, __version__, CSF_ROUTE) in self._records:
             return
-        self._records[(command, key, __version__)] = result
+        self._records[(command, key, __version__, CSF_ROUTE)] = result
         if self.path:
-            record = {"command": command, "key": key, "version": __version__, "result": result}
+            record = {"command": command, "key": key, "version": __version__,
+                      "route": CSF_ROUTE, "result": result}
             with self.path.open("a") as fh:
                 if self._torn_tail:
                     fh.write("\n")
@@ -395,9 +398,12 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise SpecError("parallelism must be >= 1")
         code = args.fn(args)
-    except (SpecError, GuardError) as exc:
+    except (SpecError, GuardError, StateBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_GUARD if isinstance(exc, GuardError) else EXIT_USAGE
+        code = EXIT_USAGE if isinstance(exc, SpecError) else EXIT_GUARD
+    except Exception as exc:  # a crash must not exit 1, the code of a finding
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
     if argv is None:
         sys.exit(code)
     return code

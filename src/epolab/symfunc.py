@@ -15,7 +15,7 @@ from functools import reduce
 from typing import Dict, List, Tuple
 
 from .graphs import Graph, _component_masks, _mask_vertices
-from .partitions import format_parts
+from .partitions import _partition_tuples, format_parts
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,8 +73,16 @@ class EposVerdict:
         return not self.negatives
 
 
-_P_IN_E_CACHE: Dict[int, ESymExpansion] = {}
-_PROD_E_CACHE: Dict[tuple, ESymExpansion] = {}
+CSF_ROUTE = "tally=tree-dp+frontier-dp;p2e=waring"  # tags cached verdicts by route
+STATE_BUDGET = 150_000  # live frontier-DP states; K10 peaks at Bell(10) = 115,975
+# Inside the conversion an e-monomial is an int: part p adds 1 << 5*(p-1), so a
+# product is one addition.  Multiplicities stay below 32 up to degree 25.
+_P_IN_E_CACHE: Dict[int, Tuple[Dict[int, int], Dict[int, tuple]]] = {}
+_PROD_E_CACHE: Dict[tuple, Dict[int, int]] = {}
+
+
+class StateBudgetError(RuntimeError):
+    """The frontier DP needed more than STATE_BUDGET live states."""
 
 
 def _merge(A: Dict[tuple, int], B: Dict[tuple, int]) -> Dict[tuple, int]:
@@ -87,29 +95,29 @@ def _merge(A: Dict[tuple, int], B: Dict[tuple, int]) -> Dict[tuple, int]:
     return out
 
 
-def p_in_e(k: int) -> ESymExpansion:
-    """Degree-k power sum written in the elementary basis.
-
-    Recurrence: p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^(k-1) k e_k.
-    Results are memoized per degree.
+def _waring(k: int) -> Tuple[Dict[int, int], Dict[int, tuple]]:
+    """p_k in the e-basis by Waring's formula, keyed by packed partitions, and
+    each partition of k (weakly decreasing) under its key.  The coefficient of
+    e_mu is (-1)^(k - l(mu)) k (l(mu) - 1)! / prod m_i!, m_i = #parts equal to i.
     """
     if not 1 <= k <= 25:
         raise ValueError(f"p_in_e guard: need 1 <= k <= 25, got {k}")
-    if k in _P_IN_E_CACHE:
-        return _P_IN_E_CACHE[k]
-    if k == 1:
-        out = ESymExpansion(1, {(1,): 1})
-    else:
-        acc: Dict[tuple, int] = {}
-        sign = 1
-        for i in range(1, k):
-            for key, val in _merge(p_in_e(k - i).coeffs, {(i,): sign}).items():
-                acc[key] = acc.get(key, 0) + val
-            sign = -sign
-        acc[(k,)] = acc.get((k,), 0) + sign * k
-        out = ESymExpansion(k, acc)
-    _P_IN_E_CACHE[k] = out
-    return out
+    if k not in _P_IN_E_CACHE:
+        coeffs, names = {}, {}
+        for mu in _partition_tuples(k, k):
+            key = sum(1 << 5 * (part - 1) for part in mu)
+            coeff = k * math.factorial(len(mu) - 1)
+            coeff //= math.prod(math.factorial(m) for m in Counter(mu).values())
+            coeffs[key] = -coeff if (k - len(mu)) & 1 else coeff
+            names[key] = mu
+        _P_IN_E_CACHE[k] = coeffs, names
+    return _P_IN_E_CACHE[k]
+
+
+def p_in_e(k: int) -> ESymExpansion:
+    """Degree-k power sum written in the elementary basis (Waring's formula)."""
+    coeffs, names = _waring(k)
+    return ESymExpansion(k, {names[key]: c for key, c in coeffs.items()})
 
 
 def multiply_e(A: ESymExpansion, B: ESymExpansion) -> ESymExpansion:
@@ -117,44 +125,19 @@ def multiply_e(A: ESymExpansion, B: ESymExpansion) -> ESymExpansion:
     return ESymExpansion(A.degree + B.degree, _merge(A.coeffs, B.coeffs))
 
 
-def _prod_p_in_e(lam: tuple) -> ESymExpansion:
-    """e-basis expansion of the power-sum product over the parts of lam."""
+def _prod_p_in_e(lam: tuple) -> Dict[int, int]:
+    """Packed e-basis expansion of the power-sum product over the parts of lam."""
     if not lam:
-        return ESymExpansion(0, {(): 1})
-    if lam in _PROD_E_CACHE:
-        return _PROD_E_CACHE[lam]
-    out = multiply_e(p_in_e(lam[0]), _prod_p_in_e(lam[1:]))
-    _PROD_E_CACHE[lam] = out
+        return {0: 1}
+    out = _PROD_E_CACHE.get(lam)
+    if out is None:
+        out = {}
+        rest = _prod_p_in_e(lam[1:])
+        for ka, ca in _waring(lam[0])[0].items():
+            for kb, cb in rest.items():
+                out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+        _PROD_E_CACHE[lam] = out
     return out
-
-
-def _subset_type_tally(n: int, edges: List[tuple]) -> Counter:
-    """Signed count of component-size types over all edge subsets."""
-    m = len(edges)
-    tally: Counter = Counter()
-    for mask in range(1 << m):
-        parent = list(range(n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        bits = mask
-        count = 0
-        while bits:
-            low = bits & -bits
-            bits &= bits - 1
-            u, v = edges[low.bit_length() - 1]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-            count += 1
-        sizes: Counter = Counter(find(v) for v in range(n))
-        key = tuple(sorted(sizes.values(), reverse=True))
-        tally[key] += 1 - 2 * (count & 1)
-    return tally
 
 
 def _tree_type_tally(n: int, adj, root_mask: int) -> Counter:
@@ -192,42 +175,106 @@ def _tree_type_tally(n: int, adj, root_mask: int) -> Counter:
     return tally
 
 
+def _frontier_order(adj, comp: int) -> List[int]:
+    """Vertices of comp, each next one leaving the fewest frontier vertices (placed
+    ones with an unplaced neighbour), then fewest unplaced neighbours, then lowest."""
+    order: List[int] = []
+    left = comp
+    while left:
+        v = min(_mask_vertices(left), key=lambda u: (
+            sum(1 for w in order + [u] if adj[w] & left & ~(1 << u)), (adj[u] & left).bit_count(), u))
+        order.append(v)
+        left &= ~(1 << v)
+    return order
+
+
+def _frontier_type_tally(adj, comp: int) -> Dict[tuple, int]:
+    """Signed type tally of one component by a frontier (transfer-matrix) DP.
+
+    A state (canonical component label of each frontier vertex as bytes, open
+    component sizes, closed component sizes weakly decreasing) maps to a signed
+    count.  An edge stays out (state kept) or joins two components (sizes merge,
+    sign flips); inside one component the two cancel and the state is dropped.
+    A vertex whose edges are done leaves the frontier; a component left with no
+    frontier vertex closes.  Raises StateBudgetError past STATE_BUDGET states.
+    """
+    ident = bytes(range(comp.bit_count()))
+    # join[a][b] relabels the frontier after label b merges into label a < b
+    join = [[bytes.maketrans(ident, bytes(a if x == b else x - (x > b) for x in ident))
+             for b in ident] for a in ident]
+    frontier: List[int] = []
+    states: Dict[tuple, int] = {(b"", (), ()): 1}
+    left = comp
+    for v in _frontier_order(adj, comp):
+        left &= ~(1 << v)
+        j = len(frontier)
+        states = {(lab + bytes((len(sz),)), sz + (1,), done): c for (lab, sz, done), c in states.items()}
+        for i, u in enumerate(frontier):
+            if not adj[v] >> u & 1:
+                continue
+            new: Dict[tuple, int] = {}
+            for state, c in states.items():
+                lab, sz, done = state
+                a, b = lab[i], lab[j]
+                if a > b:
+                    a, b = b, a
+                if a != b:
+                    new[state] = new.get(state, 0) + c
+                    merged = sz[:a] + (sz[a] + sz[b],) + sz[a + 1 : b] + sz[b + 1 :]
+                    key = (lab.translate(join[a][b]), merged, done)
+                    new[key] = new.get(key, 0) - c
+            if len(new) > STATE_BUDGET:
+                raise StateBudgetError(f"frontier DP passed {STATE_BUDGET} live states")
+            states = new
+        frontier.append(v)
+        gone = [i for i, w in enumerate(frontier) if not adj[w] & left]
+        frontier = [w for w in frontier if adj[w] & left]
+        if gone:
+            new = {}
+            for (lab, sz, done), c in states.items():
+                for i in reversed(gone):
+                    lab = lab[:i] + lab[i + 1 :]
+                order = bytes(dict.fromkeys(lab))  # open labels, by first occurrence
+                if len(order) < len(sz):
+                    closed = tuple(s for x, s in enumerate(sz) if x not in order)
+                    done = tuple(sorted(done + closed, reverse=True))
+                if order != ident[: len(order)]:
+                    lab, sz = lab.translate(bytes.maketrans(order, ident[: len(order)])), tuple(sz[x] for x in order)
+                key = (lab, sz[: len(order)], done)
+                new[key] = new.get(key, 0) + c
+            states = new
+    return {done: c for (_, _, done), c in states.items() if c}
+
+
 def _type_tally(G: Graph) -> Dict[tuple, int]:
-    """Signed count of component-size types over all edge subsets of G."""
+    """Signed count of component-size types over all edge subsets of G: by the
+    tree DP on tree components, by the frontier DP on the others."""
     adj = G.adj
-    full = (1 << G.n) - 1
-    comps = _component_masks(adj, full)
-    edge_count_ok = len(G.edges) == G.n - len(comps)
     tallies = []
-    for comp in comps:
-        if comp.bit_count() == 1:
-            tallies.append({(1,): 1})
-        elif edge_count_ok:
-            tallies.append(_tree_type_tally(G.n, adj, comp))
-        else:
-            verts = _mask_vertices(comp)
-            relabel = {v: i for i, v in enumerate(verts)}
-            edges = [(relabel[u], relabel[v]) for u, v in sorted(G.edges) if (1 << u) & comp]
-            tallies.append(_subset_type_tally(len(verts), edges))
+    for comp in _component_masks(adj, (1 << G.n) - 1):
+        tree = sum(adj[v].bit_count() for v in _mask_vertices(comp)) == 2 * comp.bit_count() - 2
+        tallies.append(_tree_type_tally(G.n, adj, comp) if tree else _frontier_type_tally(adj, comp))
     return reduce(_merge, tallies)
 
 
 def csf_e(G: Graph) -> ESymExpansion:
     """Elementary-basis expansion of the chromatic symmetric function of G.
 
-    Computed through the signed edge-subset expansion over power sums; a
-    forest fast path avoids the 2^|E| enumeration on trees.  For graphs with
-    cycles the cost is 2^|E| per component.
+    Stanley's signed edge-subset sum over power sums, tallied by component-size
+    type with no subset visited (_type_tally; the frontier DP costs its live
+    states and raises StateBudgetError past STATE_BUDGET), then converted to
+    the e-basis through Waring's formula.
     """
     if G.n > 20:
         raise ValueError(f"csf_e guard: n={G.n} > 20")
-    acc: Dict[tuple, int] = {}
+    acc: Dict[int, int] = {}
     for lam, cnt in _type_tally(G).items():
         if cnt == 0:
             continue
-        for key, val in _prod_p_in_e(lam).coeffs.items():
+        for key, val in _prod_p_in_e(lam).items():
             acc[key] = acc.get(key, 0) + cnt * val
-    return ESymExpansion(G.n, acc)
+    names = _waring(G.n)[1]
+    return ESymExpansion(G.n, {names[key]: c for key, c in acc.items()})
 
 
 def is_e_positive(G: Graph) -> EposVerdict:

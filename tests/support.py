@@ -453,3 +453,50 @@ def c40_cells_bruteforce(c_lo: int, c_hi: int) -> Tuple[List[tuple], List[tuple]
             failures += missed
             rows.append((c, b, n_lo, n_hi, n_hi - n_lo + 1, len(missed)))
     return failures, rows
+
+
+# ---------------------------------------------------------------------------
+# Chromatic symmetric function routes replaced in the library
+
+
+def _subset_type_tally(n: int, edges: List[tuple]) -> Counter:
+    """Signed count of component-size types over all 2^|E| edge subsets."""
+    m = len(edges)
+    tally: Counter = Counter()
+    for mask in range(1 << m):
+        parent = list(range(n))
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        bits = mask
+        count = 0
+        while bits:
+            low = bits & -bits
+            bits &= bits - 1
+            u, v = edges[low.bit_length() - 1]
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+            count += 1
+        sizes: Counter = Counter(find(v) for v in range(n))
+        key = tuple(sorted(sizes.values(), reverse=True))
+        tally[key] += 1 - 2 * (count & 1)
+    return tally
+
+
+@lru_cache(maxsize=None)
+def p_in_e_recurrence(k: int) -> Dict[tuple, int]:
+    """p_k in the e-basis by Newton's recurrence.
+
+    p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^(k-1) k e_k.
+    """
+    acc: Dict[tuple, int] = {(k,): (-1) ** (k - 1) * k}
+    for i in range(1, k):
+        for key, val in p_in_e_recurrence(k - i).items():
+            merged = tuple(sorted(key + (i,), reverse=True))
+            acc[merged] = acc.get(merged, 0) + (-1) ** (i - 1) * val
+    return {key: val for key, val in acc.items() if val}

@@ -1,0 +1,60 @@
+"""Property tests of the e-expansion route on random small graphs.
+
+The frontier DP is checked against the 2^|E| subset tally, the expansion
+against the deletion-contraction chromatic polynomial, and Waring's formula
+against Newton's recurrence.  Hypothesis runs derandomized, so every run
+draws the same examples.
+"""
+
+import math
+
+import pytest
+
+import support
+from epolab.graphs import Graph
+from epolab.symfunc import _type_tally, chromatic_polynomial, csf_e, p_in_e, specialize_e
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on n <= 8 vertices with at most 14 edges, possibly disconnected."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=14, unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+def _nonzero(tally) -> dict:
+    return {key: c for key, c in tally.items() if c}
+
+
+@PROPERTY
+@given(small_graphs())
+def test_type_tally_matches_subset_oracle(G):
+    assert _nonzero(_type_tally(G)) == _nonzero(support._subset_type_tally(G.n, sorted(G.edges)))
+
+
+@PROPERTY
+@given(small_graphs())
+def test_specialization_matches_chromatic_polynomial(G):
+    X = csf_e(G)
+    for k in range(5):
+        assert specialize_e(X, k) == chromatic_polynomial(G, k)
+
+
+@PROPERTY
+@given(st.integers(1, 14))
+def test_waring_matches_newton_recurrence(k):
+    assert p_in_e(k).coeffs == support.p_in_e_recurrence(k)
+
+
+def test_complete_graph_closed_form():
+    # a proper coloring of K_n uses n distinct colors: X_{K_n} = n! e_n
+    for n in range(1, 10):
+        K = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        assert csf_e(K).coeffs == {(n,): math.factorial(n)}

@@ -6,10 +6,10 @@ import random
 import pytest
 
 import support
+from support import _subset_type_tally
 from epolab.graphs import Graph, disjoint_union, path_graph, spider
 from epolab.symfunc import (
     ESymExpansion,
-    _subset_type_tally,
     _type_tally,
     chromatic_polynomial,
     csf_e,
