@@ -34,7 +34,6 @@ from .graphs import (
 from .symfunc import (
     ESymExpansion,
     EposVerdict,
-    chromatic_polynomial,
     csf_e,
     is_e_positive,
     multiply_e,

@@ -37,7 +37,7 @@ from .obstructions import (
     sweep_c500,
     theorem_decide,
 )
-from .partitions import format_parts, parse_partition, partitions_of
+from .partitions import format_parts, parse_partition
 from .symfunc import CSF_ROUTE, StateBudgetError, csf_e, is_e_positive
 
 EXIT_OK = 0
@@ -55,29 +55,37 @@ class GuardError(Exception):
     """Input beyond a subcommand's size guard: exit 3."""
 
 
-def parse_graph_spec(spec: str) -> Graph:
-    """Accept "spider:6,4,1,1", "path:7", "star:5", or a graph file path."""
+def parse_graph_spec(spec: str, limit: Optional[int] = None, connected: bool = False) -> Graph:
+    """Accept "spider:6,4,1,1", "path:7", "star:5", or a graph file path.
+
+    Raises GuardError past `limit` vertices, and SpecError on a disconnected
+    graph when `connected` is set.
+    """
     if ":" in spec:
         kind, _, rest = spec.partition(":")
         kind = kind.strip().lower()
+        if kind not in ("spider", "path", "star"):
+            raise SpecError(f"unknown graph shorthand kind {kind!r}")
         try:
             if kind == "spider":
-                legs = sorted((int(t) for t in rest.split(",")), reverse=True)
-                return spider(legs)
-            if kind == "path":
-                return path_graph(int(rest))
-            if kind == "star":
-                return star_graph(int(rest))
+                G = spider(sorted((int(t) for t in rest.split(",")), reverse=True))
+            else:
+                G = (path_graph if kind == "path" else star_graph)(int(rest))
         except (ValueError, TypeError) as exc:
             raise SpecError(f"bad {kind} shorthand {spec!r}: {exc}") from None
-        raise SpecError(f"unknown graph shorthand kind {kind!r}")
-    path = Path(spec)
-    if not path.exists():
-        raise SpecError(f"no such graph file: {spec}")
-    try:
-        return Graph.from_text(path.read_text())
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    else:
+        path = Path(spec)
+        if not path.exists():
+            raise SpecError(f"no such graph file: {spec}")
+        try:
+            G = Graph.from_text(path.read_text())
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
+    if limit is not None and G.n > limit:
+        raise GuardError(f"size guard, n={G.n} > {limit}")
+    if connected and not is_graph_connected(G):
+        raise SpecError("graph must be connected")
+    return G
 
 
 def parse_profile_spec(spec: str) -> CutProfile:
@@ -112,7 +120,8 @@ class ResultCache:
     The route tag names the algorithms behind a result (symfunc.CSF_ROUTE), so
     a record without it, or with another, is a miss.  A line that does not
     parse is what an interrupted append leaves behind: it is skipped, and the
-    next append starts on a fresh line so that its record stays whole.
+    next append starts on a fresh line so that its record stays whole.  A line
+    that parses but is not a whole record is skipped too, as a miss.
     """
 
     def __init__(self, path: Optional[str]):
@@ -125,9 +134,9 @@ class ResultCache:
             for line in text.splitlines():
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError:
+                    self._records[(rec["command"], rec["key"], rec["version"], rec.get("route"))] = rec["result"]
+                except (json.JSONDecodeError, KeyError, TypeError):
                     continue
-                self._records[(rec["command"], rec["key"], rec["version"], rec.get("route"))] = rec["result"]
 
     def get(self, command: str, key: str):
         return self._records.get((command, key, __version__, CSF_ROUTE))
@@ -156,23 +165,14 @@ def _tree_cache_key(G: Graph) -> str:
 # Subcommands
 
 
-def _checked_graph(G: Graph, limit: Optional[int] = None, connected: bool = False) -> Graph:
-    """G once it passes the subcommand's size guard and connectivity check."""
-    if limit is not None and G.n > limit:
-        raise GuardError(f"size guard, n={G.n} > {limit}")
-    if connected and not is_graph_connected(G):
-        raise SpecError("graph must be connected")
-    return G
-
-
 def cmd_csf(args) -> int:
-    X = csf_e(_checked_graph(parse_graph_spec(args.graph), 20))
+    X = csf_e(parse_graph_spec(args.graph, 20))
     print(json.dumps(X.to_json_dict()) if args.json else X.to_text())
     return EXIT_OK
 
 
 def cmd_epos(args) -> int:
-    verdict = is_e_positive(_checked_graph(parse_graph_spec(args.graph), 20))
+    verdict = is_e_positive(parse_graph_spec(args.graph, 20))
     if args.json:
         negatives = [{"lambda": list(lam), "coeff": str(c)} for lam, c in verdict.negatives]
         print(json.dumps({"e_positive": verdict.positive, "negatives": negatives}))
@@ -186,12 +186,11 @@ def cmd_epos(args) -> int:
 
 
 def cmd_connparts(args) -> int:
-    G = parse_graph_spec(args.graph)
+    G = parse_graph_spec(args.graph, 25, connected=True)
     try:
         lam = parse_partition(args.type) if args.type else None
     except ValueError as exc:
         raise SpecError(str(exc)) from None
-    _checked_graph(G, 25, connected=True)
     if lam is not None:
         if lam.total != G.n:
             raise SpecError(f"type {lam} does not sum to n={G.n}")
@@ -220,7 +219,7 @@ def cmd_prove(args) -> int:
     if args.spec.startswith("profile:"):
         profiles = [parse_profile_spec(args.spec)]
     else:
-        G = _checked_graph(parse_graph_spec(args.spec), connected=True)
+        G = parse_graph_spec(args.spec, connected=True)
         profiles = [p for _, p in cut_profiles(G)]
         if not profiles:
             print("NOT-APPLICABLE: no cut vertex splits the graph into >= 3 components")
@@ -244,7 +243,9 @@ def _tree_scan_worker(payload):
 
 def cmd_trees_scan(args) -> int:
     n_max = args.n_max
-    if not 1 <= n_max <= 14:
+    if n_max < 1:
+        raise SpecError("need n_max >= 1")
+    if n_max > 14:
         raise GuardError(f"size guard, n_max={n_max} > 14")
     cache = ResultCache(args.cache)
     counterexamples = []
@@ -320,8 +321,7 @@ def cmd_sixm(args) -> int:
     report = sixm_full_check(args.m)
     agree = None
     if args.cross_check:
-        G = spider((6, 4, 1, 1))
-        agree = all(has_connected_partition(G, lam) is not None for lam in partitions_of(13))
+        agree = not missing_types(spider((6, 4, 1, 1)))
     if args.json:
         out = report.to_json_dict()
         if agree is not None:

@@ -8,7 +8,6 @@ and component computations cheap at the sizes this library targets.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
@@ -246,20 +245,6 @@ def _connected_size_subsets(adj, v: int, size: int, allowed: int) -> Iterator[in
     yield from rec(vbit, 1, adj[v] & allowed)
 
 
-def _sum_reachable(target: int, items) -> bool:
-    """True if some sub-multiset of items (part, mult) sums to target."""
-    reach = 1
-    for part, mult in items:
-        for _ in range(mult):
-            nxt = reach | (reach << part)
-            if nxt == reach:
-                break
-            reach = nxt
-        if (reach >> target) & 1:
-            return True
-    return bool((reach >> target) & 1)
-
-
 def has_connected_partition(G: Graph, lam) -> Optional[ConnectedPartition]:
     """Search for a connected partition of type lam; None if there is none.
 
@@ -274,37 +259,36 @@ def has_connected_partition(G: Graph, lam) -> Optional[ConnectedPartition]:
     if not is_connected(G):
         raise ValueError("graph must be connected")
     adj = G.adj
-    counts = Counter(parts)
     blocks: List[int] = []
     dead: set = set()
+    sums: dict = {}  # remaining parts -> bitmask of their sub-multiset sums
 
-    def feasible(mask: int) -> bool:
-        items = tuple(sorted(counts.items(), reverse=True))
-        for comp in _component_masks(adj, mask):
-            if not _sum_reachable(comp.bit_count(), items):
-                return False
-        return True
-
-    def search(unassigned: int) -> bool:
+    def search(unassigned: int, left: tuple) -> bool:
         if unassigned == 0:
             return True
-        state = (unassigned, tuple(sorted(counts.items())))
-        if state in dead:
+        if (unassigned, left) in dead:
             return False
         v = (unassigned & -unassigned).bit_length() - 1
-        for s in sorted((s for s, m in counts.items() if m > 0), reverse=True):
-            counts[s] -= 1
+        for i, s in enumerate(left):
+            if i and left[i - 1] == s:
+                continue
+            rest_parts = left[:i] + left[i + 1 :]
+            reach = sums.get(rest_parts)
+            if reach is None:
+                reach = 1
+                for part in rest_parts:
+                    reach |= reach << part
+                sums[rest_parts] = reach
             for block in _connected_size_subsets(adj, v, s, unassigned):
                 rest = unassigned & ~block
-                if feasible(rest) and search(rest):
-                    counts[s] += 1
+                fits = all(reach >> comp.bit_count() & 1 for comp in _component_masks(adj, rest))
+                if fits and search(rest, rest_parts):
                     blocks.append(block)
                     return True
-            counts[s] += 1
-        dead.add(state)
+        dead.add((unassigned, left))
         return False
 
-    if not search((1 << G.n) - 1):
+    if not search((1 << G.n) - 1, parts):
         return None
     blocks.reverse()
     witness = ConnectedPartition([frozenset(_mask_vertices(b)) for b in blocks])

@@ -1,9 +1,9 @@
 """Chromatic symmetric functions expanded in the elementary basis.
 
 Everything is exact: coefficients are Python ints (arbitrary precision), keys
-are partitions stored as weakly decreasing tuples.  The public entry points
-are csf_e / is_e_positive plus a chromatic-polynomial oracle used for
-consistency checking.
+are partitions stored as weakly decreasing tuples (packed ints inside the
+tallies).  The public entry points are csf_e / is_e_positive, and
+specialize_e evaluates an expansion at k ones.
 """
 
 from __future__ import annotations
@@ -75,23 +75,23 @@ class EposVerdict:
 
 CSF_ROUTE = "tally=tree-dp+frontier-dp;p2e=waring"  # tags cached verdicts by route
 STATE_BUDGET = 150_000  # live frontier-DP states; K10 peaks at Bell(10) = 115,975
-# Inside the conversion an e-monomial is an int: part p adds 1 << 5*(p-1), so a
-# product is one addition.  Multiplicities stay below 32 up to degree 25.
+# A multiset of part sizes, whether a component-size type or an e-monomial, is
+# one int: part p adds 1 << 5*(p-1), so two multisets merge by one addition.
+# Multiplicities stay below 32 up to degree 25; csf_e guards n <= 20.
 _P_IN_E_CACHE: Dict[int, Tuple[Dict[int, int], Dict[int, tuple]]] = {}
-_PROD_E_CACHE: Dict[tuple, Dict[int, int]] = {}
+_PROD_E_CACHE: Dict[int, Dict[int, int]] = {}
 
 
 class StateBudgetError(RuntimeError):
     """The frontier DP needed more than STATE_BUDGET live states."""
 
 
-def _merge(A: Dict[tuple, int], B: Dict[tuple, int]) -> Dict[tuple, int]:
-    """Product of two partition-keyed tallies: keys merge as multisets."""
-    out: Dict[tuple, int] = {}
+def _merge(A: Dict[int, int], B: Dict[int, int]) -> Dict[int, int]:
+    """Product of two tallies keyed by packed multisets."""
+    out: Dict[int, int] = {}
     for ka, ca in A.items():
         for kb, cb in B.items():
-            key = tuple(sorted(ka + kb, reverse=True))
-            out[key] = out.get(key, 0) + ca * cb
+            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
     return out
 
 
@@ -122,35 +122,37 @@ def p_in_e(k: int) -> ESymExpansion:
 
 def multiply_e(A: ESymExpansion, B: ESymExpansion) -> ESymExpansion:
     """Product of two expansions; keys merge as multisets, degrees add."""
-    return ESymExpansion(A.degree + B.degree, _merge(A.coeffs, B.coeffs))
+    out: Dict[tuple, int] = {}
+    for ka, ca in A.coeffs.items():
+        for kb, cb in B.coeffs.items():
+            key = tuple(sorted(ka + kb, reverse=True))
+            out[key] = out.get(key, 0) + ca * cb
+    return ESymExpansion(A.degree + B.degree, out)
 
 
-def _prod_p_in_e(lam: tuple) -> Dict[int, int]:
-    """Packed e-basis expansion of the power-sum product over the parts of lam."""
+def _prod_p_in_e(lam: int) -> Dict[int, int]:
+    """Packed e-basis expansion of the power-sum product over the parts of the
+    packed type lam, its largest part peeled first."""
     if not lam:
         return {0: 1}
     out = _PROD_E_CACHE.get(lam)
     if out is None:
-        out = {}
-        rest = _prod_p_in_e(lam[1:])
-        for ka, ca in _waring(lam[0])[0].items():
-            for kb, cb in rest.items():
-                out[ka + kb] = out.get(ka + kb, 0) + ca * cb
-        _PROD_E_CACHE[lam] = out
+        top = (lam.bit_length() + 4) // 5
+        out = _PROD_E_CACHE[lam] = _merge(_waring(top)[0], _prod_p_in_e(lam - (1 << 5 * (top - 1))))
     return out
 
 
-def _tree_type_tally(n: int, adj, root_mask: int) -> Counter:
+def _tree_type_tally(adj, root_mask: int) -> Dict[int, int]:
     """Forest fast path: signed type tally of one tree component via a DP.
 
-    State maps (finished component sizes, size of the open component holding
-    the current vertex) to a signed count; cutting a child edge finishes its
-    open component, keeping it merges and flips the sign.
+    State maps (packed finished component sizes, size of the open component
+    holding the current vertex) to a signed count; cutting a child edge
+    finishes its open component, keeping it merges and flips the sign.
     """
     root = (root_mask & -root_mask).bit_length() - 1
 
     def dfs(v: int, parent_v: int) -> Dict[tuple, int]:
-        state = {((), 1): 1}
+        state = {(0, 1): 1}
         nbrs = adj[v]
         while nbrs:
             low = nbrs & -nbrs
@@ -162,16 +164,17 @@ def _tree_type_tally(n: int, adj, root_mask: int) -> Counter:
             new: Dict[tuple, int] = {}
             for (d1, o1), c1 in state.items():
                 for (d2, o2), c2 in sub.items():
-                    cut = (tuple(sorted(d1 + d2 + (o2,), reverse=True)), o1)
+                    cut = (d1 + d2 + (1 << 5 * (o2 - 1)), o1)
                     new[cut] = new.get(cut, 0) + c1 * c2
-                    join = (tuple(sorted(d1 + d2, reverse=True)), o1 + o2)
+                    join = (d1 + d2, o1 + o2)
                     new[join] = new.get(join, 0) - c1 * c2
             state = new
         return state
 
-    tally: Counter = Counter()
+    tally: Dict[int, int] = {}
     for (done, open_size), c in dfs(root, -1).items():
-        tally[tuple(sorted(done + (open_size,), reverse=True))] += c
+        key = done + (1 << 5 * (open_size - 1))
+        tally[key] = tally.get(key, 0) + c
     return tally
 
 
@@ -188,13 +191,13 @@ def _frontier_order(adj, comp: int) -> List[int]:
     return order
 
 
-def _frontier_type_tally(adj, comp: int) -> Dict[tuple, int]:
+def _frontier_type_tally(adj, comp: int) -> Dict[int, int]:
     """Signed type tally of one component by a frontier (transfer-matrix) DP.
 
     A state (canonical component label of each frontier vertex as bytes, open
-    component sizes, closed component sizes weakly decreasing) maps to a signed
-    count.  An edge stays out (state kept) or joins two components (sizes merge,
-    sign flips); inside one component the two cancel and the state is dropped.
+    component sizes, packed closed component sizes) maps to a signed count.
+    An edge stays out (state kept) or joins two components (sizes merge, sign
+    flips); inside one component the two cancel and the state is dropped.
     A vertex whose edges are done leaves the frontier; a component left with no
     frontier vertex closes.  Raises StateBudgetError past STATE_BUDGET states.
     """
@@ -203,7 +206,7 @@ def _frontier_type_tally(adj, comp: int) -> Dict[tuple, int]:
     join = [[bytes.maketrans(ident, bytes(a if x == b else x - (x > b) for x in ident))
              for b in ident] for a in ident]
     frontier: List[int] = []
-    states: Dict[tuple, int] = {(b"", (), ()): 1}
+    states: Dict[tuple, int] = {(b"", (), 0): 1}
     left = comp
     for v in _frontier_order(adj, comp):
         left &= ~(1 << v)
@@ -236,8 +239,7 @@ def _frontier_type_tally(adj, comp: int) -> Dict[tuple, int]:
                     lab = lab[:i] + lab[i + 1 :]
                 order = bytes(dict.fromkeys(lab))  # open labels, by first occurrence
                 if len(order) < len(sz):
-                    closed = tuple(s for x, s in enumerate(sz) if x not in order)
-                    done = tuple(sorted(done + closed, reverse=True))
+                    done += sum(1 << 5 * (s - 1) for x, s in enumerate(sz) if x not in order)
                 if order != ident[: len(order)]:
                     lab, sz = lab.translate(bytes.maketrans(order, ident[: len(order)])), tuple(sz[x] for x in order)
                 key = (lab, sz[: len(order)], done)
@@ -246,14 +248,14 @@ def _frontier_type_tally(adj, comp: int) -> Dict[tuple, int]:
     return {done: c for (_, _, done), c in states.items() if c}
 
 
-def _type_tally(G: Graph) -> Dict[tuple, int]:
-    """Signed count of component-size types over all edge subsets of G: by the
-    tree DP on tree components, by the frontier DP on the others."""
+def _type_tally(G: Graph) -> Dict[int, int]:
+    """Signed count of packed component-size types over all edge subsets of G:
+    by the tree DP on tree components, by the frontier DP on the others."""
     adj = G.adj
     tallies = []
     for comp in _component_masks(adj, (1 << G.n) - 1):
         tree = sum(adj[v].bit_count() for v in _mask_vertices(comp)) == 2 * comp.bit_count() - 2
-        tallies.append(_tree_type_tally(G.n, adj, comp) if tree else _frontier_type_tally(adj, comp))
+        tallies.append(_tree_type_tally(adj, comp) if tree else _frontier_type_tally(adj, comp))
     return reduce(_merge, tallies)
 
 
@@ -295,65 +297,4 @@ def specialize_e(X: ESymExpansion, k: int) -> int:
             if term == 0:
                 break
         total += term
-    return total
-
-
-_CHROMPOLY_CACHE: Dict[tuple, tuple] = {}
-
-
-def _poly_mul(p: tuple, q: tuple) -> tuple:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return tuple(out)
-
-
-def _chrompoly(n: int, edges: frozenset) -> tuple:
-    """Coefficient tuple (ascending powers) of the chromatic polynomial."""
-    key = (n, edges)
-    cached = _CHROMPOLY_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    comps = _component_masks(Graph(n, edges).adj, (1 << n) - 1)
-    if len(comps) > 1:
-        result = (1,)
-        for comp in comps:
-            verts = _mask_vertices(comp)
-            relabel = {v: i for i, v in enumerate(verts)}
-            sub = frozenset(
-                (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
-                for u, v in edges
-                if (1 << u) & comp
-            )
-            result = _poly_mul(result, _chrompoly(len(verts), sub))
-    elif not edges:
-        result = tuple([0] * n + [1])  # k^n
-    else:
-        u, v = min(edges)  # u < v
-        deleted = frozenset(e for e in edges if e != (u, v))
-        # contract v into u; labels above v shift down by one
-        relabel = [u if w == v else (w if w < v else w - 1) for w in range(n)]
-        contracted = set()
-        for a, b in deleted:
-            ra, rb = relabel[a], relabel[b]
-            if ra != rb:
-                contracted.add((min(ra, rb), max(ra, rb)))
-        pd = _chrompoly(n, deleted)
-        pc = _chrompoly(n - 1, frozenset(contracted))
-        result = tuple(a - b for a, b in zip(pd, tuple(pc) + (0,)))
-    _CHROMPOLY_CACHE[key] = result
-    return result
-
-
-def chromatic_polynomial(G: Graph, k: int) -> int:
-    """Number of proper colorings of G with colors {1..k}."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    coeffs = _chrompoly(G.n, G.edges)
-    total = 0
-    for c in reversed(coeffs):
-        total = total * k + c
     return total

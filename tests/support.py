@@ -3,10 +3,11 @@
 Everything here is deliberately separate from the library routes it checks:
 brute-force coloring tallies, 0-1 matrix counts for monomial coefficients,
 labeled-tree enumeration via sequence decoding, subset-sum existence, full
-rearrangement scans, a cell-by-cell scan of the c <= 40 sweep, and an
+rearrangement scans, a cell-by-cell scan of the c <= 40 sweep, an
 isomorphism-class enumerator for small connected graphs built on an
-individualization-refinement canonical form.  Compositions and their
-rearrangements live here too: only the tests need ordered parts.
+individualization-refinement canonical form, and a deletion-contraction
+chromatic polynomial.  Compositions and their rearrangements live here too:
+only the tests need ordered parts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
-from epolab.graphs import Graph
+from epolab.graphs import Graph, _component_masks, _mask_vertices
 from epolab.partitions import SumInterval, format_parts
 
 
@@ -459,6 +460,16 @@ def c40_cells_bruteforce(c_lo: int, c_hi: int) -> Tuple[List[tuple], List[tuple]
 # Chromatic symmetric function routes replaced in the library
 
 
+def unpack_tally(tally) -> Dict[tuple, int]:
+    """A tally keyed by packed multisets (part p adds 1 << 5*(p-1)) re-keyed by
+    weakly decreasing tuples."""
+    out: Dict[tuple, int] = {}
+    for key, c in tally.items():
+        parts = tuple(p for p in range(25, 0, -1) for _ in range(key >> 5 * (p - 1) & 31))
+        out[parts] = c
+    return out
+
+
 def _subset_type_tally(n: int, edges: List[tuple]) -> Counter:
     """Signed count of component-size types over all 2^|E| edge subsets."""
     m = len(edges)
@@ -500,3 +511,68 @@ def p_in_e_recurrence(k: int) -> Dict[tuple, int]:
             merged = tuple(sorted(key + (i,), reverse=True))
             acc[merged] = acc.get(merged, 0) + (-1) ** (i - 1) * val
     return {key: val for key, val in acc.items() if val}
+
+
+# ---------------------------------------------------------------------------
+# Chromatic polynomial (deletion-contraction), tied to csf_e by specialize_e
+
+
+_CHROMPOLY_CACHE: Dict[tuple, tuple] = {}
+
+
+def _poly_mul(p: tuple, q: tuple) -> tuple:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return tuple(out)
+
+
+def _chrompoly(n: int, edges: frozenset) -> tuple:
+    """Coefficient tuple (ascending powers) of the chromatic polynomial."""
+    key = (n, edges)
+    cached = _CHROMPOLY_CACHE.get(key)
+    if cached is not None:
+        return cached
+
+    comps = _component_masks(Graph(n, edges).adj, (1 << n) - 1)
+    if len(comps) > 1:
+        result = (1,)
+        for comp in comps:
+            verts = _mask_vertices(comp)
+            relabel = {v: i for i, v in enumerate(verts)}
+            sub = frozenset(
+                (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
+                for u, v in edges
+                if (1 << u) & comp
+            )
+            result = _poly_mul(result, _chrompoly(len(verts), sub))
+    elif not edges:
+        result = tuple([0] * n + [1])  # k^n
+    else:
+        u, v = min(edges)  # u < v
+        deleted = frozenset(e for e in edges if e != (u, v))
+        # contract v into u; labels above v shift down by one
+        relabel = [u if w == v else (w if w < v else w - 1) for w in range(n)]
+        contracted = set()
+        for a, b in deleted:
+            ra, rb = relabel[a], relabel[b]
+            if ra != rb:
+                contracted.add((min(ra, rb), max(ra, rb)))
+        pd = _chrompoly(n, deleted)
+        pc = _chrompoly(n - 1, frozenset(contracted))
+        result = tuple(a - b for a, b in zip(pd, tuple(pc) + (0,)))
+    _CHROMPOLY_CACHE[key] = result
+    return result
+
+
+def chromatic_polynomial(G: Graph, k: int) -> int:
+    """Number of proper colorings of G with colors {1..k}."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    coeffs = _chrompoly(G.n, G.edges)
+    total = 0
+    for c in reversed(coeffs):
+        total = total * k + c
+    return total

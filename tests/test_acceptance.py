@@ -28,7 +28,8 @@ from epolab.obstructions import (
     theorem_decide,
 )
 from epolab.partitions import Partition, partitions_of
-from epolab.symfunc import chromatic_polynomial, csf_e, is_e_positive, specialize_e
+from epolab.symfunc import csf_e, is_e_positive, specialize_e
+from support import chromatic_polynomial
 
 
 def report(num: int, elapsed: float, detail: str) -> None:

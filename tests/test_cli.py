@@ -124,6 +124,8 @@ def test_trees_scan_small(capsys):
 def test_trees_scan_guard(capsys):
     code, _, err = run(capsys, "trees-scan", "15")
     assert code == 3
+    code, _, err = run(capsys, "trees-scan", "0")
+    assert code == 2 and "need n_max >= 1" in err
 
 
 def test_trees_scan_eight_and_jobs_determinism(capsys):
@@ -229,6 +231,17 @@ def test_trees_scan_cache_survives_torn_last_line(capsys, tmp_path):
     code, out, _ = run(capsys, "trees-scan", "6", "--cache", str(torn))
     assert code == 0 and out == expected
     assert torn.read_text() == repaired
+
+
+def test_trees_scan_cache_skips_lines_that_are_not_records(capsys, tmp_path):
+    code, expected, _ = run(capsys, "trees-scan", "5")
+    assert code == 0
+    for line in ['{"command": "trees-scan", "key": "x"}', "[1, 2]", '"text"', "7", "null"]:
+        cache = tmp_path / "partial.jsonl"
+        cache.write_text(line + "\n")
+        code, out, err = run(capsys, "trees-scan", "5", "--cache", str(cache))
+        assert (code, out, err) == (0, expected, ""), line
+        assert cache.read_text().startswith(line + "\n")
 
 
 def test_cli_import_leaves_numpy_out():

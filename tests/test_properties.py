@@ -1,8 +1,9 @@
 """Property tests of the e-expansion route on random small graphs.
 
 The frontier DP is checked against the 2^|E| subset tally, the expansion
-against the deletion-contraction chromatic polynomial, and Waring's formula
-against Newton's recurrence.  Hypothesis runs derandomized, so every run
+against the deletion-contraction chromatic polynomial, Waring's formula
+against Newton's recurrence, and the connected-partition search against a
+blind set-partition enumeration.  Hypothesis runs derandomized, so every run
 draws the same examples.
 """
 
@@ -11,8 +12,10 @@ import math
 import pytest
 
 import support
-from epolab.graphs import Graph
-from epolab.symfunc import _type_tally, chromatic_polynomial, csf_e, p_in_e, specialize_e
+from epolab.graphs import Graph, has_connected_partition, is_connected
+from epolab.partitions import partitions_of
+from epolab.symfunc import _type_tally, csf_e, p_in_e, specialize_e
+from support import chromatic_polynomial
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -29,6 +32,16 @@ def small_graphs(draw):
     return Graph(n, edges)
 
 
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs on n <= 8 vertices: a random spanning tree plus chords."""
+    n = draw(st.integers(1, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    return Graph(n, edges)
+
+
 def _nonzero(tally) -> dict:
     return {key: c for key, c in tally.items() if c}
 
@@ -36,7 +49,7 @@ def _nonzero(tally) -> dict:
 @PROPERTY
 @given(small_graphs())
 def test_type_tally_matches_subset_oracle(G):
-    assert _nonzero(_type_tally(G)) == _nonzero(support._subset_type_tally(G.n, sorted(G.edges)))
+    assert _nonzero(support.unpack_tally(_type_tally(G))) == _nonzero(support._subset_type_tally(G.n, sorted(G.edges)))
 
 
 @PROPERTY
@@ -51,6 +64,17 @@ def test_specialization_matches_chromatic_polynomial(G):
 @given(st.integers(1, 14))
 def test_waring_matches_newton_recurrence(k):
     assert p_in_e(k).coeffs == support.p_in_e_recurrence(k)
+
+
+@PROPERTY
+@given(connected_graphs())
+def test_connected_partition_search_matches_bruteforce(G):
+    assert is_connected(G)
+    for lam in partitions_of(G.n):
+        witness = has_connected_partition(G, lam)
+        assert (witness is None) == (not support.connected_partition_exists_bruteforce(G, lam)), lam
+        if witness is not None:
+            witness.validate(G, lam)
 
 
 def test_complete_graph_closed_form():
