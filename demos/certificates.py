@@ -18,7 +18,6 @@ from epolab import (
     spider4_classify,
     theorem_decide,
 )
-from epolab.partitions import Partition
 
 
 def main():
@@ -30,7 +29,7 @@ def main():
     print(json.dumps(cert.to_json_dict(), indent=2))
     g = spider((2, 2, 2, 2, 2))
     print(f"prefix-sum re-check: {check_partsums_obstruction(cert.lam, profile)}")
-    print(f"brute-force search finds no partition: {has_connected_partition(g, Partition(cert.lam)) is None}")
+    print(f"brute-force search finds no partition: {has_connected_partition(g, cert.lam) is None}")
     print()
 
     print("Profiles where every arm fails")

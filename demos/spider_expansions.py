@@ -8,7 +8,7 @@ e-positivity, so the connected-partition condition is necessary but not
 sufficient.
 """
 
-from epolab import csf_e, is_e_positive, missing_types, spider
+from epolab import csf_e, format_parts, is_e_positive, missing_types, spider
 
 
 def show(legs):
@@ -21,7 +21,7 @@ def show(legs):
     if verdict.negatives:
         print(f"  negative terms: {list(verdict.negatives)}")
     if missing:
-        print(f"  missing connected-partition types: {[str(t) for t in missing]}")
+        print(f"  missing connected-partition types: {[format_parts(t) for t in missing]}")
     else:
         print("  has a connected partition of every type")
     print()

@@ -5,7 +5,6 @@ profiles."""
 __version__ = "0.1.0"
 
 from .partitions import (
-    Partition,
     SumInterval,
     format_parts,
     interval_partition,

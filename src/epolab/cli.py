@@ -121,7 +121,9 @@ class ResultCache:
     a record without it, or with another, is a miss.  A line that does not
     parse is what an interrupted append leaves behind: it is skipped, and the
     next append starts on a fresh line so that its record stays whole.  A line
-    that parses but is not a whole record is skipped too, as a miss.
+    that parses but is not a whole record, or whose result is not an object
+    with a bool `e_positive` (the only command cached is trees-scan), is
+    skipped too, as a miss.
     """
 
     def __init__(self, path: Optional[str]):
@@ -134,9 +136,12 @@ class ResultCache:
             for line in text.splitlines():
                 try:
                     rec = json.loads(line)
-                    self._records[(rec["command"], rec["key"], rec["version"], rec.get("route"))] = rec["result"]
+                    key = (rec["command"], rec["key"], rec["version"], rec.get("route"))
+                    result = rec["result"]
                 except (json.JSONDecodeError, KeyError, TypeError):
                     continue
+                if isinstance(result, dict) and isinstance(result.get("e_positive"), bool):
+                    self._records[key] = result
 
     def get(self, command: str, key: str):
         return self._records.get((command, key, __version__, CSF_ROUTE))
@@ -192,24 +197,24 @@ def cmd_connparts(args) -> int:
     except ValueError as exc:
         raise SpecError(str(exc)) from None
     if lam is not None:
-        if lam.total != G.n:
-            raise SpecError(f"type {lam} does not sum to n={G.n}")
+        if sum(lam) != G.n:
+            raise SpecError(f"type {format_parts(lam)} does not sum to n={G.n}")
         witness = has_connected_partition(G, lam)
         if args.json:
             blocks = [sorted(b) for b in witness.blocks] if witness else None
-            print(json.dumps({"type": list(lam.parts), "present": witness is not None, "blocks": blocks}))
+            print(json.dumps({"type": list(lam), "present": witness is not None, "blocks": blocks}))
         elif witness is None:
-            print(f"absent: no connected partition of type {lam}")
+            print(f"absent: no connected partition of type {format_parts(lam)}")
         else:
             print(f"present: {', '.join(str(sorted(b)) for b in witness.blocks)}")
         return EXIT_OK if witness is not None else EXIT_NEGATIVE
     missing = missing_types(G)
     if args.json:
-        print(json.dumps({"n": G.n, "missing": [list(lam.parts) for lam in missing]}))
+        print(json.dumps({"n": G.n, "missing": [list(lam) for lam in missing]}))
     elif missing:
         print(f"{len(missing)} missing type(s):")
         for lam in missing:
-            print(str(lam))
+            print(format_parts(lam))
     else:
         print("complete: a connected partition exists for every type")
     return EXIT_OK if not missing else EXIT_NEGATIVE

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
-from .partitions import Partition, partitions_of
+from .partitions import partitions_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,7 +296,7 @@ def has_connected_partition(G: Graph, lam) -> Optional[ConnectedPartition]:
     return witness
 
 
-def missing_types(G: Graph) -> List[Partition]:
+def missing_types(G: Graph) -> List[tuple]:
     """All types with no connected partition, in partition stream order."""
     if G.n > 25:
         raise ValueError(f"missing_types guard: n={G.n} > 25")

@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .graphs import ConnectedPartition, CutProfile, _mask_vertices, spider
@@ -38,7 +37,11 @@ class MissingTypeCertificate:
     """Machine-checkable witness that `lam` has no connected partition.
 
     Valid for every connected graph whose cut-vertex profile is `profile`.
+    The constructor checks the prefix-sum criterion, so every certificate
+    that exists is verified.
     """
+
+    verified = True  # a class constant, not a field: construction verifies
 
     profile: CutProfile
     lam: Tuple[int, ...]
@@ -46,7 +49,6 @@ class MissingTypeCertificate:
     q: Optional[int] = None
     x: Optional[int] = None
     y: Optional[int] = None
-    verified: bool = False
 
     def __post_init__(self):
         if self.kind not in CERT_KINDS:
@@ -63,6 +65,8 @@ class MissingTypeCertificate:
                 raise ValueError("q-interval certificate has inconsistent x, y")
             if any(not self.x <= p <= self.y for p in self.lam):
                 raise ValueError("q-interval certificate has a part outside [x, y]")
+        if not check_partsums_obstruction(self.lam, self.profile):
+            raise ValueError(f"type {self.lam} has an ordering avoiding the window")
 
     def to_json_dict(self) -> dict:
         out = {
@@ -99,8 +103,10 @@ def obstruction_interval(profile: CutProfile) -> SumInterval:
 def check_partsums_obstruction(lam, profile: CutProfile) -> bool:
     """True iff all parts exceed c1 and every ordering hits [b+1, b+c].
 
-    Searches for an ordering that avoids the window, pruning any prefix whose
-    running sum lands inside it and memoizing on the remaining multiset.
+    An ordering avoids the window iff some part p follows a sub-multiset S of
+    the other parts with sum(S) <= b and sum(S) + p > b+c: put S first, then
+    p, then the rest.  A largest part serves as p whenever any part does, so
+    this is one subset-sum bitmask over the other parts, cut at b+1.
     """
     parts = tuple(sorted(lam, reverse=True))
     if sum(parts) != profile.n:
@@ -108,32 +114,10 @@ def check_partsums_obstruction(lam, profile: CutProfile) -> bool:
     if any(p < profile.c1 + 1 for p in parts):
         return False
     lo, hi = profile.b + 1, profile.b + profile.c
-    total = profile.n
-    values = sorted(set(parts))
-    counts = Counter(parts)
-    start = tuple(counts[v] for v in values)
-
-    # The prefix sum is a function of the remaining multiset, so this is
-    # plain reachability over count vectors.  Any state whose sum has passed
-    # the window, or that has run out of parts, is an avoiding ordering.
-    todo = [start]
-    seen = {start}
-    while todo:
-        state = todo.pop()
-        acc = total - sum(v * m for v, m in zip(values, state))
-        if acc > hi or not any(state):
-            return False
-        for i, mult in enumerate(state):
-            if not mult:
-                continue
-            s = acc + values[i]
-            if s != total and lo <= s <= hi:
-                continue
-            nxt = state[:i] + (mult - 1,) + state[i + 1 :]
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return True
+    reach, below_lo = 1, (1 << lo) - 1  # bit s: some sub-multiset of parts[1:] sums to s < lo
+    for p in parts[1:]:
+        reach = (reach | reach << p) & below_lo
+    return reach >> max(hi + 1 - parts[0], 0) == 0
 
 
 def q_interval(b: int, c: int, q: int) -> Optional[SumInterval]:
@@ -160,13 +144,8 @@ def q_certificate_search(profile: CutProfile) -> Optional[MissingTypeCertificate
         if J is None or J.lo < c1 + 1:
             continue
         lam = interval_partition(n, J)
-        if lam is None:
-            continue
-        if not check_partsums_obstruction(lam.parts, profile):
-            raise RuntimeError(f"q={q} certificate failed re-verification for {profile}")
-        return MissingTypeCertificate(
-            profile=profile, lam=lam.parts, kind="q-interval", q=q, x=J.lo, y=J.hi, verified=True
-        )
+        if lam is not None:
+            return MissingTypeCertificate(profile, lam, "q-interval", q=q, x=J.lo, y=J.hi)
     return None
 
 
@@ -228,51 +207,43 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     (2) b = 2c-1 with c > c1 uses all 2s (c=2) or halving (q=2);
     (3) 2c <= b <= c^2/2 searches q (closed-form selection once c >= 500);
     (4) b >= c^2/2 with c >= c1+2 uses parts from {c-1, c}.
-    Every certificate is re-verified against the prefix-sum criterion.
+    Every certificate is verified against the prefix-sum criterion when built.
     """
     b, c, c1, n = profile.b, profile.c, profile.c1, profile.n
     if c < 2:
         return None
 
-    q = window = cert = None  # the interval arms set window, the others cert
+    q = None  # the interval arms fall through with a window and this q
     if b <= 2 * c - 2:
         window = obstruction_interval(profile)
     elif c >= c1 + 1 and b == 2 * c - 1:
         if c == 2:
             # b = 3: all 2s when n is even, a single leading 3 otherwise
             lam = (2,) * (n // 2) if n % 2 == 0 else (3,) + (2,) * ((n - 3) // 2)
-            cert = MissingTypeCertificate(profile=profile, lam=lam, kind="special-b-2c-1")
-        else:
-            q, window = 2, q_interval(b, c, 2)
+            return MissingTypeCertificate(profile, lam, "special-b-2c-1")
+        q, window = 2, q_interval(b, c, 2)
     elif 2 * c <= b and 2 * b <= c * c:
-        if c >= 500:
-            trace = analysis_q(b, c)
-            q, window = trace.q, SumInterval(trace.x, trace.y)
-        else:
+        if c < 500:
             cert = q_certificate_search(profile)
             if cert is None:
                 raise RuntimeError(f"q search unexpectedly failed for {profile}")
+            return cert
+        trace = analysis_q(b, c)
+        q, window = trace.q, SumInterval(trace.x, trace.y)
     elif c >= c1 + 2 and 2 * b >= c * c:
         two_coin = two_coin_representation(n, c)
         if two_coin is None:
             raise RuntimeError(f"two-coin witness unexpectedly absent for {profile}")
         a1, a2 = two_coin
-        lam = (c,) * a1 + (c - 1,) * a2
-        cert = MissingTypeCertificate(profile=profile, lam=lam, kind="parts-c-c1")
+        return MissingTypeCertificate(profile, (c,) * a1 + (c - 1,) * a2, "parts-c-c1")
     else:
         return None
 
-    if window is not None:
-        lam = interval_partition(n, window)
-        if lam is None:
-            raise RuntimeError(f"interval witness unexpectedly absent for {profile}, q={q}")
-        kind = "explicit-interval" if q is None else "q-interval"
-        cert = MissingTypeCertificate(
-            profile=profile, lam=lam.parts, kind=kind, q=q, x=window.lo, y=window.hi
-        )
-    if not check_partsums_obstruction(cert.lam, profile):
-        raise RuntimeError(f"certificate failed re-verification: {cert}")
-    return replace(cert, verified=True)
+    lam = interval_partition(n, window)
+    if lam is None:
+        raise RuntimeError(f"interval witness unexpectedly absent for {profile}, q={q}")
+    kind = "explicit-interval" if q is None else "q-interval"
+    return MissingTypeCertificate(profile, lam, kind, q=q, x=window.lo, y=window.hi)
 
 
 def describe_inapplicability(profile: CutProfile) -> str:
@@ -692,12 +663,12 @@ def sixm_full_check(m: int) -> SixmReport:
     for lam in partitions_of(n):
         total += 1
         try:
-            rec = sixm_rearrangement(lam.parts, m)
+            rec = sixm_rearrangement(lam, m)
             tallies[rec.case] = tallies.get(rec.case, 0) + 1
             if m == 1:
                 cp = sixm_connected_partition(rec)
-                cp.validate(G, lam.parts)
+                cp.validate(G, lam)
                 materialized += 1
         except Exception as exc:  # a failure here would falsify the claim
-            failures.append((lam.parts, repr(exc)))
+            failures.append((lam, repr(exc)))
     return SixmReport(m, total, tallies, failures, materialized)

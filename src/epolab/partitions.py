@@ -1,7 +1,8 @@
 """Integer partitions, prefix sums, and interval representability.
 
-All arithmetic is exact (Python ints).  Values are immutable and hashable, so
-they can be shared freely across threads and used as dict keys.
+A partition is a nonempty tuple of positive ints in weakly decreasing order.
+parse_partition checks this for outside input; the generators here produce
+nothing else.  All arithmetic is exact (Python ints).
 """
 
 from __future__ import annotations
@@ -9,35 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Optional
-
-
-@dataclass(frozen=True, slots=True)
-class Partition:
-    """Nonempty tuple of positive integers in weakly decreasing order."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        p = self.parts
-        if not p:
-            raise ValueError("composition needs at least one part")
-        if min(p) < 1:
-            raise ValueError(f"parts must be positive: {p}")
-        if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-            raise ValueError(f"parts must be weakly decreasing: {p}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __str__(self):
-        return format_parts(self.parts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +32,7 @@ def format_parts(parts) -> str:
     return "(" + ",".join(str(p) for p in parts) + ")"
 
 
-def parse_partition(text: str) -> Partition:
+def parse_partition(text: str) -> tuple:
     """Parse "(4, 4,3,2)" or "4,4,3,2" leniently (whitespace ignored)."""
     s = "".join(text.split())
     if s.startswith("(") and s.endswith(")"):
@@ -71,7 +43,11 @@ def parse_partition(text: str) -> Partition:
         parts = tuple(int(tok) for tok in s.split(","))
     except ValueError:
         raise ValueError(f"cannot parse partition from {text!r}") from None
-    return Partition(parts)
+    if min(parts) < 1:
+        raise ValueError(f"parts must be positive: {parts}")
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise ValueError(f"parts must be weakly decreasing: {parts}")
+    return parts
 
 
 def partial_sums(alpha) -> frozenset:
@@ -79,16 +55,7 @@ def partial_sums(alpha) -> frozenset:
     return frozenset(accumulate(tuple(alpha)[:-1]))
 
 
-def _partition_tuples(n: int, max_part: int) -> Iterator[tuple]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partition_tuples(n - first, first):
-            yield (first,) + rest
-
-
-def partitions_of(n: int) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[tuple]:
     """All partitions of n, each exactly once, in reverse-lexicographic order.
 
     (n) comes first and (1,...,1) last; this is the canonical stream order
@@ -96,11 +63,18 @@ def partitions_of(n: int) -> Iterator[Partition]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    for parts in _partition_tuples(n, n):
-        yield Partition(parts)
+
+    def capped(rest: int, cap: int) -> Iterator[tuple]:
+        if rest == 0:
+            yield ()
+        for first in range(min(rest, cap), 0, -1):
+            for tail in capped(rest - first, first):
+                yield (first,) + tail
+
+    yield from capped(n, n)
 
 
-def interval_partition(n: int, J: SumInterval) -> Optional[Partition]:
+def interval_partition(n: int, J: SumInterval) -> Optional[tuple]:
     """A partition of n with every part in [J.lo, J.hi], or None.
 
     With t parts from the interval the reachable totals are exactly
@@ -116,7 +90,7 @@ def interval_partition(n: int, J: SumInterval) -> Optional[Partition]:
         return None
     q, r = divmod(n, t)
     # t*x <= n <= t*y guarantees x <= q and (q < y or r == 0)
-    return Partition((q + 1,) * r + (q,) * (t - r))
+    return (q + 1,) * r + (q,) * (t - r)
 
 
 def two_coin_representation(n: int, c: int) -> Optional[tuple]:

@@ -27,7 +27,7 @@ from epolab.obstructions import (
     sweep_c500,
     theorem_decide,
 )
-from epolab.partitions import Partition, partitions_of
+from epolab.partitions import partitions_of
 from epolab.symfunc import csf_e, is_e_positive, specialize_e
 from support import chromatic_polynomial
 
@@ -62,7 +62,7 @@ def test_criterion_2_connected_partition_completeness():
     t0 = time.perf_counter()
     assert sum(1 for _ in partitions_of(13)) == 101
     assert missing_types(spider((6, 4, 1, 1))) == []
-    assert Partition((2, 2)) in missing_types(spider((1, 1, 1)))
+    assert (2, 2) in missing_types(spider((1, 1, 1)))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(2, elapsed, "all 101 types present in S(6,4,1,1); (2,2) missing in S(1,1,1)")
@@ -104,15 +104,15 @@ def test_criterion_4_theorem_soundness_desk_scale():
         for legs in partitions_of(n - 1):
             if len(legs) < 3:
                 continue
-            g = spider(legs.parts)
+            g = spider(legs)
             (_, profile), = cut_profiles(g)
             cert = theorem_decide(profile)
             if cert is None:
                 continue
             certified += 1
             assert cert.verified
-            assert has_connected_partition(g, Partition(cert.lam)) is None, (
-                legs.parts,
+            assert has_connected_partition(g, cert.lam) is None, (
+                legs,
                 cert.lam,
             )
     assert certified > 0
@@ -181,9 +181,9 @@ def test_criterion_8_sixm_checks():
 
     g = spider((6, 4, 1, 1))
     for lam in partitions_of(13):
-        rec = sixm_rearrangement(lam.parts, 1)
+        rec = sixm_rearrangement(lam, 1)
         cp = sixm_connected_partition(rec)
-        cp.validate(g, lam.parts)
+        cp.validate(g, lam)
         assert has_connected_partition(g, lam) is not None  # oracle agreement
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

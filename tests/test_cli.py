@@ -244,6 +244,18 @@ def test_trees_scan_cache_skips_lines_that_are_not_records(capsys, tmp_path):
         assert cache.read_text().startswith(line + "\n")
 
 
+def test_trees_scan_cache_skips_records_without_a_verdict(capsys, tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    code, expected, _ = run(capsys, "trees-scan", "5", "--cache", str(clean))
+    assert code == 0
+    for result in [5, {"e_positive": "no"}, {"n": 5}]:
+        cache = tmp_path / "bad.jsonl"
+        recs = [dict(json.loads(line), result=result) for line in clean.read_text().splitlines()]
+        cache.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        code, out, err = run(capsys, "trees-scan", "5", "--cache", str(cache))
+        assert (code, out, err) == (0, expected, ""), result
+
+
 def test_cli_import_leaves_numpy_out():
     import subprocess
     import sys

@@ -20,7 +20,7 @@ from epolab.graphs import (
     star_graph,
     tree_canonical_key,
 )
-from epolab.partitions import Partition, partitions_of
+from epolab.partitions import partitions_of
 
 
 def test_graph_validation():
@@ -94,8 +94,8 @@ def test_cut_profile_validation():
 
 
 def test_has_connected_partition_examples():
-    assert has_connected_partition(spider((1, 1, 1)), Partition((2, 2))) is None
-    witness = has_connected_partition(spider((3, 2, 1)), Partition((3, 2, 2)))
+    assert has_connected_partition(spider((1, 1, 1)), (2, 2)) is None
+    witness = has_connected_partition(spider((3, 2, 1)), (3, 2, 2))
     assert witness is not None
     witness.validate(spider((3, 2, 1)), (3, 2, 2))
 
@@ -105,7 +105,7 @@ def test_has_connected_partition_examples():
 
 def test_has_connected_partition_size_mismatch():
     with pytest.raises(ValueError):
-        has_connected_partition(path_graph(4), Partition((3, 2)))
+        has_connected_partition(path_graph(4), (3, 2))
 
 
 def test_connected_partition_search_vs_bruteforce():
@@ -134,7 +134,7 @@ def test_connected_partition_search_vs_bruteforce():
 
 def test_missing_types_examples():
     star_missing = missing_types(spider((1, 1, 1)))
-    assert Partition((2, 2)) in star_missing
+    assert (2, 2) in star_missing
     assert missing_types(spider((4, 1, 1))) == []
 
 

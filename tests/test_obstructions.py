@@ -22,7 +22,7 @@ from epolab.obstructions import (
     sweep_c500,
     theorem_decide,
 )
-from epolab.partitions import Partition, partial_sums, partitions_of
+from epolab.partitions import partial_sums, partitions_of
 from epolab.symfunc import is_e_positive
 
 
@@ -48,7 +48,7 @@ def test_check_partsums_size_mismatch():
 
 
 def test_check_partsums_vs_full_enumeration():
-    """Pruned search agrees with a blind scan over all orderings."""
+    """The prefix-sum check agrees with a blind scan over all orderings."""
     rng = random.Random(13)
     profiles = [
         CutProfile(1, 1, (1,)),
@@ -61,13 +61,13 @@ def test_check_partsums_vs_full_enumeration():
     for profile in profiles:
         lo, hi = profile.b + 1, profile.b + profile.c
         for lam in partitions_of(profile.n):
-            if count_rearrangements(lam.parts) > 20000:
+            if count_rearrangements(lam) > 20000:
                 continue
             got = check_partsums_obstruction(lam, profile)
-            if any(p < profile.c1 + 1 for p in lam.parts):
+            if any(p < profile.c1 + 1 for p in lam):
                 assert not got
             else:
-                assert got == support.all_rearrangements_hit(lam.parts, lo, hi), (
+                assert got == support.all_rearrangements_hit(lam, lo, hi), (
                     profile,
                     lam,
                 )
@@ -82,13 +82,13 @@ def test_check_partsums_vs_full_enumeration():
             [
                 p
                 for p in partitions_of(profile.n)
-                if count_rearrangements(p.parts) <= 20000
+                if count_rearrangements(p) <= 20000
             ]
         )
         got = check_partsums_obstruction(lam, profile)
         lo, hi = profile.b + 1, profile.b + profile.c
-        expected = all(p >= profile.c1 + 1 for p in lam.parts) and support.all_rearrangements_hit(
-            lam.parts, lo, hi
+        expected = all(p >= profile.c1 + 1 for p in lam) and support.all_rearrangements_hit(
+            lam, lo, hi
         )
         assert got == expected, (profile, lam)
 
@@ -132,8 +132,8 @@ def test_compressed_interval_types_are_obstructed():
         assert check_partsums_obstruction(lam, profile), (profile, q, lam)
         from support import count_rearrangements
 
-        if count_rearrangements(lam.parts) <= 20000:
-            assert support.all_rearrangements_hit(lam.parts, b + 1, b + profile.c)
+        if count_rearrangements(lam) <= 20000:
+            assert support.all_rearrangements_hit(lam, b + 1, b + profile.c)
 
 
 def test_q_certificate_search_examples():
@@ -141,7 +141,7 @@ def test_q_certificate_search_examples():
     assert cert is not None and cert.q == 1 and cert.verified
     # the certified type really is missing in the five-leaf star
     G = spider((1, 1, 1, 1, 1))
-    assert has_connected_partition(G, Partition(cert.lam)) is None
+    assert has_connected_partition(G, cert.lam) is None
 
     assert q_certificate_search(CutProfile(6, 4, (1, 1))) is None
     assert q_certificate_search(CutProfile(5, 3, (2,))) is None
@@ -244,7 +244,7 @@ def test_theorem_decide_example_certificate():
     assert cert is not None and cert.verified
     assert all(3 <= p <= 8 for p in cert.lam)
     G = spider((2, 2, 2, 2, 2))
-    assert has_connected_partition(G, Partition(cert.lam)) is None
+    assert has_connected_partition(G, cert.lam) is None
 
 
 def test_theorem_decide_arm_coverage():
@@ -273,6 +273,15 @@ def test_certificate_validation():
         MissingTypeCertificate(profile=prof, lam=(6, 5), kind="q-interval", q=1, x=9, y=9)
 
 
+def test_certificate_constructor_checks_the_window():
+    # (13,) sums to n and its part exceeds c1, but its one ordering has no
+    # prefix sum in [5, 6], so it certifies nothing
+    with pytest.raises(ValueError):
+        MissingTypeCertificate(CutProfile(6, 4, (1, 1)), (13,), "explicit-interval")
+    cert = MissingTypeCertificate(CutProfile(2, 2, (2, 2, 2)), (6, 5), "explicit-interval")
+    assert cert.verified is True and cert.to_json_dict()["verified"] is True
+
+
 def test_certificate_json():
     cert = q_certificate_search(CutProfile(1, 1, (1, 1, 1)))
     d = cert.to_json_dict()
@@ -287,13 +296,13 @@ def test_theorem_soundness_small_spiders():
         for legs in partitions_of(n - 1):
             if len(legs) < 3:
                 continue
-            G = spider(legs.parts)
+            G = spider(legs)
             from epolab.graphs import cut_profiles
 
             (_, prof), = cut_profiles(G)
             cert = theorem_decide(prof)
             if cert is not None:
-                assert has_connected_partition(G, Partition(cert.lam)) is None, (
+                assert has_connected_partition(G, cert.lam) is None, (
                     legs,
                     cert.lam,
                 )
@@ -307,7 +316,7 @@ def test_obstructed_types_are_absent_in_spiders():
         for legs in partitions_of(n - 1):
             if len(legs) < 3:
                 continue
-            G = spider(legs.parts)
+            G = spider(legs)
             (_, profile), = cut_profiles(G)
             for lam in partitions_of(n):
                 if check_partsums_obstruction(lam, profile):
@@ -322,11 +331,11 @@ def test_spider4_examples():
 
     v = spider4_classify((2, 2, 2, 2))
     assert v.method == "obstruction-certificate"
-    assert has_connected_partition(spider((2, 2, 2, 2)), Partition(v.certificate.lam)) is None
+    assert has_connected_partition(spider((2, 2, 2, 2)), v.certificate.lam) is None
 
     v = spider4_classify((1, 1, 1, 1))
     assert v.method == "obstruction-certificate"
-    assert has_connected_partition(spider((1, 1, 1, 1)), Partition(v.certificate.lam)) is None
+    assert has_connected_partition(spider((1, 1, 1, 1)), v.certificate.lam) is None
 
 
 def test_spider4_never_e_positive():
@@ -334,9 +343,9 @@ def test_spider4_never_e_positive():
         for legs in partitions_of(total):
             if len(legs) != 4:
                 continue
-            v = spider4_classify(legs.parts)
+            v = spider4_classify(legs)
             assert not v.e_positive
-            assert not is_e_positive(spider(legs.parts)).positive
+            assert not is_e_positive(spider(legs)).positive
             if v.certificate is not None:
                 assert v.certificate.verified
 
@@ -365,11 +374,11 @@ def test_sixm_rearrangement_window_free():
     for m in (1, 2):
         w1, w2 = 6 * m - 1, 6 * m
         for lam in partitions_of(12 * m + 1):
-            rec = sixm_rearrangement(lam.parts, m)
+            rec = sixm_rearrangement(lam, m)
             if rec.kind == "rearrangement":
                 sums = partial_sums(rec.alpha)
                 assert w1 not in sums and w2 not in sums
-                assert tuple(sorted(rec.alpha, reverse=True)) == lam.parts
+                assert tuple(sorted(rec.alpha, reverse=True)) == lam
 
 
 def test_sixm_full_check_counts():
@@ -384,9 +393,9 @@ def test_sixm_full_check_counts():
 def test_sixm_materialization_validates():
     G = spider((6, 4, 1, 1))
     for lam in partitions_of(13):
-        rec = sixm_rearrangement(lam.parts, 1)
+        rec = sixm_rearrangement(lam, 1)
         cp = sixm_connected_partition(rec)
-        cp.validate(G, lam.parts)
+        cp.validate(G, lam)
 
 
 def test_sixm_cross_check_against_search():

@@ -2,9 +2,10 @@
 
 The frontier DP is checked against the 2^|E| subset tally, the expansion
 against the deletion-contraction chromatic polynomial, Waring's formula
-against Newton's recurrence, and the connected-partition search against a
-blind set-partition enumeration.  Hypothesis runs derandomized, so every run
-draws the same examples.
+against Newton's recurrence, the connected-partition search against a blind
+set-partition enumeration, and missing-type certificates on random trees
+against that search and a scan of every ordering.  Hypothesis runs
+derandomized, so every run draws the same examples.
 """
 
 import math
@@ -12,13 +13,14 @@ import math
 import pytest
 
 import support
-from epolab.graphs import Graph, has_connected_partition, is_connected
+from epolab.graphs import Graph, cut_profiles, has_connected_partition, is_connected
+from epolab.obstructions import theorem_decide
 from epolab.partitions import partitions_of
 from epolab.symfunc import _type_tally, csf_e, p_in_e, specialize_e
 from support import chromatic_polynomial
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -40,6 +42,18 @@ def connected_graphs(draw):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges += draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
     return Graph(n, edges)
+
+
+@st.composite
+def random_trees(draw):
+    """Trees on n <= 14 vertices: three to five random subtrees hung from vertex 0."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=3, max_size=5).filter(lambda s: sum(s) <= 13))
+    edges, root = [], 1
+    for size in sizes:
+        edges.append((0, draw(st.integers(root, root + size - 1))))
+        edges += [(draw(st.integers(root, v - 1)), v) for v in range(root + 1, root + size)]
+        root += size
+    return Graph(root, edges)
 
 
 def _nonzero(tally) -> dict:
@@ -75,6 +89,23 @@ def test_connected_partition_search_matches_bruteforce(G):
         assert (witness is None) == (not support.connected_partition_exists_bruteforce(G, lam)), lam
         if witness is not None:
             witness.validate(G, lam)
+
+
+@PROPERTY
+@given(random_trees())
+# profile (5, 5, (1, 1, 1)), the only q-interval arm within reach of n <= 14,
+# with two branching components
+@example(Graph(14, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (0, 7), (6, 7), (7, 8), (7, 9),
+                    (9, 10), (0, 11), (0, 12), (0, 13)]))
+def test_certificates_hold_on_random_trees(G):
+    # a certificate depends on the profile alone, not on the components' shapes
+    for _, profile in cut_profiles(G):
+        cert = theorem_decide(profile)
+        if cert is None:
+            continue
+        assert has_connected_partition(G, cert.lam) is None, (profile, cert.lam)
+        if support.count_rearrangements(cert.lam) <= 20000:
+            assert support.all_rearrangements_hit(cert.lam, profile.b + 1, profile.b + profile.c)
 
 
 def test_complete_graph_closed_form():
