@@ -138,10 +138,10 @@ class ResultCache:
                     rec = json.loads(line)
                     key = (rec["command"], rec["key"], rec["version"], rec.get("route"))
                     result = rec["result"]
+                    if isinstance(result, dict) and isinstance(result.get("e_positive"), bool):
+                        self._records[key] = result
                 except (json.JSONDecodeError, KeyError, TypeError):
                     continue
-                if isinstance(result, dict) and isinstance(result.get("e_positive"), bool):
-                    self._records[key] = result
 
     def get(self, command: str, key: str):
         return self._records.get((command, key, __version__, CSF_ROUTE))

@@ -18,6 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from .graphs import ConnectedPartition, CutProfile, _mask_vertices, spider
@@ -53,10 +54,6 @@ class MissingTypeCertificate:
     def __post_init__(self):
         if self.kind not in CERT_KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
-        if sum(self.lam) != self.profile.n:
-            raise ValueError("certificate type does not sum to the profile size")
-        if any(p < self.profile.c1 + 1 for p in self.lam):
-            raise ValueError("certificate type has a part not exceeding c1")
         if self.kind == "q-interval":
             b, c, q = self.profile.b, self.profile.c, self.q
             if q is None or q < 1:
@@ -66,7 +63,7 @@ class MissingTypeCertificate:
             if any(not self.x <= p <= self.y for p in self.lam):
                 raise ValueError("q-interval certificate has a part outside [x, y]")
         if not check_partsums_obstruction(self.lam, self.profile):
-            raise ValueError(f"type {self.lam} has an ordering avoiding the window")
+            raise ValueError(f"type {self.lam} fails the prefix-sum criterion for {self.profile}")
 
     def to_json_dict(self) -> dict:
         out = {
@@ -106,7 +103,9 @@ def check_partsums_obstruction(lam, profile: CutProfile) -> bool:
     An ordering avoids the window iff some part p follows a sub-multiset S of
     the other parts with sum(S) <= b and sum(S) + p > b+c: put S first, then
     p, then the rest.  A largest part serves as p whenever any part does, so
-    this is one subset-sum bitmask over the other parts, cut at b+1.
+    this needs only the subset sums <= b of the other parts.  They are built
+    as a set, one distinct part value at a time, so the set never holds more
+    sums than there are such sub-multisets, however large b is.
     """
     parts = tuple(sorted(lam, reverse=True))
     if sum(parts) != profile.n:
@@ -114,10 +113,11 @@ def check_partsums_obstruction(lam, profile: CutProfile) -> bool:
     if any(p < profile.c1 + 1 for p in parts):
         return False
     lo, hi = profile.b + 1, profile.b + profile.c
-    reach, below_lo = 1, (1 << lo) - 1  # bit s: some sub-multiset of parts[1:] sums to s < lo
-    for p in parts[1:]:
-        reach = (reach | reach << p) & below_lo
-    return reach >> max(hi + 1 - parts[0], 0) == 0
+    reach = {0}  # the sums < lo of sub-multisets of parts[1:]
+    for v, run in groupby(parts[1:]):
+        top = v * len(tuple(run))
+        reach = {s + t for s in reach for t in range(0, min(top, lo - 1 - s) + 1, v)}
+    return max(reach) + parts[0] <= hi
 
 
 def q_interval(b: int, c: int, q: int) -> Optional[SumInterval]:

@@ -236,7 +236,11 @@ def test_trees_scan_cache_survives_torn_last_line(capsys, tmp_path):
 def test_trees_scan_cache_skips_lines_that_are_not_records(capsys, tmp_path):
     code, expected, _ = run(capsys, "trees-scan", "5")
     assert code == 0
-    for line in ['{"command": "trees-scan", "key": "x"}', "[1, 2]", '"text"', "7", "null"]:
+    unhashable_key = {"command": "trees-scan", "key": ["x"], "version": "0.1.0",
+                      "result": {"e_positive": True}}
+    lines = ['{"command": "trees-scan", "key": "x"}', "[1, 2]", '"text"', "7", "null",
+             json.dumps(unhashable_key)]
+    for line in lines:
         cache = tmp_path / "partial.jsonl"
         cache.write_text(line + "\n")
         code, out, err = run(capsys, "trees-scan", "5", "--cache", str(cache))

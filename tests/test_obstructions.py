@@ -1,6 +1,7 @@
 """Obstruction certificates, q selection, sweeps, and the 12m+1 spiders."""
 
 import random
+import time
 
 import pytest
 
@@ -280,6 +281,15 @@ def test_certificate_constructor_checks_the_window():
         MissingTypeCertificate(CutProfile(6, 4, (1, 1)), (13,), "explicit-interval")
     cert = MissingTypeCertificate(CutProfile(2, 2, (2, 2, 2)), (6, 5), "explicit-interval")
     assert cert.verified is True and cert.to_json_dict()["verified"] is True
+
+
+def test_certificate_check_cost_does_not_grow_with_b():
+    # arm 1 at b = 10^10: a two-part type whose other part alone exceeds b
+    profile = CutProfile(10**10, 10**10, (10**10, 10**10))
+    start = time.perf_counter()
+    cert = theorem_decide(profile)
+    assert time.perf_counter() - start < 1
+    assert cert.lam == (2 * 10**10 + 1, 2 * 10**10) and cert.kind == "explicit-interval"
 
 
 def test_certificate_json():
