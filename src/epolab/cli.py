@@ -193,7 +193,7 @@ def cmd_epos(args) -> int:
 def cmd_connparts(args) -> int:
     G = parse_graph_spec(args.graph, 25, connected=True)
     try:
-        lam = parse_partition(args.type) if args.type else None
+        lam = parse_partition(args.type) if args.type is not None else None
     except ValueError as exc:
         raise SpecError(str(exc)) from None
     if lam is not None:

@@ -1,5 +1,5 @@
 """Undirected simple graphs, cut-vertex profiles, connected partitions,
-spider/path/star constructors, and free-tree enumeration.
+the tree type DP, spider/path/star constructors, and free-tree enumeration.
 
 Vertices are labelled 0..n-1.  Graph values are immutable; adjacency is
 exposed as per-vertex bitmasks, which keeps the connected-partition search
@@ -9,7 +9,7 @@ and component computations cheap at the sizes this library targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .partitions import partitions_of
 
@@ -296,13 +296,69 @@ def has_connected_partition(G: Graph, lam) -> Optional[ConnectedPartition]:
     return witness
 
 
+def _tree_type_tally(adj, root_mask: int) -> Dict[int, int]:
+    """Signed type tally of one tree component via a DP, keyed by packed types.
+
+    State maps (packed finished sizes, size of the open component holding the current
+    vertex) to a signed count; cutting a child edge finishes its open component, keeping
+    it merges and flips the sign.  A forest of type lam keeps n - l(lam) edges, so all
+    terms of lam have sign (-1)^(n - l(lam)) and the keys are exactly the realizable types.
+    """
+    root = (root_mask & -root_mask).bit_length() - 1
+
+    def dfs(v: int, parent_v: int) -> Dict[tuple, int]:
+        state = {(0, 1): 1}
+        nbrs = adj[v]
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs &= nbrs - 1
+            u = low.bit_length() - 1
+            if u == parent_v:
+                continue
+            sub = dfs(u, v)
+            new: Dict[tuple, int] = {}
+            for (d1, o1), c1 in state.items():
+                for (d2, o2), c2 in sub.items():
+                    cut = (d1 + d2 + (1 << 5 * (o2 - 1)), o1)
+                    new[cut] = new.get(cut, 0) + c1 * c2
+                    join = (d1 + d2, o1 + o2)
+                    new[join] = new.get(join, 0) - c1 * c2
+            state = new
+        return state
+
+    tally: Dict[int, int] = {}
+    for (done, open_size), c in dfs(root, -1).items():
+        key = done + (1 << 5 * (open_size - 1))
+        tally[key] = tally.get(key, 0) + c
+    return tally
+
+
+def _dfs_tree(adj) -> List[int]:
+    """Adjacency masks of a DFS spanning tree: from a lowest-degree vertex, each step goes to
+    the unvisited neighbour with the fewest unvisited neighbours (lowest label on ties)."""
+    tree, left = [0] * len(adj), (1 << len(adj)) - 1
+    stack = [min(range(len(adj)), key=lambda v: (adj[v].bit_count(), v))]
+    while stack:
+        v = stack[-1]
+        left &= ~(1 << v)
+        if not adj[v] & left:
+            stack.pop()
+            continue
+        u = min(_mask_vertices(adj[v] & left), key=lambda w: ((adj[w] & left).bit_count(), w))
+        tree[u], tree[v] = 1 << v, tree[v] | 1 << u
+        stack.append(u)
+    return tree
+
+
 def missing_types(G: Graph) -> List[tuple]:
-    """All types with no connected partition, in partition stream order."""
+    """Types with no connected partition, in stream order; G is searched for those its DFS tree lacks."""
     if G.n > 25:
         raise ValueError(f"missing_types guard: n={G.n} > 25")
     if not is_connected(G):
         raise ValueError("graph must be connected")
-    return [lam for lam in partitions_of(G.n) if has_connected_partition(G, lam) is None]
+    present = _tree_type_tally(_dfs_tree(G.adj), 1)
+    return [lam for lam in partitions_of(G.n) if sum(1 << 5 * (p - 1) for p in lam) not in present
+            and (len(G.edges) == G.n - 1 or has_connected_partition(G, lam) is None)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Dict, List, Tuple
 
-from .graphs import Graph, _component_masks, _mask_vertices
+from .graphs import Graph, _component_masks, _mask_vertices, _tree_type_tally
 from .partitions import format_parts, partitions_of
 
 
@@ -143,42 +143,6 @@ def _prod_p_in_e(lam: int) -> Dict[int, int]:
         top = (lam.bit_length() + 4) // 5
         out = _PROD_E_CACHE[lam] = _merge(_waring(top)[0], _prod_p_in_e(lam - (1 << 5 * (top - 1))))
     return out
-
-
-def _tree_type_tally(adj, root_mask: int) -> Dict[int, int]:
-    """Forest fast path: signed type tally of one tree component via a DP.
-
-    State maps (packed finished component sizes, size of the open component
-    holding the current vertex) to a signed count; cutting a child edge
-    finishes its open component, keeping it merges and flips the sign.
-    """
-    root = (root_mask & -root_mask).bit_length() - 1
-
-    def dfs(v: int, parent_v: int) -> Dict[tuple, int]:
-        state = {(0, 1): 1}
-        nbrs = adj[v]
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs &= nbrs - 1
-            u = low.bit_length() - 1
-            if u == parent_v:
-                continue
-            sub = dfs(u, v)
-            new: Dict[tuple, int] = {}
-            for (d1, o1), c1 in state.items():
-                for (d2, o2), c2 in sub.items():
-                    cut = (d1 + d2 + (1 << 5 * (o2 - 1)), o1)
-                    new[cut] = new.get(cut, 0) + c1 * c2
-                    join = (d1 + d2, o1 + o2)
-                    new[join] = new.get(join, 0) - c1 * c2
-            state = new
-        return state
-
-    tally: Dict[int, int] = {}
-    for (done, open_size), c in dfs(root, -1).items():
-        key = done + (1 << 5 * (open_size - 1))
-        tally[key] = tally.get(key, 0) + c
-    return tally
 
 
 def _frontier_order(adj, comp: int) -> List[int]:

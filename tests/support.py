@@ -5,9 +5,10 @@ brute-force coloring tallies, 0-1 matrix counts for monomial coefficients,
 labeled-tree enumeration via sequence decoding, subset-sum existence, full
 rearrangement scans, a cell-by-cell scan of the c <= 40 sweep, an
 isomorphism-class enumerator for small connected graphs built on an
-individualization-refinement canonical form, and a deletion-contraction
-chromatic polynomial.  Compositions and their rearrangements live here too:
-only the tests need ordered parts.
+individualization-refinement canonical form, a deletion-contraction
+chromatic polynomial, and the missing types by one search per type.
+Compositions and their rearrangements live here too: only the tests need
+ordered parts.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
-from epolab.graphs import Graph, _component_masks, _mask_vertices
-from epolab.partitions import SumInterval, format_parts
+from epolab.graphs import Graph, _component_masks, _mask_vertices, has_connected_partition
+from epolab.partitions import SumInterval, format_parts, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +410,12 @@ def connected_partition_exists_bruteforce(G: Graph, lam) -> bool:
         return False
 
     return rec(frozenset(range(G.n)), sizes)
+
+
+def missing_types_bruteforce(G: Graph) -> List[tuple]:
+    """Every type with no connected partition, in partition stream order, by
+    one has_connected_partition search per partition of n."""
+    return [lam for lam in partitions_of(G.n) if has_connected_partition(G, lam) is None]
 
 
 def brute_force_partitions(n: int) -> List[tuple]:

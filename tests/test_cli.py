@@ -90,6 +90,9 @@ def test_connparts(capsys):
     assert code == 0 and "present" in out
     code, out, err = run(capsys, "connparts", "spider:3,2,1", "--type", "(3,3)")
     assert code == 2
+    for empty in ("", " "):
+        code, out, err = run(capsys, "connparts", "spider:1,1,1", "--type", empty)
+        assert code == 2 and out == "" and "error: empty partition text" in err
 
 
 def test_prove_profile_certificate(capsys):

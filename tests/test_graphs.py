@@ -9,6 +9,8 @@ from epolab.graphs import (
     ConnectedPartition,
     CutProfile,
     Graph,
+    _dfs_tree,
+    _tree_type_tally,
     connected_components,
     cut_profiles,
     enumerate_free_trees,
@@ -136,6 +138,12 @@ def test_missing_types_examples():
     star_missing = missing_types(spider((1, 1, 1)))
     assert (2, 2) in star_missing
     assert missing_types(spider((4, 1, 1))) == []
+    # a 4-cycle with three pendant vertices: its DFS tree lacks (5,2), (3,2,2)
+    # and (2,2,2,1), and the search finds (5,2) in the graph
+    G = Graph(7, [(0, 6), (1, 6), (2, 5), (3, 5), (3, 6), (4, 5), (4, 6)])
+    tree_types = support.unpack_tally(_tree_type_tally(_dfs_tree(G.adj), 1))
+    assert [lam for lam in partitions_of(7) if lam not in tree_types] == [(5, 2), (3, 2, 2), (2, 2, 2, 1)]
+    assert missing_types(G) == [(3, 2, 2), (2, 2, 2, 1)]
 
 
 def test_missing_types_guard():

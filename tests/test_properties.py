@@ -3,9 +3,11 @@
 The frontier DP is checked against the 2^|E| subset tally, the expansion
 against the deletion-contraction chromatic polynomial, Waring's formula
 against Newton's recurrence, the connected-partition search against a blind
-set-partition enumeration, and missing-type certificates on random trees
-against that search and a scan of every ordering.  Hypothesis runs
-derandomized, so every run draws the same examples.
+set-partition enumeration, missing_types against one search per type, the
+tree DP's keys and signs against that search, and missing-type certificates
+on random trees against that search and a scan of every ordering.  On random
+trees up to 20 vertices a missing type must mean not e-positive.  Hypothesis
+runs derandomized, so every run draws the same examples.
 """
 
 import math
@@ -13,10 +15,18 @@ import math
 import pytest
 
 import support
-from epolab.graphs import Graph, cut_profiles, has_connected_partition, is_connected
+from epolab.graphs import (
+    Graph,
+    _tree_type_tally,
+    cut_profiles,
+    has_connected_partition,
+    is_connected,
+    missing_types,
+    spider,
+)
 from epolab.obstructions import theorem_decide
 from epolab.partitions import partitions_of
-from epolab.symfunc import _type_tally, csf_e, p_in_e, specialize_e
+from epolab.symfunc import _type_tally, csf_e, is_e_positive, p_in_e, specialize_e
 from support import chromatic_polynomial
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -35,9 +45,9 @@ def small_graphs(draw):
 
 
 @st.composite
-def connected_graphs(draw):
-    """Connected graphs on n <= 8 vertices: a random spanning tree plus chords."""
-    n = draw(st.integers(1, 8))
+def connected_graphs(draw, max_n=8):
+    """Connected graphs on n <= max_n vertices: a random spanning tree plus chords."""
+    n = draw(st.integers(1, max_n))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges += draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
@@ -54,6 +64,13 @@ def random_trees(draw):
         edges += [(draw(st.integers(root, v - 1)), v) for v in range(root + 1, root + size)]
         root += size
     return Graph(root, edges)
+
+
+@st.composite
+def recursive_trees(draw, min_n, max_n):
+    """Trees on min_n..max_n vertices, each vertex v > 0 joined to a random earlier one."""
+    n = draw(st.integers(min_n, max_n))
+    return Graph(n, [(draw(st.integers(0, v - 1)), v) for v in range(1, n)])
 
 
 def _nonzero(tally) -> dict:
@@ -89,6 +106,33 @@ def test_connected_partition_search_matches_bruteforce(G):
         assert (witness is None) == (not support.connected_partition_exists_bruteforce(G, lam)), lam
         if witness is not None:
             witness.validate(G, lam)
+
+
+@PROPERTY
+@given(connected_graphs(9))
+# a 4-cycle with three pendant vertices, whose DFS tree lacks (5,2), (3,2,2)
+# and (2,2,2,1): the search finds (5,2) in the graph and not the other two
+@example(Graph(7, [(0, 6), (1, 6), (2, 5), (3, 5), (3, 6), (4, 5), (4, 6)]))
+def test_missing_types_match_per_type_search(G):
+    assert missing_types(G) == support.missing_types_bruteforce(G)
+
+
+@PROPERTY
+@given(recursive_trees(1, 14))
+def test_tree_tally_keys_are_the_realizable_types_with_one_sign(G):
+    tally = support.unpack_tally(_tree_type_tally(G.adj, 1))
+    realizable = {lam for lam in partitions_of(G.n) if has_connected_partition(G, lam) is not None}
+    assert set(tally) == realizable
+    for lam, c in tally.items():
+        assert c * (-1) ** (G.n - len(lam)) > 0, (lam, c)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(recursive_trees(13, 20))
+@example(spider((4, 4, 4, 4, 3)))  # n = 20, a degree-5 vertex: some type is missing
+def test_missing_type_implies_not_e_positive_on_trees(G):
+    if missing_types(G):
+        assert not is_e_positive(G).positive
 
 
 @PROPERTY
