@@ -5,7 +5,6 @@ profiles."""
 __version__ = "0.1.0"
 
 from .partitions import (
-    SumInterval,
     format_parts,
     interval_partition,
     parse_partition,
@@ -17,9 +16,7 @@ from .graphs import (
     ConnectedPartition,
     CutProfile,
     Graph,
-    connected_components,
     cut_profiles,
-    disjoint_union,
     enumerate_free_trees,
     has_connected_partition,
     is_connected,
@@ -35,7 +32,6 @@ from .symfunc import (
     EposVerdict,
     csf_e,
     is_e_positive,
-    multiply_e,
     p_in_e,
     specialize_e,
 )
@@ -47,7 +43,6 @@ from .obstructions import (
     analysis_q,
     check_partsums_obstruction,
     describe_inapplicability,
-    obstruction_interval,
     q_certificate_search,
     q_interval,
     sixm_connected_partition,

@@ -11,11 +11,11 @@ import argparse
 import hashlib
 import json
 import sys
-from pathlib import Path
 from typing import Optional
 
 from . import __version__
 from .graphs import (
+    MISSING_TYPES_MAX_N,
     CutProfile,
     Graph,
     cut_profiles,
@@ -38,7 +38,7 @@ from .obstructions import (
     theorem_decide,
 )
 from .partitions import format_parts, parse_partition
-from .symfunc import CSF_ROUTE, StateBudgetError, csf_e, is_e_positive
+from .symfunc import CSF_MAX_N, CSF_ROUTE, StateBudgetError, csf_e, is_e_positive
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -55,12 +55,25 @@ class GuardError(Exception):
     """Input beyond a subcommand's size guard: exit 3."""
 
 
+def _open_user_file(path: str, mode: str):
+    """open(path, mode) for a file the user named; failing to open it is a usage error."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise SpecError(f"cannot open {path}: {exc.strerror}") from None
+
+
 def parse_graph_spec(spec: str, limit: Optional[int] = None, connected: bool = False) -> Graph:
     """Accept "spider:6,4,1,1", "path:7", "star:5", or a graph file path.
 
-    Raises GuardError past `limit` vertices, and SpecError on a disconnected
-    graph when `connected` is set.
+    Raises GuardError past `limit` vertices, from n alone, before any graph
+    is built; and SpecError on a disconnected graph when `connected` is set.
     """
+
+    def guard(n: int) -> None:
+        if limit is not None and n > limit:
+            raise GuardError(f"size guard, n={n} > {limit}")
+
     if ":" in spec:
         kind, _, rest = spec.partition(":")
         kind = kind.strip().lower()
@@ -68,21 +81,28 @@ def parse_graph_spec(spec: str, limit: Optional[int] = None, connected: bool = F
             raise SpecError(f"unknown graph shorthand kind {kind!r}")
         try:
             if kind == "spider":
-                G = spider(sorted((int(t) for t in rest.split(",")), reverse=True))
+                legs = sorted((int(t) for t in rest.split(",")), reverse=True)
+                guard(1 + sum(legs))
+                G = spider(legs)
             else:
+                guard(int(rest))
                 G = (path_graph if kind == "path" else star_graph)(int(rest))
         except (ValueError, TypeError) as exc:
             raise SpecError(f"bad {kind} shorthand {spec!r}: {exc}") from None
     else:
-        path = Path(spec)
-        if not path.exists():
-            raise SpecError(f"no such graph file: {spec}")
+        with _open_user_file(spec, "r") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise SpecError(str(exc)) from None
         try:
-            G = Graph.from_text(path.read_text())
+            guard(int(text.lstrip().partition("\n")[0]))  # Graph.from_text's n: the first line
+        except ValueError:
+            pass  # no n there: from_text reports the malformed text
+        try:
+            G = Graph.from_text(text)
         except ValueError as exc:
             raise SpecError(str(exc)) from None
-    if limit is not None and G.n > limit:
-        raise GuardError(f"size guard, n={G.n} > {limit}")
     if connected and not is_graph_connected(G):
         raise SpecError("graph must be connected")
     return G
@@ -127,11 +147,13 @@ class ResultCache:
     """
 
     def __init__(self, path: Optional[str]):
-        self.path = Path(path) if path else None
+        self.path = path
         self._records = {}
         self._torn_tail = False
-        if self.path and self.path.exists():
-            text = self.path.read_text()
+        if path:
+            with _open_user_file(path, "a+") as fh:  # a path that cannot take appends fails here
+                fh.seek(0)
+                text = fh.read()
             self._torn_tail = bool(text) and not text.endswith("\n")
             for line in text.splitlines():
                 try:
@@ -153,7 +175,7 @@ class ResultCache:
         if self.path:
             record = {"command": command, "key": key, "version": __version__,
                       "route": CSF_ROUTE, "result": result}
-            with self.path.open("a") as fh:
+            with open(self.path, "a") as fh:
                 if self._torn_tail:
                     fh.write("\n")
                     self._torn_tail = False
@@ -171,13 +193,13 @@ def _tree_cache_key(G: Graph) -> str:
 
 
 def cmd_csf(args) -> int:
-    X = csf_e(parse_graph_spec(args.graph, 20))
+    X = csf_e(parse_graph_spec(args.graph, CSF_MAX_N))
     print(json.dumps(X.to_json_dict()) if args.json else X.to_text())
     return EXIT_OK
 
 
 def cmd_epos(args) -> int:
-    verdict = is_e_positive(parse_graph_spec(args.graph, 20))
+    verdict = is_e_positive(parse_graph_spec(args.graph, CSF_MAX_N))
     if args.json:
         negatives = [{"lambda": list(lam), "coeff": str(c)} for lam, c in verdict.negatives]
         print(json.dumps({"e_positive": verdict.positive, "negatives": negatives}))
@@ -191,7 +213,7 @@ def cmd_epos(args) -> int:
 
 
 def cmd_connparts(args) -> int:
-    G = parse_graph_spec(args.graph, 25, connected=True)
+    G = parse_graph_spec(args.graph, MISSING_TYPES_MAX_N, connected=True)
     try:
         lam = parse_partition(args.type) if args.type is not None else None
     except ValueError as exc:
@@ -308,10 +330,11 @@ def cmd_sweep(args) -> int:
         raise SpecError(str(exc)) from None
     payload = json.dumps(report.to_json_dict(), sort_keys=True)
     if args.out:
-        Path(args.out).write_text(payload + "\n")
+        with _open_user_file(args.out, "w") as fh:
+            fh.write(payload + "\n")
     print(payload)
     if args.csv:
-        with open(args.csv, "w") as fh:
+        with _open_user_file(args.csv, "w") as fh:
             fh.write("c,b,n_lo,n_hi,cells,failures\n" if args.kind == "c40" else "c,b,q\n")
             for row in report.per_cell:
                 fh.write(",".join(str(v) for v in row) + "\n")

@@ -186,13 +186,6 @@ def _mask_vertices(mask: int) -> List[int]:
     return out
 
 
-def connected_components(G: Graph) -> List[frozenset]:
-    """Maximal connected vertex sets, sorted by (size desc, min label)."""
-    full = (1 << G.n) - 1
-    comps = [frozenset(_mask_vertices(m)) for m in _component_masks(G.adj, full)]
-    return sorted(comps, key=lambda s: (-len(s), min(s)))
-
-
 def is_connected(G: Graph) -> bool:
     return len(_component_masks(G.adj, (1 << G.n) - 1)) == 1
 
@@ -350,10 +343,13 @@ def _dfs_tree(adj) -> List[int]:
     return tree
 
 
+MISSING_TYPES_MAX_N = 25
+
+
 def missing_types(G: Graph) -> List[tuple]:
     """Types with no connected partition, in stream order; G is searched for those its DFS tree lacks."""
-    if G.n > 25:
-        raise ValueError(f"missing_types guard: n={G.n} > 25")
+    if G.n > MISSING_TYPES_MAX_N:
+        raise ValueError(f"missing_types guard: n={G.n} > {MISSING_TYPES_MAX_N}")
     if not is_connected(G):
         raise ValueError("graph must be connected")
     present = _tree_type_tally(_dfs_tree(G.adj), 1)
@@ -444,9 +440,3 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
         if key not in seen:
             seen.add(key)
             yield g
-
-
-def disjoint_union(G: Graph, H: Graph) -> Graph:
-    """G and H side by side, H's labels shifted by G.n."""
-    edges = list(G.edges) + [(u + G.n, v + G.n) for u, v in H.edges]
-    return Graph(G.n + H.n, edges)

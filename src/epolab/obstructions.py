@@ -22,13 +22,7 @@ from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from .graphs import ConnectedPartition, CutProfile, _mask_vertices, spider
-from .partitions import (
-    SumInterval,
-    interval_partition,
-    partial_sums,
-    partitions_of,
-    two_coin_representation,
-)
+from .partitions import interval_partition, partial_sums, partitions_of, two_coin_representation
 
 CERT_KINDS = ("explicit-interval", "q-interval", "parts-c-c1", "special-b-2c-1")
 
@@ -38,8 +32,8 @@ class MissingTypeCertificate:
     """Machine-checkable witness that `lam` has no connected partition.
 
     Valid for every connected graph whose cut-vertex profile is `profile`.
-    The constructor checks the prefix-sum criterion, so every certificate
-    that exists is verified.
+    The constructor checks the parts against `window` (interval kinds) and the
+    prefix-sum criterion, so every certificate that exists is verified.
     """
 
     verified = True  # a class constant, not a field: construction verifies
@@ -48,22 +42,26 @@ class MissingTypeCertificate:
     lam: Tuple[int, ...]
     kind: str
     q: Optional[int] = None
-    x: Optional[int] = None
-    y: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in CERT_KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
-        if self.kind == "q-interval":
-            b, c, q = self.profile.b, self.profile.c, self.q
-            if q is None or q < 1:
-                raise ValueError("q-interval certificate needs q >= 1")
-            if self.x != -(-(b + 1) // q) or self.y != (b + c) // q:
-                raise ValueError("q-interval certificate has inconsistent x, y")
-            if any(not self.x <= p <= self.y for p in self.lam):
-                raise ValueError("q-interval certificate has a part outside [x, y]")
+        if (self.kind == "q-interval") != (self.q is not None):
+            raise ValueError(f"q-interval needs q and no other kind takes one, got {self.kind} with q={self.q}")
+        if self.kind in ("explicit-interval", "q-interval"):
+            window = self.window
+            if window is None or any(not window[0] <= p <= window[1] for p in self.lam):
+                raise ValueError(f"{self.kind} certificate has a part outside its window {window}")
         if not check_partsums_obstruction(self.lam, self.profile):
             raise ValueError(f"type {self.lam} fails the prefix-sum criterion for {self.profile}")
+
+    @property
+    def window(self) -> Optional[Tuple[int, int]]:
+        """(x, y) = q_interval(b, c, q) of an interval kind, with q = 1 for explicit-interval
+        (only a q-interval certificate carries q); None for the other kinds."""
+        if self.kind in ("explicit-interval", "q-interval"):
+            return q_interval(self.profile.b, self.profile.c, 1 if self.q is None else self.q)
+        return None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -71,10 +69,10 @@ class MissingTypeCertificate:
             "lambda": list(self.lam),
             "kind": self.kind,
         }
-        for name in ("q", "x", "y"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
+        if self.q is not None:
+            out["q"] = self.q
+        if self.window is not None:
+            out["x"], out["y"] = self.window
         out["verified"] = self.verified
         return out
 
@@ -90,11 +88,6 @@ class QSelectionTrace:
     x: int
     y: int
     internals: Optional[dict] = None
-
-
-def obstruction_interval(profile: CutProfile) -> SumInterval:
-    """The prefix-sum window [b+1, b+c] forced by the cut vertex."""
-    return SumInterval(profile.b + 1, profile.b + profile.c)
 
 
 def check_partsums_obstruction(lam, profile: CutProfile) -> bool:
@@ -120,15 +113,14 @@ def check_partsums_obstruction(lam, profile: CutProfile) -> bool:
     return max(reach) + parts[0] <= hi
 
 
-def q_interval(b: int, c: int, q: int) -> Optional[SumInterval]:
-    """[ceil((b+1)/q), floor((b+c)/q)], or None when that window is empty."""
+def q_interval(b: int, c: int, q: int) -> Optional[Tuple[int, int]]:
+    """The window (x, y) = (ceil((b+1)/q), floor((b+c)/q)), or None when x > y;
+    at q = 1 it is [b+1, b+c], the prefix-sum window forced by the cut vertex."""
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     x = -(-(b + 1) // q)
     y = (b + c) // q
-    if x > y:
-        return None
-    return SumInterval(x, y)
+    return (x, y) if x <= y else None
 
 
 def q_certificate_search(profile: CutProfile) -> Optional[MissingTypeCertificate]:
@@ -140,12 +132,12 @@ def q_certificate_search(profile: CutProfile) -> Optional[MissingTypeCertificate
     """
     b, c, c1, n = profile.b, profile.c, profile.c1, profile.n
     for q in range(b // c1, 0, -1):
-        J = q_interval(b, c, q)
-        if J is None or J.lo < c1 + 1:
+        window = q_interval(b, c, q)
+        if window is None or window[0] < c1 + 1:
             continue
-        lam = interval_partition(n, J)
+        lam = interval_partition(n, *window)
         if lam is not None:
-            return MissingTypeCertificate(profile, lam, "q-interval", q=q, x=J.lo, y=J.hi)
+            return MissingTypeCertificate(profile, lam, "q-interval", q=q)
     return None
 
 
@@ -196,8 +188,8 @@ def analysis_q(b: int, c: int) -> QSelectionTrace:
 
     if not strategy_check(b, c, q):
         raise RuntimeError(f"selected q={q} fails verification for b={b}, c={c} (case {case})")
-    J = q_interval(b, c, q)
-    return QSelectionTrace(b=b, c=c, case=case, q=q, x=J.lo, y=J.hi, internals=internals)
+    x, y = q_interval(b, c, q)
+    return QSelectionTrace(b=b, c=c, case=case, q=q, x=x, y=y, internals=internals)
 
 
 def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
@@ -213,23 +205,21 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     if c < 2:
         return None
 
-    q = None  # the interval arms fall through with a window and this q
     if b <= 2 * c - 2:
-        window = obstruction_interval(profile)
+        q = None  # explicit-interval, whose window is q = 1's; the other interval arms set q
     elif c >= c1 + 1 and b == 2 * c - 1:
         if c == 2:
             # b = 3: all 2s when n is even, a single leading 3 otherwise
             lam = (2,) * (n // 2) if n % 2 == 0 else (3,) + (2,) * ((n - 3) // 2)
             return MissingTypeCertificate(profile, lam, "special-b-2c-1")
-        q, window = 2, q_interval(b, c, 2)
+        q = 2
     elif 2 * c <= b and 2 * b <= c * c:
         if c < 500:
             cert = q_certificate_search(profile)
             if cert is None:
                 raise RuntimeError(f"q search unexpectedly failed for {profile}")
             return cert
-        trace = analysis_q(b, c)
-        q, window = trace.q, SumInterval(trace.x, trace.y)
+        q = analysis_q(b, c).q
     elif c >= c1 + 2 and 2 * b >= c * c:
         two_coin = two_coin_representation(n, c)
         if two_coin is None:
@@ -239,11 +229,11 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     else:
         return None
 
-    lam = interval_partition(n, window)
+    lam = interval_partition(n, *q_interval(b, c, q or 1))
     if lam is None:
         raise RuntimeError(f"interval witness unexpectedly absent for {profile}, q={q}")
     kind = "explicit-interval" if q is None else "q-interval"
-    return MissingTypeCertificate(profile, lam, kind, q=q, x=window.lo, y=window.hi)
+    return MissingTypeCertificate(profile, lam, kind, q=q)
 
 
 def describe_inapplicability(profile: CutProfile) -> str:

@@ -7,24 +7,8 @@ nothing else.  All arithmetic is exact (Python ints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Optional
-
-
-@dataclass(frozen=True, slots=True)
-class SumInterval:
-    """Closed integer interval [lo, hi] with 1 <= lo <= hi."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
-
-    def __contains__(self, v: int) -> bool:
-        return self.lo <= v <= self.hi
 
 
 def format_parts(parts) -> str:
@@ -74,17 +58,18 @@ def partitions_of(n: int) -> Iterator[tuple]:
     yield from capped(n, n)
 
 
-def interval_partition(n: int, J: SumInterval) -> Optional[tuple]:
-    """A partition of n with every part in [J.lo, J.hi], or None.
+def interval_partition(n: int, x: int, y: int) -> Optional[tuple]:
+    """A partition of n with every part in [x, y], or None; needs 1 <= x <= y.
 
     With t parts from the interval the reachable totals are exactly
-    [t*lo, t*hi], so existence is decided exactly by scanning t.  The witness
+    [t*x, t*y], so existence is decided exactly by scanning t.  The witness
     uses the smallest feasible t (maximal parts first): write n = t*q + r and
     take r parts (q+1) followed by (t-r) parts q.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    x, y = J.lo, J.hi
+    if not 1 <= x <= y:
+        raise ValueError(f"need 1 <= x <= y, got [{x}, {y}]")
     t = -(-n // y)  # smallest t with t*y >= n; at least 1 since n >= 1
     if t * x > n:
         return None

@@ -40,9 +40,6 @@ class ESymExpansion:
                 clean[key] = int(val)
         object.__setattr__(self, "coeffs", clean)
 
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.coeffs.items())))
-
     def __getitem__(self, key) -> int:
         return self.coeffs.get(tuple(key), 0)
 
@@ -74,12 +71,13 @@ class EposVerdict:
 
 
 CSF_ROUTE = "tally=tree-dp+frontier-dp;p2e=waring"  # tags cached verdicts by route
+CSF_MAX_N = 20  # csf_e's guard on the number of vertices
 STATE_BUDGET = 150_000  # live frontier-DP states; K10 peaks at Bell(10) = 115,975
 # A multiset of part sizes, whether a component-size type or an e-monomial, is
 # one int: part p adds 1 << 5*(p-1), so two multisets merge by one addition.
-# Multiplicities stay below 32 up to degree 25; csf_e guards n <= 20.
+# Multiplicities stay below 32 up to degree 25; csf_e guards n <= CSF_MAX_N.
 _P_IN_E_CACHE: Dict[int, Tuple[Dict[int, int], Dict[int, tuple]]] = {}
-# Bounded: its keys are packed partitions of k <= 20 (csf_e's guard), at most
+# Bounded: its keys are packed partitions of k <= CSF_MAX_N = 20, at most
 # 2,713.  All 1,739 degree->=4 trees up to n = 13 plus five 20-vertex spiders
 # leave 1,281 keys and 107K entries, at a 25 MB peak.
 _PROD_E_CACHE: Dict[int, Dict[int, int]] = {}
@@ -121,16 +119,6 @@ def p_in_e(k: int) -> ESymExpansion:
     """Degree-k power sum written in the elementary basis (Waring's formula)."""
     coeffs, names = _waring(k)
     return ESymExpansion(k, {names[key]: c for key, c in coeffs.items()})
-
-
-def multiply_e(A: ESymExpansion, B: ESymExpansion) -> ESymExpansion:
-    """Product of two expansions; keys merge as multisets, degrees add."""
-    out: Dict[tuple, int] = {}
-    for ka, ca in A.coeffs.items():
-        for kb, cb in B.coeffs.items():
-            key = tuple(sorted(ka + kb, reverse=True))
-            out[key] = out.get(key, 0) + ca * cb
-    return ESymExpansion(A.degree + B.degree, out)
 
 
 def _prod_p_in_e(lam: int) -> Dict[int, int]:
@@ -234,8 +222,8 @@ def csf_e(G: Graph) -> ESymExpansion:
     states and raises StateBudgetError past STATE_BUDGET), then converted to
     the e-basis through Waring's formula.
     """
-    if G.n > 20:
-        raise ValueError(f"csf_e guard: n={G.n} > 20")
+    if G.n > CSF_MAX_N:
+        raise ValueError(f"csf_e guard: n={G.n} > {CSF_MAX_N}")
     acc: Dict[int, int] = {}
     for lam, cnt in _type_tally(G).items():
         if cnt == 0:

@@ -8,7 +8,8 @@ isomorphism-class enumerator for small connected graphs built on an
 individualization-refinement canonical form, a deletion-contraction
 chromatic polynomial, and the missing types by one search per type.
 Compositions and their rearrangements live here too: only the tests need
-ordered parts.
+ordered parts.  So do the disjoint union of two graphs and the product of two
+e-expansions, which only the multiplicativity check of csf_e uses.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
 from epolab.graphs import Graph, _component_masks, _mask_vertices, has_connected_partition
-from epolab.partitions import SumInterval, format_parts, partitions_of
+from epolab.partitions import format_parts, partitions_of
+from epolab.symfunc import ESymExpansion
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +99,13 @@ def count_rearrangements(lam) -> int:
     return out
 
 
-def frobenius_interval_bound(J: SumInterval) -> int:
-    """Threshold above which every n has a partition with parts in J.
+def frobenius_interval_bound(x: int, y: int) -> int:
+    """Threshold above which every n has a partition with parts in [x, y].
 
-    Equals ceil((lo-1)/(hi-lo)) * lo; past that point consecutive t-part
-    ranges [t*lo, t*hi] overlap.  Sufficient but not necessary; undefined
-    when lo == hi.
+    Equals ceil((x-1)/(y-x)) * x; past that point consecutive t-part
+    ranges [t*x, t*y] overlap.  Sufficient but not necessary; undefined
+    when x == y.
     """
-    x, y = J.lo, J.hi
     if x == y:
         raise ValueError("bound undefined for a single-value interval; use divisibility")
     return (-(-(x - 1) // (y - x))) * x
@@ -518,6 +519,22 @@ def p_in_e_recurrence(k: int) -> Dict[tuple, int]:
             merged = tuple(sorted(key + (i,), reverse=True))
             acc[merged] = acc.get(merged, 0) + (-1) ** (i - 1) * val
     return {key: val for key, val in acc.items() if val}
+
+
+def disjoint_union(G: Graph, H: Graph) -> Graph:
+    """G and H side by side, H's labels shifted by G.n."""
+    edges = list(G.edges) + [(u + G.n, v + G.n) for u, v in H.edges]
+    return Graph(G.n + H.n, edges)
+
+
+def multiply_e(A: ESymExpansion, B: ESymExpansion) -> ESymExpansion:
+    """Product of two expansions; keys merge as multisets, degrees add."""
+    out: Dict[tuple, int] = {}
+    for ka, ca in A.coeffs.items():
+        for kb, cb in B.coeffs.items():
+            key = tuple(sorted(ka + kb, reverse=True))
+            out[key] = out.get(key, 0) + ca * cb
+    return ESymExpansion(A.degree + B.degree, out)
 
 
 # ---------------------------------------------------------------------------

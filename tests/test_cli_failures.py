@@ -1,4 +1,5 @@
-"""CLI failure modes: state budget, stale cache records, crashes, `-m` entry."""
+"""CLI failure modes: state budget, stale cache records, crashes, `-m` entry,
+size guards ahead of graph building, and user-named files that cannot be opened."""
 
 import json
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import epolab
 from epolab import cli, symfunc
 from epolab.cli import main
+from epolab.graphs import Graph
 
 
 def run(capsys, *argv):
@@ -95,3 +97,44 @@ def test_python_m_epolab():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"epolab {epolab.__version__}\n"
+
+
+def test_size_guard_fires_before_any_graph_is_built(capsys, tmp_path, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a graph was built past its size guard")
+
+    monkeypatch.setattr(Graph, "__post_init__", build)
+    for name in ("spider", "path_graph", "star_graph"):
+        monkeypatch.setattr(cli, name, build)
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000000\n0 1\n")
+    for argv, n, limit in [
+        (("csf", "path:1000000000"), 1000000000, 20),
+        (("connparts", "spider:999999999,1"), 1000000001, 25),
+        (("csf", str(huge)), 1000000000, 20),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: size guard, n={n} > {limit}\n"), argv
+
+
+def test_user_files_that_cannot_be_opened_exit_2(capsys, tmp_path, monkeypatch):
+    def scan(n):
+        raise AssertionError("the scan started before the cache path was checked")
+
+    monkeypatch.setattr(cli, "enumerate_free_trees", scan)
+    nowhere = tmp_path / "no-such-dir"
+    for argv in [
+        ("sweep", "c40", "2..3", "--out", str(nowhere / "x.json")),
+        ("sweep", "c40", "2..3", "--csv", str(nowhere / "x.csv")),
+        ("trees-scan", "5", "--cache", str(nowhere / "x.jsonl")),
+        ("trees-scan", "5", "--cache", str(tmp_path)),
+        ("connparts", str(tmp_path)),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: cannot open ") and err.count("\n") == 1, (argv, err)
+    assert not nowhere.exists()
+    # a graph file that opens but does not decode is a usage error too
+    undecodable = tmp_path / "bytes.txt"
+    undecodable.write_bytes(b"\xff\xfe3\n0 1\n")
+    code, _, err = run(capsys, "csf", str(undecodable))
+    assert code == 2 and err.startswith("error: 'utf-8' codec can't decode")

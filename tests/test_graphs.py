@@ -9,12 +9,13 @@ from epolab.graphs import (
     ConnectedPartition,
     CutProfile,
     Graph,
+    _component_masks,
     _dfs_tree,
     _tree_type_tally,
-    connected_components,
     cut_profiles,
     enumerate_free_trees,
     has_connected_partition,
+    is_connected,
     max_degree,
     missing_types,
     path_graph,
@@ -65,14 +66,11 @@ def test_spider_labels_are_fixed():
 
 
 def test_connected_components():
-    assert connected_components(Graph(3, [])) == [
-        frozenset({0}),
-        frozenset({1}),
-        frozenset({2}),
-    ]
-    assert connected_components(path_graph(5)) == [frozenset(range(5))]
-    star_minus_center = Graph(3, [])  # spider(1,1,1) with vertex 0 removed
-    assert len(connected_components(star_minus_center)) == 3
+    assert _component_masks(Graph(3, []).adj, 0b111) == [0b001, 0b010, 0b100]
+    assert _component_masks(path_graph(5).adj, 0b11111) == [0b11111]
+    assert is_connected(path_graph(5)) and not is_connected(Graph(3, [(0, 1)]))
+    # spider(1,1,1) with its center 0 removed: the three leaves
+    assert _component_masks(spider((1, 1, 1)).adj, 0b1110) == [0b0010, 0b0100, 0b1000]
 
 
 def test_cut_profiles():
@@ -124,7 +122,7 @@ def test_connected_partition_search_vs_bruteforce():
                 if rng.random() < 0.45
             ]
             g = Graph(n, edges)
-            if len(connected_components(g)) == 1:
+            if is_connected(g):
                 graphs.append(g)
                 break
     for g in graphs:
@@ -173,7 +171,7 @@ def test_free_trees_are_trees_and_distinct_to_nine():
         keys = set()
         for g in enumerate_free_trees(n):
             assert g.n == n and len(g.edges) == n - 1
-            assert len(connected_components(g)) == 1
+            assert is_connected(g)
             keys.add(tree_canonical_key(g))
         assert len(keys) == sum(1 for _ in enumerate_free_trees(n))
 

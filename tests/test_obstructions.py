@@ -11,7 +11,6 @@ from epolab.obstructions import (
     MissingTypeCertificate,
     analysis_q,
     check_partsums_obstruction,
-    obstruction_interval,
     q_certificate_search,
     q_interval,
     sixm_connected_partition,
@@ -28,13 +27,13 @@ from epolab.symfunc import is_e_positive
 
 
 def test_obstruction_interval_examples():
-    assert obstruction_interval(CutProfile(6, 4, (1, 1))) == __import__(
-        "epolab"
-    ).SumInterval(5, 6)
-    J = obstruction_interval(CutProfile(1, 1, (1, 1, 1)))
-    assert (J.lo, J.hi) == (2, 4)
-    J = obstruction_interval(CutProfile(5, 3, (2,)))
-    assert (J.lo, J.hi) == (4, 5)
+    # the window [b+1, b+c] forced by the cut vertex is q_interval at q = 1
+    for profile, window in [
+        (CutProfile(6, 4, (1, 1)), (5, 6)),
+        (CutProfile(1, 1, (1, 1, 1)), (2, 4)),
+        (CutProfile(5, 3, (2,)), (4, 5)),
+    ]:
+        assert q_interval(profile.b, profile.c, 1) == window
 
 
 def test_check_partsums_examples():
@@ -95,10 +94,8 @@ def test_check_partsums_vs_full_enumeration():
 
 
 def test_q_interval_examples():
-    J = q_interval(5, 3, 2)
-    assert (J.lo, J.hi) == (3, 4)
-    J = q_interval(4, 2, 1)
-    assert (J.lo, J.hi) == (5, 6)
+    assert q_interval(5, 3, 2) == (3, 4)
+    assert q_interval(4, 2, 1) == (5, 6)
     assert q_interval(10, 2, 7) is None
     with pytest.raises(ValueError):
         q_interval(5, 3, 0)
@@ -106,7 +103,7 @@ def test_q_interval_examples():
 
 def test_compressed_interval_types_are_obstructed():
     """Any type inside a valid q-interval is rejected by the prefix-sum check."""
-    from epolab.partitions import SumInterval, interval_partition
+    from epolab.partitions import interval_partition
 
     rng = random.Random(29)
     for _ in range(200):
@@ -124,10 +121,10 @@ def test_compressed_interval_types_are_obstructed():
         if profile.n > 40:
             continue
         q = rng.randint(1, max(1, b // max(profile.c1, 1)))
-        J = q_interval(b, profile.c, q)
-        if J is None or J.lo < profile.c1 + 1:
+        window = q_interval(b, profile.c, q)
+        if window is None or window[0] < profile.c1 + 1:
             continue
-        lam = interval_partition(profile.n, J)
+        lam = interval_partition(profile.n, *window)
         if lam is None:
             continue
         assert check_partsums_obstruction(lam, profile), (profile, q, lam)
@@ -270,8 +267,17 @@ def test_certificate_validation():
         MissingTypeCertificate(profile=prof, lam=(6, 5), kind="nonsense")
     with pytest.raises(ValueError):
         MissingTypeCertificate(profile=prof, lam=(6, 4), kind="explicit-interval")
+    # (6, 5) lies in the q = 1 window [3, 8] but not in the q = 2 window [2, 4]
+    assert MissingTypeCertificate(profile=prof, lam=(6, 5), kind="q-interval", q=1).window == (3, 8)
     with pytest.raises(ValueError):
-        MissingTypeCertificate(profile=prof, lam=(6, 5), kind="q-interval", q=1, x=9, y=9)
+        MissingTypeCertificate(profile=prof, lam=(6, 5), kind="q-interval", q=2)
+    # only a q-interval certificate carries q, and it needs one
+    for kind, q in (("q-interval", None), ("q-interval", 0), ("explicit-interval", 1)):
+        with pytest.raises(ValueError):
+            MissingTypeCertificate(profile=prof, lam=(6, 5), kind=kind, q=q)
+    # an explicit-interval part outside [b+1, b+c] = [3, 8] is refused before the prefix-sum check
+    with pytest.raises(ValueError, match="outside its window"):
+        MissingTypeCertificate(profile=prof, lam=(9, 2), kind="explicit-interval")
 
 
 def test_certificate_constructor_checks_the_window():
@@ -434,7 +440,7 @@ def test_sweep_c40_agrees_with_search_on_cells():
         profile = CutProfile(n - b - c - 1, b, (c,))
         cert = q_certificate_search(profile)
         assert cert is not None, (b, c, n)
-        assert cert.x >= c + 1
+        assert cert.window[0] >= c + 1
 
 
 def test_sweep_single_cell_record():

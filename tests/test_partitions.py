@@ -6,7 +6,6 @@ import pytest
 
 import support
 from epolab.partitions import (
-    SumInterval,
     format_parts,
     interval_partition,
     parse_partition,
@@ -100,16 +99,19 @@ def test_partitions_of_counts_and_order():
 
 
 def test_interval_partition_examples():
-    assert interval_partition(17, SumInterval(7, 9)) == (9, 8)
-    assert interval_partition(13, SumInterval(7, 9)) is None
-    assert interval_partition(7, SumInterval(7, 9)) == (7,)
+    assert interval_partition(17, 7, 9) == (9, 8)
+    assert interval_partition(13, 7, 9) is None
+    assert interval_partition(7, 7, 9) == (7,)
+    for x, y in ((0, 3), (4, 3)):
+        with pytest.raises(ValueError):
+            interval_partition(7, x, y)
 
 
 def test_interval_partition_against_dp_oracle():
     for lo in range(1, 12):
         for hi in range(lo, 14):
             for n in range(1, 80):
-                got = interval_partition(n, SumInterval(lo, hi))
+                got = interval_partition(n, lo, hi)
                 expected = support.interval_sum_exists_dp(n, lo, hi)
                 assert (got is not None) == expected, (n, lo, hi)
                 if got is not None:
@@ -118,21 +120,21 @@ def test_interval_partition_against_dp_oracle():
 
 
 def test_frobenius_interval_bound_examples():
-    assert frobenius_interval_bound(SumInterval(7, 9)) == 21
-    assert frobenius_interval_bound(SumInterval(2, 3)) == 2
+    assert frobenius_interval_bound(7, 9) == 21
+    assert frobenius_interval_bound(2, 3) == 2
     c = 9
-    assert frobenius_interval_bound(SumInterval(c, (3 * c - 1) // 2)) == 18
+    assert frobenius_interval_bound(c, (3 * c - 1) // 2) == 18
     with pytest.raises(ValueError):
-        frobenius_interval_bound(SumInterval(5, 5))
+        frobenius_interval_bound(5, 5)
 
 
 def test_frobenius_bound_sufficiency():
     for lo in range(1, 10):
         for hi in range(lo + 1, 13):
-            bound = frobenius_interval_bound(SumInterval(lo, hi))
+            bound = frobenius_interval_bound(lo, hi)
             for n in range(1, 4 * max(bound, 1) + 1):
                 if n >= bound:
-                    assert interval_partition(n, SumInterval(lo, hi)) is not None, (n, lo, hi)
+                    assert interval_partition(n, lo, hi) is not None, (n, lo, hi)
 
 
 def test_two_coin_examples():

@@ -6,14 +6,13 @@ import random
 import pytest
 
 import support
-from support import _subset_type_tally, chromatic_polynomial, unpack_tally
-from epolab.graphs import Graph, disjoint_union, path_graph, spider
+from support import _subset_type_tally, chromatic_polynomial, disjoint_union, multiply_e, unpack_tally
+from epolab.graphs import Graph, path_graph, spider
 from epolab.symfunc import (
     ESymExpansion,
     _type_tally,
     csf_e,
     is_e_positive,
-    multiply_e,
     p_in_e,
     specialize_e,
 )
