@@ -141,9 +141,10 @@ class ResultCache:
     a record without it, or with another, is a miss.  A line that does not
     parse is what an interrupted append leaves behind: it is skipped, and the
     next append starts on a fresh line so that its record stays whole.  A line
-    that parses but is not a whole record, or whose result is not an object
-    with a bool `e_positive` (the only command cached is trees-scan), is
-    skipped too, as a miss.
+    that is not UTF-8, or parses but is not a whole record, or whose result is
+    not an object with a bool `e_positive` (the only command cached is
+    trees-scan), is skipped too, as a miss.  Records are written as ASCII JSON,
+    so a skipped line is never one of them.
     """
 
     def __init__(self, path: Optional[str]):
@@ -151,18 +152,18 @@ class ResultCache:
         self._records = {}
         self._torn_tail = False
         if path:
-            with _open_user_file(path, "a+") as fh:  # a path that cannot take appends fails here
+            with _open_user_file(path, "a+b") as fh:  # a path that cannot take appends fails here
                 fh.seek(0)
-                text = fh.read()
-            self._torn_tail = bool(text) and not text.endswith("\n")
-            for line in text.splitlines():
+                data = fh.read()
+            self._torn_tail = bool(data) and not data.endswith(b"\n")
+            for line in data.splitlines():
                 try:
-                    rec = json.loads(line)
+                    rec = json.loads(line.decode("utf-8"))
                     key = (rec["command"], rec["key"], rec["version"], rec.get("route"))
                     result = rec["result"]
                     if isinstance(result, dict) and isinstance(result.get("e_positive"), bool):
                         self._records[key] = result
-                except (json.JSONDecodeError, KeyError, TypeError):
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                     continue
 
     def get(self, command: str, key: str):
@@ -319,6 +320,9 @@ def _parse_range(text: Optional[str], lo_default: int, hi_default: int):
 
 
 def cmd_sweep(args) -> int:
+    for path in (args.out, args.csv):
+        if path:
+            _open_user_file(path, "a").close()  # an unwritable path fails before the sweep runs
     try:
         if args.kind == "c40":
             lo, hi = _parse_range(args.range, 2, 40)

@@ -199,14 +199,39 @@ def cut_profiles(G: Graph) -> List[Tuple[int, CutProfile]]:
 
     Vertices that split the graph into exactly 2 components are omitted;
     the obstruction machinery needs k >= 1, i.e. at least 3 components.
+    One iterative low-link DFS finds every vertex's components: a DFS child u
+    of v with low[u] >= disc[v] roots one, and the n - 1 - (their sizes)
+    vertices left over, when there are any, form one more.
     """
-    if not is_connected(G):
+    n = G.n
+    nbrs = [_mask_vertices(m) for m in G.adj]
+    disc, low, size = [0] + [-1] * (n - 1), [0] * n, [1] * n
+    split: List[List[int]] = [[] for _ in range(n)]  # sizes of the components below v
+    seen = 1
+    stack = [(0, -1, iter(nbrs[0]))]
+    while stack:
+        v, parent, it = stack[-1]
+        for u in it:
+            if disc[u] < 0:
+                disc[u] = low[u] = seen
+                seen += 1
+                stack.append((u, v, iter(nbrs[u])))
+                break
+            if u != parent:
+                low[v] = min(low[v], disc[u])
+        else:
+            stack.pop()
+            if parent >= 0:
+                size[parent] += size[v]
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    split[parent].append(size[v])
+    if seen != n:
         raise ValueError("graph must be connected")
     out = []
-    full = (1 << G.n) - 1
-    for v in range(G.n):
-        rest = full & ~(1 << v)
-        sizes = sorted((m.bit_count() for m in _component_masks(G.adj, rest)), reverse=True)
+    for v in range(n):
+        rest = n - 1 - sum(split[v])
+        sizes = sorted(split[v] + [rest] * (rest > 0), reverse=True)
         if len(sizes) >= 3:
             out.append((v, CutProfile(sizes[0], sizes[1], sizes[2:])))
     return out
@@ -361,36 +386,6 @@ def missing_types(G: Graph) -> List[tuple]:
 # Free trees
 
 
-def _level_sequences(n: int) -> Iterator[List[int]]:
-    """Canonical level sequences of all rooted trees on n vertices.
-
-    Successor rule: find the rightmost entry above 2, drop it by one, and
-    repeat the section starting at its parent.  Starts at the path and ends
-    at the star, visiting every rooted tree exactly once.
-    """
-    L = list(range(1, n + 1))
-    while True:
-        yield L[:]
-        p = next((i for i in range(n - 1, -1, -1) if L[i] > 2), None)
-        if p is None:
-            return
-        q = p - 1
-        while L[q] != L[p] - 1:
-            q -= 1
-        for i in range(p, n):
-            L[i] = L[i - (p - q)]
-
-
-def _parents_from_levels(L) -> List[int]:
-    parents = [-1] * len(L)
-    for i in range(1, len(L)):
-        j = i - 1
-        while L[j] != L[i] - 1:
-            j -= 1
-        parents[i] = j
-    return parents
-
-
 def tree_centroids(n: int, adjsets) -> List[int]:
     """The one or two vertices minimizing the largest remaining component."""
     parent = [-1] * n
@@ -426,17 +421,46 @@ def tree_canonical_key(G: Graph) -> tuple:
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of trees on n vertices."""
+    """One representative per isomorphism class of trees on n vertices.
+
+    Wright, Richmond, Odlyzko and McKay, "Constant time generation of free
+    trees" (SIAM J. Comput. 15, 1986).  Rooted trees are visited as canonical
+    level sequences (root at level 0), starting from the path rooted at its
+    center: the successor drops the entry at p by one and repeats the section
+    that starts at p's parent.  A free tree is yielded once, rooted at its
+    center: as the sequence whose first subtree is lower than the rest of the
+    tree, or as tall and not larger (by size, then by sequence).  Any other
+    sequence stays rejected until its first subtree changes, so the successor
+    is taken at that subtree's last vertex; when that vertex is deeper than
+    level 2, the tail then restarts as a path as tall as the new first subtree.
+    """
     if not 1 <= n <= 16:
         raise ValueError(f"free-tree guard: need 1 <= n <= 16, got {n}")
     if n == 1:
         yield Graph(1, [])
         return
-    seen = set()
-    for L in _level_sequences(n):
-        parents = _parents_from_levels(L)
-        g = Graph(n, [(parents[i], i) for i in range(1, n)])
-        key = tree_canonical_key(g)
-        if key not in seen:
-            seen.add(key)
-            yield g
+    L = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        m = next((i for i in range(2, n) if L[i] == 1), n)  # the first subtree is L[1:m]
+        left, rest = [x - 1 for x in L[1:m]], [0] + L[m:]
+        if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+            last = [0] * n  # the last vertex seen on each level: the parent of the next one below
+            edges = []
+            for i in range(1, n):
+                edges.append((last[L[i] - 1], i))
+                last[L[i]] = i
+            yield Graph(n, edges)
+            p = next((i for i in range(n - 1, 0, -1) if L[i] > 1), None)
+            if p is None:
+                return
+            reset = False
+        else:
+            p, reset = m - 1, L[m - 1] > 2
+        q = p - 1
+        while L[q] != L[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            L[i] = L[i - (p - q)]
+        if reset:
+            height = max(L[1 : p + 1])
+            L[n - height :] = range(1, height + 1)

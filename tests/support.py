@@ -6,7 +6,9 @@ labeled-tree enumeration via sequence decoding, subset-sum existence, full
 rearrangement scans, a cell-by-cell scan of the c <= 40 sweep, an
 isomorphism-class enumerator for small connected graphs built on an
 individualization-refinement canonical form, a deletion-contraction
-chromatic polynomial, and the missing types by one search per type.
+chromatic polynomial, the missing types by one search per type, the cut
+profiles by one component count per deleted vertex, and the free trees by
+deduplicating every rooted tree on its canonical key.
 Compositions and their rearrangements live here too: only the tests need
 ordered parts.  So do the disjoint union of two graphs and the product of two
 e-expansions, which only the multiplicativity check of csf_e uses.
@@ -21,7 +23,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
-from epolab.graphs import Graph, _component_masks, _mask_vertices, has_connected_partition
+from epolab.graphs import (
+    CutProfile,
+    Graph,
+    _component_masks,
+    _mask_vertices,
+    has_connected_partition,
+    is_connected,
+    tree_canonical_key,
+)
 from epolab.partitions import format_parts, partitions_of
 from epolab.symfunc import ESymExpansion
 
@@ -417,6 +427,70 @@ def missing_types_bruteforce(G: Graph) -> List[tuple]:
     """Every type with no connected partition, in partition stream order, by
     one has_connected_partition search per partition of n."""
     return [lam for lam in partitions_of(G.n) if has_connected_partition(G, lam) is None]
+
+
+def cut_profiles_bruteforce(G: Graph) -> List[Tuple[int, CutProfile]]:
+    """cut_profiles by deleting each vertex in turn and counting the components left."""
+    if not is_connected(G):
+        raise ValueError("graph must be connected")
+    out = []
+    full = (1 << G.n) - 1
+    for v in range(G.n):
+        rest = full & ~(1 << v)
+        sizes = sorted((m.bit_count() for m in _component_masks(G.adj, rest)), reverse=True)
+        if len(sizes) >= 3:
+            out.append((v, CutProfile(sizes[0], sizes[1], sizes[2:])))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Free trees by deduplicating rooted trees
+
+
+def _level_sequences(n: int) -> Iterator[List[int]]:
+    """Canonical level sequences of all rooted trees on n vertices.
+
+    Successor rule: find the rightmost entry above 2, drop it by one, and
+    repeat the section starting at its parent.  Starts at the path and ends
+    at the star, visiting every rooted tree exactly once.
+    """
+    L = list(range(1, n + 1))
+    while True:
+        yield L[:]
+        p = next((i for i in range(n - 1, -1, -1) if L[i] > 2), None)
+        if p is None:
+            return
+        q = p - 1
+        while L[q] != L[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            L[i] = L[i - (p - q)]
+
+
+def _parents_from_levels(L) -> List[int]:
+    parents = [-1] * len(L)
+    for i in range(1, len(L)):
+        j = i - 1
+        while L[j] != L[i] - 1:
+            j -= 1
+        parents[i] = j
+    return parents
+
+
+def free_trees_by_dedup(n: int) -> Iterator[Graph]:
+    """One tree per isomorphism class on n vertices: every rooted tree, kept
+    when its centroid-rooted canonical key is new."""
+    if n == 1:
+        yield Graph(1, [])
+        return
+    seen = set()
+    for L in _level_sequences(n):
+        parents = _parents_from_levels(L)
+        g = Graph(n, [(parents[i], i) for i in range(1, n)])
+        key = tree_canonical_key(g)
+        if key not in seen:
+            seen.add(key)
+            yield g
 
 
 def brute_force_partitions(n: int) -> List[tuple]:

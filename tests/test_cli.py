@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from epolab import cli
 from epolab.cli import main, parse_graph_spec, parse_profile_spec, SpecError
 
 
@@ -110,6 +111,12 @@ def test_prove_not_applicable(capsys):
     assert code == 1 and out.startswith("NOT-APPLICABLE")
     code, out, _ = run(capsys, "prove", "path:6")
     assert code == 1 and "NOT-APPLICABLE" in out
+
+
+def test_prove_large_path_is_not_applicable(capsys):
+    # every vertex's components come from one DFS, so 10,000 vertices answer at once
+    code, out, _ = run(capsys, "prove", "path:10000")
+    assert code == 1 and out.startswith("NOT-APPLICABLE: no cut vertex")
 
 
 def test_trees_scan_small(capsys):
@@ -261,6 +268,36 @@ def test_trees_scan_cache_skips_records_without_a_verdict(capsys, tmp_path):
         cache.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
         code, out, err = run(capsys, "trees-scan", "5", "--cache", str(cache))
         assert (code, out, err) == (0, expected, ""), result
+
+
+def test_trees_scan_cache_skips_lines_that_are_not_utf8(capsys, tmp_path, monkeypatch):
+    clean = tmp_path / "clean.jsonl"
+    code, expected, _ = run(capsys, "trees-scan", "5", "--cache", str(clean))
+    assert code == 0 and len(clean.read_text().splitlines()) == 1
+    cache = tmp_path / "bytes.jsonl"
+    cache.write_bytes(b"\xff\xfe\n" + clean.read_bytes())
+    lookups = []
+    get = cli.ResultCache.get
+
+    def recording_get(self, *args):
+        lookups.append(get(self, *args))
+        return lookups[-1]
+
+    monkeypatch.setattr(cli.ResultCache, "get", recording_get)
+    code, out, err = run(capsys, "trees-scan", "5", "--cache", str(cache))
+    assert (code, out, err) == (0, expected, "")
+    assert len(lookups) == 1 and lookups[0] is not None
+    assert cache.read_bytes() == b"\xff\xfe\n" + clean.read_bytes()
+
+
+def test_sweep_checks_its_output_paths_before_it_runs(capsys, tmp_path, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before its output paths were checked")
+
+    monkeypatch.setattr(cli, "sweep_c40", sweep)
+    for flag, name in [("--out", "x.json"), ("--csv", "x.csv")]:
+        code, out, err = run(capsys, "sweep", "c40", flag, str(tmp_path / "no-such-dir" / name))
+        assert code == 2 and out == "" and err.startswith("error: cannot open "), (flag, err)
 
 
 def test_cli_import_leaves_numpy_out():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import support
+from epolab import cli, graphs
 from epolab.graphs import (
     ConnectedPartition,
     CutProfile,
@@ -150,10 +151,38 @@ def test_missing_types_guard():
 
 
 def test_free_tree_counts():
-    # 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551 non-isomorphic trees
-    expected = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
-    for n, count in expected.items():
-        assert sum(1 for _ in enumerate_free_trees(n)) == count
+    # non-isomorphic trees on n vertices, OEIS A000055
+    counts = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
+    for n, count in enumerate(counts, start=1):
+        assert sum(1 for _ in enumerate_free_trees(n)) == count, n
+
+
+def test_free_trees_match_the_dedup_route():
+    for n in range(1, 13):
+        generated = [tree_canonical_key(g) for g in enumerate_free_trees(n)]
+        assert len(generated) == len(set(generated)), n
+        assert set(generated) == {tree_canonical_key(g) for g in support.free_trees_by_dedup(n)}, n
+
+
+def test_tree_cache_keys_are_the_dedup_route_keys():
+    # a --cache file written by the dedup route still keys every tree the scan visits
+    def keys(trees):
+        return {cli._tree_cache_key(g) for g in trees if max_degree(g) >= 4}
+
+    for n in range(1, 12):
+        assert keys(enumerate_free_trees(n)) == keys(support.free_trees_by_dedup(n)), n
+
+
+def test_free_trees_are_enumerated_without_canonical_keys(monkeypatch):
+    calls = []
+
+    def counting(G):
+        calls.append(G)
+        return tree_canonical_key(G)
+
+    monkeypatch.setattr(graphs, "tree_canonical_key", counting)
+    assert len(list(enumerate_free_trees(10))) == 106
+    assert calls == []
 
 
 def test_free_trees_match_labeled_dedup_oracle():

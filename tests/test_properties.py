@@ -4,10 +4,11 @@ The frontier DP is checked against the 2^|E| subset tally, the expansion
 against the deletion-contraction chromatic polynomial, Waring's formula
 against Newton's recurrence, the connected-partition search against a blind
 set-partition enumeration, missing_types against one search per type, the
-tree DP's keys and signs against that search, and missing-type certificates
-on random trees against that search and a scan of every ordering.  On random
-trees up to 20 vertices a missing type must mean not e-positive.  Hypothesis
-runs derandomized, so every run draws the same examples.
+cut profiles against one component count per deleted vertex, the tree DP's
+keys and signs against that search, and missing-type certificates on random
+trees against that search and a scan of every ordering.  On random trees up
+to 20 vertices a missing type must mean not e-positive.  Hypothesis runs
+derandomized, so every run draws the same examples.
 """
 
 import math
@@ -115,6 +116,13 @@ def test_connected_partition_search_matches_bruteforce(G):
 @example(Graph(7, [(0, 6), (1, 6), (2, 5), (3, 5), (3, 6), (4, 5), (4, 6)]))
 def test_missing_types_match_per_type_search(G):
     assert missing_types(G) == support.missing_types_bruteforce(G)
+
+
+@PROPERTY
+@given(connected_graphs(10))
+@example(spider((2, 2, 1, 1)))
+def test_cut_profiles_match_per_vertex_components(G):
+    assert cut_profiles(G) == support.cut_profiles_bruteforce(G)
 
 
 @PROPERTY
