@@ -8,7 +8,6 @@ missing type, sweep failure, theorem not applicable), 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import Optional
@@ -27,7 +26,6 @@ from .graphs import (
     path_graph,
     spider,
     star_graph,
-    tree_canonical_key,
 )
 from .obstructions import (
     describe_inapplicability,
@@ -45,6 +43,11 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
+
+TREES_SCAN_MAX_N = 14  # trees-scan's guard on n_max
+# prove's guard on n: Graph.adj holds about n^2/16 bytes on a path, and
+# prove path:50000 peaks at 206 MB and answers in 1.6 s on a 2-core host.
+PROVE_MAX_N = 50_000
 
 
 class SpecError(ValueError):
@@ -135,7 +138,7 @@ def parse_profile_spec(spec: str) -> CutProfile:
 
 
 class ResultCache:
-    """Append-only JSONL cache keyed by (command, canonical input, version, route).
+    """Append-only JSONL cache keyed by (command, input key, version, route).
 
     The route tag names the algorithms behind a result (symfunc.CSF_ROUTE), so
     a record without it, or with another, is a miss.  A line that does not
@@ -181,12 +184,6 @@ class ResultCache:
                     fh.write("\n")
                     self._torn_tail = False
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def _tree_cache_key(G: Graph) -> str:
-    canon = tree_canonical_key(G)
-    digest = hashlib.sha256(repr(canon).encode()).hexdigest()[:24]
-    return f"n{G.n}-{digest}"
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +244,7 @@ def cmd_prove(args) -> int:
     if args.spec.startswith("profile:"):
         profiles = [parse_profile_spec(args.spec)]
     else:
-        G = parse_graph_spec(args.spec, connected=True)
+        G = parse_graph_spec(args.spec, PROVE_MAX_N, connected=True)
         profiles = [p for _, p in cut_profiles(G)]
         if not profiles:
             print("NOT-APPLICABLE: no cut vertex splits the graph into >= 3 components")
@@ -264,32 +261,30 @@ def cmd_prove(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _tree_scan_worker(payload):
-    n, idx, edges = payload
-    return (idx, is_e_positive(Graph(n, edges)).positive)
+def _tree_scan_worker(G: Graph) -> bool:
+    return is_e_positive(G).positive
 
 
 def cmd_trees_scan(args) -> int:
     n_max = args.n_max
     if n_max < 1:
         raise SpecError("need n_max >= 1")
-    if n_max > 14:
-        raise GuardError(f"size guard, n_max={n_max} > 14")
+    if n_max > TREES_SCAN_MAX_N:
+        raise GuardError(f"size guard, n_max={n_max} > {TREES_SCAN_MAX_N}")
     cache = ResultCache(args.cache)
     counterexamples = []
     rows = []
     for n in range(1, n_max + 1):
         qualifying = [G for G in enumerate_free_trees(n) if max_degree(G) >= 4]
-        keys = [_tree_cache_key(G) for G in qualifying]
-        hits = [cache.get("trees-scan", key) for key in keys]
-        # results keep cache hits first, then fresh verdicts, both in tree order
-        results = {i: hit["e_positive"] for i, hit in enumerate(hits) if hit is not None}
-        todo = [(n, i, sorted(G.edges)) for i, G in enumerate(qualifying) if i not in results]
-        for idx, positive in parallel_map(_tree_scan_worker, todo, args.jobs):
-            results[idx] = positive
-            entry = {"n": n, "max_degree": max_degree(qualifying[idx]), "e_positive": positive}
-            cache.put("trees-scan", keys[idx], entry)
-        bad = [qualifying[i] for i, positive in results.items() if positive]
+        # the edge list determines the tree, so a hit is that tree's own verdict
+        keys = [f"n{n}:" + ",".join(f"{u}-{v}" for u, v in sorted(G.edges)) for G in qualifying]
+        verdicts = [cache.get("trees-scan", key) for key in keys]
+        todo = [i for i, hit in enumerate(verdicts) if hit is None]
+        fresh = parallel_map(_tree_scan_worker, [qualifying[i] for i in todo], args.jobs)
+        for i, positive in zip(todo, fresh):
+            verdicts[i] = {"n": n, "max_degree": max_degree(qualifying[i]), "e_positive": positive}
+            cache.put("trees-scan", keys[i], verdicts[i])
+        bad = [G for G, verdict in zip(qualifying, verdicts) if verdict["e_positive"]]
         counterexamples.extend(bad)
         rows.append((n, len(qualifying), len(bad)))
     if args.json:

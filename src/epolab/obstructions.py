@@ -340,8 +340,8 @@ def sweep_c40(c_lo: int = 2, c_hi: int = 40, jobs: int = 1) -> SweepReport:
     q-compressed interval certificate with x >= c+1 (so any admissible c1 is
     covered).  Expected outcome: zero failure cells.
     """
-    if not 2 <= c_lo <= c_hi:
-        raise ValueError(f"bad c range {c_lo}..{c_hi}")
+    if not 2 <= c_lo <= c_hi <= 40:  # c = 41..500 is sweep_c500's
+        raise ValueError(f"bad c range {c_lo}..{c_hi} (need 2 <= lo <= hi <= 40)")
     params = {"c_lo": c_lo, "c_hi": c_hi}
     return _sweep("c40", params, _c40_scan_c, list(range(c_lo, c_hi + 1)), jobs)
 

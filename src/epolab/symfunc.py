@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from typing import Dict, List, Tuple
 
 from .graphs import Graph, _component_masks, _mask_vertices, _tree_type_tally
@@ -76,11 +76,6 @@ STATE_BUDGET = 150_000  # live frontier-DP states; K10 peaks at Bell(10) = 115,9
 # A multiset of part sizes, whether a component-size type or an e-monomial, is
 # one int: part p adds 1 << 5*(p-1), so two multisets merge by one addition.
 # Multiplicities stay below 32 up to degree 25; csf_e guards n <= CSF_MAX_N.
-_P_IN_E_CACHE: Dict[int, Tuple[Dict[int, int], Dict[int, tuple]]] = {}
-# Bounded: its keys are packed partitions of k <= CSF_MAX_N = 20, at most
-# 2,713.  All 1,739 degree->=4 trees up to n = 13 plus five 20-vertex spiders
-# leave 1,281 keys and 107K entries, at a 25 MB peak.
-_PROD_E_CACHE: Dict[int, Dict[int, int]] = {}
 
 
 class StateBudgetError(RuntimeError):
@@ -96,6 +91,7 @@ def _merge(A: Dict[int, int], B: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
+@cache
 def _waring(k: int) -> Tuple[Dict[int, int], Dict[int, tuple]]:
     """p_k in the e-basis by Waring's formula, keyed by packed partitions, and
     each partition of k (weakly decreasing) under its key.  The coefficient of
@@ -103,16 +99,14 @@ def _waring(k: int) -> Tuple[Dict[int, int], Dict[int, tuple]]:
     """
     if not 1 <= k <= 25:
         raise ValueError(f"p_in_e guard: need 1 <= k <= 25, got {k}")
-    if k not in _P_IN_E_CACHE:
-        coeffs, names = {}, {}
-        for mu in partitions_of(k):
-            key = sum(1 << 5 * (part - 1) for part in mu)
-            coeff = k * math.factorial(len(mu) - 1)
-            coeff //= math.prod(math.factorial(m) for m in Counter(mu).values())
-            coeffs[key] = -coeff if (k - len(mu)) & 1 else coeff
-            names[key] = mu
-        _P_IN_E_CACHE[k] = coeffs, names
-    return _P_IN_E_CACHE[k]
+    coeffs, names = {}, {}
+    for mu in partitions_of(k):
+        key = sum(1 << 5 * (part - 1) for part in mu)
+        coeff = k * math.factorial(len(mu) - 1)
+        coeff //= math.prod(math.factorial(m) for m in Counter(mu).values())
+        coeffs[key] = -coeff if (k - len(mu)) & 1 else coeff
+        names[key] = mu
+    return coeffs, names
 
 
 def p_in_e(k: int) -> ESymExpansion:
@@ -121,16 +115,17 @@ def p_in_e(k: int) -> ESymExpansion:
     return ESymExpansion(k, {names[key]: c for key, c in coeffs.items()})
 
 
+# Bounded: its keys are packed partitions of k <= CSF_MAX_N = 20, at most
+# 2,713.  All 1,739 degree->=4 trees up to n = 13 plus five 20-vertex spiders
+# leave 1,281 keys and 107K entries, at a 25 MB peak.
+@cache
 def _prod_p_in_e(lam: int) -> Dict[int, int]:
     """Packed e-basis expansion of the power-sum product over the parts of the
     packed type lam, its largest part peeled first."""
     if not lam:
         return {0: 1}
-    out = _PROD_E_CACHE.get(lam)
-    if out is None:
-        top = (lam.bit_length() + 4) // 5
-        out = _PROD_E_CACHE[lam] = _merge(_waring(top)[0], _prod_p_in_e(lam - (1 << 5 * (top - 1))))
-    return out
+    top = (lam.bit_length() + 4) // 5
+    return _merge(_waring(top)[0], _prod_p_in_e(lam - (1 << 5 * (top - 1))))
 
 
 def _frontier_order(adj, comp: int) -> List[int]:

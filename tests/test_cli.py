@@ -6,6 +6,8 @@ import pytest
 
 from epolab import cli
 from epolab.cli import main, parse_graph_spec, parse_profile_spec, SpecError
+from epolab.graphs import enumerate_free_trees, max_degree
+from epolab.symfunc import EposVerdict
 
 
 def run(capsys, *argv):
@@ -193,6 +195,8 @@ def test_sweep_output_deterministic_across_jobs(capsys):
 def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "c500", "30..700")
     assert code == 2
+    code, out, err = run(capsys, "sweep", "c40", "2..41")
+    assert code == 2 and out == "" and "bad c range" in err
 
 
 def test_bad_parallelism(capsys):
@@ -288,6 +292,25 @@ def test_trees_scan_cache_skips_lines_that_are_not_utf8(capsys, tmp_path, monkey
     assert (code, out, err) == (0, expected, "")
     assert len(lookups) == 1 and lookups[0] is not None
     assert cache.read_bytes() == b"\xff\xfe\n" + clean.read_bytes()
+
+
+def test_trees_scan_counterexamples_print_in_tree_order_whatever_the_cache_holds(
+        capsys, tmp_path, monkeypatch):
+    trees = [G for G in enumerate_free_trees(7) if max_degree(G) >= 4]
+    forged = {trees[0].edges, trees[-1].edges}
+    is_e_positive = cli.is_e_positive
+    monkeypatch.setattr(cli, "is_e_positive",
+                        lambda G: EposVerdict(()) if G.edges in forged else is_e_positive(G))
+    cold = tmp_path / "cold.jsonl"
+    code, expected, _ = run(capsys, "trees-scan", "7", "--cache", str(cold))
+    assert code == 1 and expected.index(str(sorted(trees[0].edges))) < expected.index(
+        str(sorted(trees[-1].edges)))
+    positives = [line for line in cold.read_text().splitlines() if '"e_positive": true' in line]
+    assert len(positives) == 2
+    cache = tmp_path / "later-tree-only.jsonl"
+    cache.write_text(positives[-1] + "\n")  # the later tree is a hit, the earlier a miss
+    code, out, _ = run(capsys, "trees-scan", "7", "--cache", str(cache))
+    assert (code, out) == (1, expected)
 
 
 def test_sweep_checks_its_output_paths_before_it_runs(capsys, tmp_path, monkeypatch):

@@ -112,6 +112,7 @@ def test_size_guard_fires_before_any_graph_is_built(capsys, tmp_path, monkeypatc
         (("csf", "path:1000000000"), 1000000000, 20),
         (("connparts", "spider:999999999,1"), 1000000001, 25),
         (("csf", str(huge)), 1000000000, 20),
+        (("prove", "path:1000000000"), 1000000000, 50000),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", f"error: size guard, n={n} > {limit}\n"), argv

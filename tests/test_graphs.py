@@ -164,16 +164,7 @@ def test_free_trees_match_the_dedup_route():
         assert set(generated) == {tree_canonical_key(g) for g in support.free_trees_by_dedup(n)}, n
 
 
-def test_tree_cache_keys_are_the_dedup_route_keys():
-    # a --cache file written by the dedup route still keys every tree the scan visits
-    def keys(trees):
-        return {cli._tree_cache_key(g) for g in trees if max_degree(g) >= 4}
-
-    for n in range(1, 12):
-        assert keys(enumerate_free_trees(n)) == keys(support.free_trees_by_dedup(n)), n
-
-
-def test_free_trees_are_enumerated_without_canonical_keys(monkeypatch):
+def test_free_trees_are_enumerated_without_canonical_keys(monkeypatch, tmp_path, capsys):
     calls = []
 
     def counting(G):
@@ -181,7 +172,12 @@ def test_free_trees_are_enumerated_without_canonical_keys(monkeypatch):
         return tree_canonical_key(G)
 
     monkeypatch.setattr(graphs, "tree_canonical_key", counting)
+    monkeypatch.setattr(cli, "tree_canonical_key", counting, raising=False)
     assert len(list(enumerate_free_trees(10))) == 106
+    cache = str(tmp_path / "scan.jsonl")
+    for _ in range(2):  # a cold cache, then a warm one
+        assert cli.main(["trees-scan", "9", "--cache", cache]) == 0
+    capsys.readouterr()
     assert calls == []
 
 

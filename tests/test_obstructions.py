@@ -489,6 +489,8 @@ def test_sweep_determinism_across_jobs():
 
 def test_sweep_range_validation():
     with pytest.raises(ValueError):
+        sweep_c40(2, 41)
+    with pytest.raises(ValueError):
         sweep_c500(40, 100)
     with pytest.raises(ValueError):
         sweep_c500(41, 501)
