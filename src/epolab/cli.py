@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Optional
 
 from . import __version__
@@ -44,7 +45,10 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
 
-TREES_SCAN_MAX_N = 14  # trees-scan's guard on n_max
+TREES_SCAN_MAX_N = 16  # trees-scan's guard on n_max, the free-tree enumerator's own
+# tags trees-scan's cached verdicts: the settle route, then csf_e's algorithms
+SCAN_ROUTE = f"settle=certificate,missing-type,csf;{CSF_ROUTE}"
+SETTLE_STEPS = ("certificate", "missing-type", "csf")  # a verdict's settled_by, in route order
 # prove's guard on n: Graph.adj holds about n^2/16 bytes on a path, and
 # prove path:50000 peaks at 206 MB and answers in 1.6 s on a 2-core host.
 PROVE_MAX_N = 50_000
@@ -140,14 +144,15 @@ def parse_profile_spec(spec: str) -> CutProfile:
 class ResultCache:
     """Append-only JSONL cache keyed by (command, input key, version, route).
 
-    The route tag names the algorithms behind a result (symfunc.CSF_ROUTE), so
-    a record without it, or with another, is a miss.  A line that does not
+    The route tag names the algorithms behind a result (SCAN_ROUTE), so a
+    record without it, or with another, is a miss.  A line that does not
     parse is what an interrupted append leaves behind: it is skipped, and the
     next append starts on a fresh line so that its record stays whole.  A line
     that is not UTF-8, or parses but is not a whole record, or whose result is
-    not an object with a bool `e_positive` (the only command cached is
-    trees-scan), is skipped too, as a miss.  Records are written as ASCII JSON,
-    so a skipped line is never one of them.
+    not an object with a bool `e_positive` and a `settled_by` from
+    SETTLE_STEPS (the only command cached is trees-scan), is skipped too, as a
+    miss.  Records are written as ASCII JSON, so a skipped line is never one
+    of them.
     """
 
     def __init__(self, path: Optional[str]):
@@ -164,26 +169,31 @@ class ResultCache:
                     rec = json.loads(line.decode("utf-8"))
                     key = (rec["command"], rec["key"], rec["version"], rec.get("route"))
                     result = rec["result"]
-                    if isinstance(result, dict) and isinstance(result.get("e_positive"), bool):
+                    if (isinstance(result, dict) and isinstance(result.get("e_positive"), bool)
+                            and result.get("settled_by") in SETTLE_STEPS):
                         self._records[key] = result
                 except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                     continue
 
     def get(self, command: str, key: str):
-        return self._records.get((command, key, __version__, CSF_ROUTE))
+        return self._records.get((command, key, __version__, SCAN_ROUTE))
 
-    def put(self, command: str, key: str, result) -> None:
-        if (command, key, __version__, CSF_ROUTE) in self._records:
-            return
-        self._records[(command, key, __version__, CSF_ROUTE)] = result
-        if self.path:
-            record = {"command": command, "key": key, "version": __version__,
-                      "route": CSF_ROUTE, "result": result}
+    def put(self, command: str, records) -> None:
+        """Store (key, result) pairs; the new ones are appended to the file in one open."""
+        lines = []
+        for key, result in records:
+            full_key = (command, key, __version__, SCAN_ROUTE)
+            if full_key not in self._records:
+                self._records[full_key] = result
+                record = {"command": command, "key": key, "version": __version__,
+                          "route": SCAN_ROUTE, "result": result}
+                lines.append(json.dumps(record, sort_keys=True) + "\n")
+        if self.path and lines:
             with open(self.path, "a") as fh:
                 if self._torn_tail:
                     fh.write("\n")
                     self._torn_tail = False
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +271,18 @@ def cmd_prove(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _tree_scan_worker(G: Graph) -> bool:
-    return is_e_positive(G).positive
+def _settle_tree(G: Graph) -> dict:
+    """A tree's verdict and the first step of the route that settles it.
+
+    An e-positive graph has a connected partition of every type, so a
+    certificate on a cut profile, or else a type the tree DP misses, settles
+    "not e-positive"; csf_e runs only on a tree that has every type.
+    """
+    if any(theorem_decide(profile) is not None for _, profile in cut_profiles(G)):
+        return {"e_positive": False, "settled_by": "certificate"}
+    if missing_types(G):
+        return {"e_positive": False, "settled_by": "missing-type"}
+    return {"e_positive": is_e_positive(G).positive, "settled_by": "csf"}
 
 
 def cmd_trees_scan(args) -> int:
@@ -280,20 +300,23 @@ def cmd_trees_scan(args) -> int:
         keys = [f"n{n}:" + ",".join(f"{u}-{v}" for u, v in sorted(G.edges)) for G in qualifying]
         verdicts = [cache.get("trees-scan", key) for key in keys]
         todo = [i for i, hit in enumerate(verdicts) if hit is None]
-        fresh = parallel_map(_tree_scan_worker, [qualifying[i] for i in todo], args.jobs)
-        for i, positive in zip(todo, fresh):
-            verdicts[i] = {"n": n, "max_degree": max_degree(qualifying[i]), "e_positive": positive}
-            cache.put("trees-scan", keys[i], verdicts[i])
+        fresh = parallel_map(_settle_tree, [qualifying[i] for i in todo], args.jobs)
+        for i, verdict in zip(todo, fresh):
+            verdicts[i] = {"n": n, "max_degree": max_degree(qualifying[i]), **verdict}
+        cache.put("trees-scan", [(keys[i], verdicts[i]) for i in todo])
         bad = [G for G, verdict in zip(qualifying, verdicts) if verdict["e_positive"]]
         counterexamples.extend(bad)
-        rows.append((n, len(qualifying), len(bad)))
+        settled = Counter(verdict["settled_by"] for verdict in verdicts)
+        rows.append((n, len(qualifying), len(bad), settled))
     if args.json:
-        table = [{"n": n, "degree4_trees": q, "counterexamples": b} for n, q, b in rows]
+        table = [{"n": n, "degree4_trees": q, "counterexamples": b,
+                  "settled": {step.replace("-", "_"): settled[step] for step in SETTLE_STEPS}}
+                 for n, q, b, settled in rows]
         found = [sorted(g.edges) for g in counterexamples]
         print(json.dumps({"n_max": n_max, "rows": table, "counterexamples": found}))
     else:
         print(f"{'n':>3} {'deg>=4 trees':>13} {'e-positive (unexpected)':>24}")
-        for n, q, b in rows:
+        for n, q, b, _ in rows:
             print(f"{n:>3} {q:>13} {b:>24}")
         if counterexamples:
             print("counterexamples found:")

@@ -6,8 +6,16 @@ import pytest
 
 from epolab import cli
 from epolab.cli import main, parse_graph_spec, parse_profile_spec, SpecError
-from epolab.graphs import enumerate_free_trees, max_degree
-from epolab.symfunc import EposVerdict
+from epolab.graphs import (
+    cut_profiles,
+    enumerate_free_trees,
+    has_connected_partition,
+    max_degree,
+    missing_types,
+    spider,
+)
+from epolab.obstructions import theorem_decide
+from epolab.symfunc import is_e_positive
 
 
 def run(capsys, *argv):
@@ -134,7 +142,7 @@ def test_trees_scan_small(capsys):
 
 
 def test_trees_scan_guard(capsys):
-    code, _, err = run(capsys, "trees-scan", "15")
+    code, _, err = run(capsys, "trees-scan", "17")
     assert code == 3
     code, _, err = run(capsys, "trees-scan", "0")
     assert code == 2 and "need n_max >= 1" in err
@@ -266,7 +274,7 @@ def test_trees_scan_cache_skips_records_without_a_verdict(capsys, tmp_path):
     clean = tmp_path / "clean.jsonl"
     code, expected, _ = run(capsys, "trees-scan", "5", "--cache", str(clean))
     assert code == 0
-    for result in [5, {"e_positive": "no"}, {"n": 5}]:
+    for result in [5, {"e_positive": "no"}, {"n": 5}, {"e_positive": True}]:
         cache = tmp_path / "bad.jsonl"
         recs = [dict(json.loads(line), result=result) for line in clean.read_text().splitlines()]
         cache.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
@@ -298,9 +306,9 @@ def test_trees_scan_counterexamples_print_in_tree_order_whatever_the_cache_holds
         capsys, tmp_path, monkeypatch):
     trees = [G for G in enumerate_free_trees(7) if max_degree(G) >= 4]
     forged = {trees[0].edges, trees[-1].edges}
-    is_e_positive = cli.is_e_positive
-    monkeypatch.setattr(cli, "is_e_positive",
-                        lambda G: EposVerdict(()) if G.edges in forged else is_e_positive(G))
+    settle = cli._settle_tree
+    monkeypatch.setattr(cli, "_settle_tree", lambda G: {"e_positive": True, "settled_by": "csf"}
+                        if G.edges in forged else settle(G))
     cold = tmp_path / "cold.jsonl"
     code, expected, _ = run(capsys, "trees-scan", "7", "--cache", str(cold))
     assert code == 1 and expected.index(str(sorted(trees[0].edges))) < expected.index(
@@ -311,6 +319,19 @@ def test_trees_scan_counterexamples_print_in_tree_order_whatever_the_cache_holds
     cache.write_text(positives[-1] + "\n")  # the later tree is a hit, the earlier a miss
     code, out, _ = run(capsys, "trees-scan", "7", "--cache", str(cache))
     assert (code, out) == (1, expected)
+
+
+def test_settle_route_agrees_with_csf_and_every_reported_type_is_absent():
+    for n in range(5, 12):
+        for G in enumerate_free_trees(n):
+            if max_degree(G) < 4:
+                continue
+            assert cli._settle_tree(G)["e_positive"] == is_e_positive(G).positive
+            certs = [theorem_decide(profile) for _, profile in cut_profiles(G)]
+            for lam in [cert.lam for cert in certs if cert] + missing_types(G):
+                assert has_connected_partition(G, lam) is None, (sorted(G.edges), lam)
+    # S(6,4,1,1) has every type, so only csf_e settles it
+    assert cli._settle_tree(spider((6, 4, 1, 1))) == {"e_positive": False, "settled_by": "csf"}
 
 
 def test_sweep_checks_its_output_paths_before_it_runs(capsys, tmp_path, monkeypatch):

@@ -41,15 +41,17 @@ def test_trees_scan_cache_ignores_records_of_another_route(capsys, tmp_path, mon
     clean = tmp_path / "clean.jsonl"
     code, expected, _ = run(capsys, "trees-scan", "6", "--cache", str(clean))
     assert code == 0
-    # the same records in the format without a route tag, and under another
-    # route, each with the verdict flipped: serving any would change the output
+    # the same records in the format without a route tag, and under other routes
+    # (csf_e's own among them, the scan's tag before it settled trees by certificate),
+    # each with the verdict flipped: serving any would change the output
     stale = []
     for line in clean.read_text().splitlines():
         rec = json.loads(line)
-        assert rec.pop("route") == symfunc.CSF_ROUTE
+        assert rec.pop("route") == cli.SCAN_ROUTE
         rec["result"]["e_positive"] = True
         stale.append(json.dumps(rec))
         stale.append(json.dumps(dict(rec, route="tally=subsets;p2e=newton")))
+        stale.append(json.dumps(dict(rec, route=symfunc.CSF_ROUTE)))
     seeded = tmp_path / "seeded.jsonl"
     seeded.write_text("\n".join(stale) + "\n")
 
