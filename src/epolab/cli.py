@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from typing import Optional
@@ -152,7 +153,9 @@ class ResultCache:
     not an object with a bool `e_positive` and a `settled_by` from
     SETTLE_STEPS (the only command cached is trees-scan), is skipped too, as a
     miss.  Records are written as ASCII JSON, so a skipped line is never one
-    of them.
+    of them.  A whole record under another version or route can never be
+    served again: when a load finds one, it rewrites the file with only the
+    records it can serve.
     """
 
     def __init__(self, path: Optional[str]):
@@ -164,16 +167,42 @@ class ResultCache:
                 fh.seek(0)
                 data = fh.read()
             self._torn_tail = bool(data) and not data.endswith(b"\n")
+            live, dead = [], False
             for line in data.splitlines():
                 try:
                     rec = json.loads(line.decode("utf-8"))
                     key = (rec["command"], rec["key"], rec["version"], rec.get("route"))
                     result = rec["result"]
-                    if (isinstance(result, dict) and isinstance(result.get("e_positive"), bool)
-                            and result.get("settled_by") in SETTLE_STEPS):
-                        self._records[key] = result
+                    hash(key)  # a key that cannot be a dict key makes the line no record
                 except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                     continue
+                if key[2:] != (__version__, SCAN_ROUTE):
+                    dead = True
+                elif (isinstance(result, dict) and isinstance(result.get("e_positive"), bool)
+                        and result.get("settled_by") in SETTLE_STEPS):
+                    self._records[key] = result
+                    live.append(line)
+            if dead:
+                try:
+                    self._rewrite(live)
+                except OSError:
+                    pass  # no temp file can go beside it: the dead records stay, as misses
+
+    def _rewrite(self, lines) -> None:
+        """Replace the file by these lines, through a temp file beside it and os.replace,
+        so that a reader finds the old file or the new one, never a mix."""
+        import tempfile  # only a load that prunes needs it, so no other call imports it
+
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)))
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(line + b"\n" for line in lines)
+            os.chmod(tmp, os.stat(self.path).st_mode & 0o7777)
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        self._torn_tail = False
 
     def get(self, command: str, key: str):
         return self._records.get((command, key, __version__, SCAN_ROUTE))
@@ -341,25 +370,35 @@ def cmd_sweep(args) -> int:
     for path in (args.out, args.csv):
         if path:
             _open_user_file(path, "a").close()  # an unwritable path fails before the sweep runs
+    csv = None
+
+    def write_rows(rows) -> None:
+        """Append one c's rows to --csv, which opens at the first c: once the sweep has
+        accepted its range, so that a usage error leaves the file as it was."""
+        nonlocal csv
+        if csv is None:
+            csv = _open_user_file(args.csv, "w")
+            csv.write("c,b,n_lo,n_hi,cells,failures\n" if args.kind == "c40" else "c,b,q\n")
+        csv.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+    sink = write_rows if args.csv else None
     try:
         if args.kind == "c40":
             lo, hi = _parse_range(args.range, 2, 40)
-            report = sweep_c40(lo, hi, jobs=args.jobs)
+            report = sweep_c40(lo, hi, jobs=args.jobs, rows=sink)
         else:
             lo, hi = _parse_range(args.range, 41, 500)
-            report = sweep_c500(lo, hi, mode=args.mode, jobs=args.jobs)
+            report = sweep_c500(lo, hi, mode=args.mode, jobs=args.jobs, rows=sink)
     except ValueError as exc:  # the sweeps reject out-of-range parameters
         raise SpecError(str(exc)) from None
+    finally:
+        if csv is not None:
+            csv.close()
     payload = json.dumps(report.to_json_dict(), sort_keys=True)
     if args.out:
         with _open_user_file(args.out, "w") as fh:
             fh.write(payload + "\n")
     print(payload)
-    if args.csv:
-        with _open_user_file(args.csv, "w") as fh:
-            fh.write("c,b,n_lo,n_hi,cells,failures\n" if args.kind == "c40" else "c,b,q\n")
-            for row in report.per_cell:
-                fh.write(",".join(str(v) for v in row) + "\n")
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 

@@ -9,6 +9,7 @@ and component computations cheap at the sizes this library targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .partitions import partitions_of
@@ -201,33 +202,49 @@ def cut_profiles(G: Graph) -> List[Tuple[int, CutProfile]]:
     the obstruction machinery needs k >= 1, i.e. at least 3 components.
     One iterative low-link DFS finds every vertex's components: a DFS child u
     of v with low[u] >= disc[v] roots one, and the n - 1 - (their sizes)
-    vertices left over, when there are any, form one more.
+    vertices left over, when there are any, form one more.  On a tree every
+    child roots one, so a subtree-size pass in BFS order takes its place.
     """
     n = G.n
-    nbrs = [_mask_vertices(m) for m in G.adj]
-    disc, low, size = [0] + [-1] * (n - 1), [0] * n, [1] * n
     split: List[List[int]] = [[] for _ in range(n)]  # sizes of the components below v
-    seen = 1
-    stack = [(0, -1, iter(nbrs[0]))]
-    while stack:
-        v, parent, it = stack[-1]
-        for u in it:
-            if disc[u] < 0:
-                disc[u] = low[u] = seen
-                seen += 1
-                stack.append((u, v, iter(nbrs[u])))
-                break
-            if u != parent:
-                low[v] = min(low[v], disc[u])
-        else:
-            stack.pop()
-            if parent >= 0:
-                size[parent] += size[v]
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    split[parent].append(size[v])
-    if seen != n:
-        raise ValueError("graph must be connected")
+    size = [1] * n
+    if len(G.edges) == n - 1:
+        parent, order, seen = [-1] * n, [0], 1
+        for v in order:
+            below = G.adj[v] & ~seen
+            seen |= below
+            for u in _mask_vertices(below):
+                parent[u] = v
+                order.append(u)
+        if len(order) != n:
+            raise ValueError("graph must be connected")
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+            split[parent[v]].append(size[v])
+    else:
+        nbrs = [_mask_vertices(m) for m in G.adj]
+        disc, low = [0] + [-1] * (n - 1), [0] * n
+        seen = 1
+        stack = [(0, -1, iter(nbrs[0]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for u in it:
+                if disc[u] < 0:
+                    disc[u] = low[u] = seen
+                    seen += 1
+                    stack.append((u, v, iter(nbrs[u])))
+                    break
+                if u != parent:
+                    low[v] = min(low[v], disc[u])
+            else:
+                stack.pop()
+                if parent >= 0:
+                    size[parent] += size[v]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        split[parent].append(size[v])
+        if seen != n:
+            raise ValueError("graph must be connected")
     out = []
     for v in range(n):
         rest = n - 1 - sum(split[v])
@@ -371,6 +388,12 @@ def _dfs_tree(adj) -> List[int]:
 MISSING_TYPES_MAX_N = 25
 
 
+@lru_cache(maxsize=None)  # one entry per n <= MISSING_TYPES_MAX_N
+def _packed_partitions(n: int) -> Tuple[Tuple[tuple, int], ...]:
+    """(lam, packed key) for every partition of n, in stream order."""
+    return tuple((lam, sum(1 << 5 * (p - 1) for p in lam)) for lam in partitions_of(n))
+
+
 def missing_types(G: Graph) -> List[tuple]:
     """Types with no connected partition, in stream order; G is searched for those its DFS tree lacks."""
     if G.n > MISSING_TYPES_MAX_N:
@@ -378,7 +401,7 @@ def missing_types(G: Graph) -> List[tuple]:
     if not is_connected(G):
         raise ValueError("graph must be connected")
     present = _tree_type_tally(_dfs_tree(G.adj), 1)
-    return [lam for lam in partitions_of(G.n) if sum(1 << 5 * (p - 1) for p in lam) not in present
+    return [lam for lam, key in _packed_partitions(G.n) if key not in present
             and (len(G.edges) == G.n - 1 or has_connected_partition(G, lam) is None)]
 
 

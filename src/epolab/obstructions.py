@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from itertools import groupby, repeat
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .graphs import ConnectedPartition, CutProfile, _mask_vertices, spider
+from .graphs import ConnectedPartition, CutProfile, spider
 from .partitions import interval_partition, partial_sums, partitions_of, two_coin_representation
 
 CERT_KINDS = ("explicit-interval", "q-interval", "parts-c-c1", "special-b-2c-1")
@@ -268,7 +269,6 @@ class SweepReport:
     cells: int
     failures: List[tuple]
     wall_time_ms: int
-    per_cell: List[tuple] = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -284,11 +284,44 @@ class SweepReport:
         }
 
 
+def _gaps(lo: int, top: int, spans: List[Tuple[int, int]]) -> Iterator[int]:
+    """The n in [lo, top) outside every (start, end) span, in increasing order."""
+    for start, end in sorted(spans):
+        if lo >= top:
+            return
+        yield from range(lo, min(start, top))
+        lo = max(lo, end + 1)
+    yield from range(lo, top)
+
+
+def _uncovered(n_lo: int, n_hi: int, windows) -> List[int]:
+    """The n in [n_lo, n_hi] that no range [t*x, t*y], t >= 1, of any window (x, y) covers.
+
+    From t0 = ceil((x-1)/(y-x)) on, t*y + 1 >= (t+1)*x, so the ranges of one
+    window touch and their union is [t0*x, oo): a window adds that tail and
+    its ranges below t0, and everything from the lowest tail up is covered.
+    Windows are read only until [n_lo, n_hi] is covered.
+    """
+    top = n_hi + 1  # [top, n_hi] is covered
+    spans: List[Tuple[int, int]] = []
+    for x, y in windows:
+        if y > x:
+            t0 = -(-(x - 1) // (y - x))
+            top = min(top, max(t0 * x, n_lo))
+        else:
+            t0 = n_hi // x + 1  # one-point ranges never touch
+        below = range(max(1, -(-n_lo // y)), min(t0, (top - 1) // x + 1))  # t < t0, t*x < top
+        spans.extend((t * x, t * y) for t in below)
+        if next(_gaps(n_lo, top, spans), None) is None:
+            return []
+    return list(_gaps(n_lo, top, spans))
+
+
 def _c40_scan_c(c: int) -> Tuple[int, List[tuple], List[tuple]]:
     """All (b, n) cells for one c: coverage by some q-compressed interval.
 
     For fixed (b, c) the n values realizable with block count q and t parts
-    form the range [t*x, t*y]; marking those ranges over all q with x >= c+1
+    form the range [t*x, t*y]; their union over every q with x >= c+1
     decides every cell of the n-window exactly.
     """
     cells = 0
@@ -297,78 +330,71 @@ def _c40_scan_c(c: int) -> Tuple[int, List[tuple], List[tuple]]:
     for b in range(2 * c, c * c // 2 + 1):
         n_lo = 2 * b + c + 1
         n_hi = (-(-b // (c - 1))) * (b + 1)
+        # q <= b/c keeps x = ceil((b+1)/q) >= c+1
+        windows = filter(None, (q_interval(b, c, q) for q in range(b // c, 0, -1)))
+        miss = _uncovered(n_lo, n_hi, windows)
         width = n_hi - n_lo + 1
-        full = (1 << width) - 1
-        covered = 0  # bit i set once n_lo + i is realized
-        for q in range(b // c, 0, -1):  # q <= b/c keeps x = ceil((b+1)/q) >= c+1
-            x = -(-(b + 1) // q)
-            y = (b + c) // q
-            if x < c + 1 or y < x:
-                continue
-            for t in range(max(1, -(-n_lo // y)), n_hi // x + 1):
-                lo = max(t * x, n_lo)
-                hi = min(t * y, n_hi)
-                if lo <= hi:
-                    covered |= ((1 << (hi - lo + 1)) - 1) << (lo - n_lo)
-            if covered == full:
-                break
         cells += width
-        miss = _mask_vertices(full & ~covered)
-        failures.extend((b, c, n_lo + i) for i in miss)
+        failures.extend((b, c, n) for n in miss)
         rows.append((c, b, n_lo, n_hi, width, len(miss)))
     return cells, failures, rows
 
 
-def _sweep(kind: str, params: dict, scan, items: list, jobs: int) -> SweepReport:
-    """Run a per-c scan over items and concatenate its (cells, failures, rows)."""
+def _sweep(kind: str, params: dict, scan, items: list, jobs: int, rows) -> SweepReport:
+    """Run a per-c scan over items, folding each c's (cells, failures, rows) as it
+    arrives; rows, when given, is called with each c's iterable of rows in c
+    order, and no row outlives its c."""
     start = time.perf_counter()
-    results = parallel_map(scan, items, jobs)
-    return SweepReport(
-        kind=kind,
-        params=params,
-        cells=sum(r[0] for r in results),
-        failures=[f for r in results for f in r[1]],
-        wall_time_ms=int((time.perf_counter() - start) * 1000),
-        per_cell=[row for r in results for row in r[2]],
-    )
+    cells, failures = 0, []
+    for c_cells, c_failures, c_rows in parallel_map(scan, items, jobs):
+        cells += c_cells
+        failures += c_failures
+        if rows is not None:
+            rows(c_rows)
+    return SweepReport(kind, params, cells, failures, int((time.perf_counter() - start) * 1000))
 
 
-def sweep_c40(c_lo: int = 2, c_hi: int = 40, jobs: int = 1) -> SweepReport:
+def sweep_c40(c_lo: int = 2, c_hi: int = 40, jobs: int = 1, rows=None) -> SweepReport:
     """Exhaustive (b, c, n) sweep for 2 <= c <= 40, 2c <= b <= c^2/2.
 
     Confirms that every n in [2b+c+1, ceil(b/(c-1))*(b+1)] admits a
     q-compressed interval certificate with x >= c+1 (so any admissible c1 is
-    covered).  Expected outcome: zero failure cells.
+    covered).  Expected outcome: zero failure cells.  rows, when given, is
+    called with each c's (c, b, n_lo, n_hi, cells, failures) rows in c order.
     """
     if not 2 <= c_lo <= c_hi <= 40:  # c = 41..500 is sweep_c500's
         raise ValueError(f"bad c range {c_lo}..{c_hi} (need 2 <= lo <= hi <= 40)")
     params = {"c_lo": c_lo, "c_hi": c_hi}
-    return _sweep("c40", params, _c40_scan_c, list(range(c_lo, c_hi + 1)), jobs)
+    return _sweep("c40", params, _c40_scan_c, list(range(c_lo, c_hi + 1)), jobs, rows)
 
 
-def _c500_scan_c(args: tuple) -> Tuple[int, List[tuple], List[tuple]]:
+def _c500_scan_c(args: tuple) -> Tuple[int, List[tuple], Iterator[tuple]]:
+    """All (b, c) cells for one c: the largest q <= b/c that passes strategy_check, or 0.
+
+    The rows (c, b, q) come back as an iterator over the list of q, so that
+    until a sink reads them they cost one pointer per cell, not one tuple.
+    """
     c, b_stride = args
-    cells = 0
-    failures: List[tuple] = []
-    rows: List[tuple] = []
-    for b in range(2 * c, c * c // 2 + 1, b_stride):
-        cells += 1
-        found = 0
+    bs = range(2 * c, c * c // 2 + 1, b_stride)
+    found = []
+    for b in bs:
         for q in range(b // c, 0, -1):
             if strategy_check(b, c, q):
-                found = q
                 break
-        if not found:
-            failures.append((b, c))
-        rows.append((c, b, found))
-    return cells, failures, rows
+        else:
+            q = 0
+        found.append(q)
+    failures = [(b, c) for b, q in zip(bs, found) if not q]
+    return len(bs), failures, zip(repeat(c), bs, found)
 
 
-def sweep_c500(c_lo: int, c_hi: int, mode: str = "full", jobs: int = 1) -> SweepReport:
+def sweep_c500(c_lo: int, c_hi: int, mode: str = "full", jobs: int = 1, rows=None) -> SweepReport:
     """Per-(b, c) sweep for 41 <= c <= 500: some q passes strategy_check.
 
     Full mode visits every pair; sampled mode walks a deterministic lattice
-    (every 7th b, every 3rd c).  Expected outcome: zero failures.
+    (every 7th b, every 3rd c).  Expected outcome: zero failures.  rows,
+    when given, is called with each c's (c, b, q) rows in c order, q = 0
+    where none passes.
     """
     if not 41 <= c_lo <= c_hi <= 500:
         raise ValueError(f"bad c range {c_lo}..{c_hi} (need 41 <= lo <= hi <= 500)")
@@ -377,7 +403,7 @@ def sweep_c500(c_lo: int, c_hi: int, mode: str = "full", jobs: int = 1) -> Sweep
     c_stride, b_stride = (3, 7) if mode == "sampled" else (1, 1)
     params = {"c_lo": c_lo, "c_hi": c_hi, "mode": mode}
     cs = [(c, b_stride) for c in range(c_lo, c_hi + 1, c_stride)]
-    return _sweep("c500", params, _c500_scan_c, cs, jobs)
+    return _sweep("c500", params, _c500_scan_c, cs, jobs, rows)
 
 
 def worker_count(jobs: int, items: int) -> int:
@@ -385,21 +411,36 @@ def worker_count(jobs: int, items: int) -> int:
     return max(1, min(jobs, items, os.cpu_count() or 1))
 
 
-def parallel_map(fn, items: list, jobs: int) -> list:
+def _map_chunk(fn, chunk: list) -> list:
+    """fn over one chunk of items, in a worker process."""
+    return [fn(item) for item in chunk]
+
+
+def parallel_map(fn, items: list, jobs: int) -> Iterator:
     """Map fn over independent work items, across processes when jobs > 1.
 
     The pool starts every worker at once, so its size is clamped by
     worker_count.  Items go out in chunks of about 1/64 of each worker's
     share, so that thousands of small items do not each pay a round trip.
-    Results come back in item order, so output is identical for any job count.
+    Results are yielded in item order, so output is identical for any job
+    count.  At most two chunks per worker are in flight or waiting to be
+    yielded, so a slow consumer holds back the workers, not their results.
     """
     workers = worker_count(jobs, len(items))
     if workers == 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
+    size = max(1, len(items) // (64 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (64 * workers))))
+        ahead = deque()
+        for i in range(0, len(items), size):
+            ahead.append(pool.submit(_map_chunk, fn, items[i : i + size]))
+            if len(ahead) == 2 * workers:
+                yield from ahead.popleft().result()
+        while ahead:
+            yield from ahead.popleft().result()
 
 
 # ---------------------------------------------------------------------------

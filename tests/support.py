@@ -20,6 +20,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
@@ -514,7 +515,7 @@ def c40_cells_bruteforce(c_lo: int, c_hi: int) -> Tuple[List[tuple], List[tuple]
     A cell (b, c, n) is covered when some block count q, with its window
     x = ceil((b+1)/q), y = floor((b+c)/q) satisfying c+1 <= x <= y, and some
     part count t give t*x <= n <= t*y.  Every q from 1 to b and every t is
-    tried for every n on its own; rows match sweep_c40's per_cell format
+    tried for every n on its own; rows are those sweep_c40 passes its sink
     (c, b, n_lo, n_hi, cells, failures).
     """
     failures: List[tuple] = []
@@ -536,6 +537,54 @@ def c40_cells_bruteforce(c_lo: int, c_hi: int) -> Tuple[List[tuple], List[tuple]
             failures += missed
             rows.append((c, b, n_lo, n_hi, n_hi - n_lo + 1, len(missed)))
     return failures, rows
+
+
+def c40_scan_c_bitmask(c: int) -> Tuple[int, List[tuple], List[tuple]]:
+    """sweep_c40's (cells, failures, rows) for one c, by bitmask: every t-range
+    [t*x, t*y] of every q <= b/c is ORed into an int with one bit per n."""
+    cells = 0
+    failures: List[tuple] = []
+    rows: List[tuple] = []
+    for b in range(2 * c, c * c // 2 + 1):
+        n_lo = 2 * b + c + 1
+        n_hi = (-(-b // (c - 1))) * (b + 1)
+        width = n_hi - n_lo + 1
+        full = (1 << width) - 1
+        covered = 0  # bit i set once n_lo + i is realized
+        for q in range(b // c, 0, -1):  # q <= b/c keeps x = ceil((b+1)/q) >= c+1
+            x = -(-(b + 1) // q)
+            y = (b + c) // q
+            if x < c + 1 or y < x:
+                continue
+            for t in range(max(1, -(-n_lo // y)), n_hi // x + 1):
+                lo = max(t * x, n_lo)
+                hi = min(t * y, n_hi)
+                if lo <= hi:
+                    covered |= ((1 << (hi - lo + 1)) - 1) << (lo - n_lo)
+            if covered == full:
+                break
+        cells += width
+        miss = _mask_vertices(full & ~covered)
+        failures.extend((b, c, n_lo + i) for i in miss)
+        rows.append((c, b, n_lo, n_hi, width, len(miss)))
+    return cells, failures, rows
+
+
+def c500_rows_bruteforce(c_lo: int, c_hi: int) -> List[tuple]:
+    """sweep_c500's full-mode (c, b, q) rows, in exact rationals: q is the largest
+    block count <= b/c whose window x = ceil((b+1)/q), y = floor((b+c)/q) has
+    c+1 <= x < y and ceil((x-1)/(y-x)) * x <= 2b+c+1, or 0 when none has."""
+    rows = []
+    for c in range(c_lo, c_hi + 1):
+        for b in range(2 * c, c * c // 2 + 1):
+            found = 0
+            for q in range(b // c, 0, -1):
+                x, y = math.ceil(Fraction(b + 1, q)), math.floor(Fraction(b + c, q))
+                if c + 1 <= x < y and math.ceil(Fraction(x - 1, y - x)) * x <= 2 * b + c + 1:
+                    found = q
+                    break
+            rows.append((c, b, found))
+    return rows
 
 
 # ---------------------------------------------------------------------------

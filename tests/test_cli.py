@@ -1,8 +1,14 @@
 """CLI surface: shorthands, output formats, exit codes, cache behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import support
 
 from epolab import cli
 from epolab.cli import main, parse_graph_spec, parse_profile_spec, SpecError
@@ -15,7 +21,7 @@ from epolab.graphs import (
     spider,
 )
 from epolab.obstructions import theorem_decide
-from epolab.symfunc import is_e_positive
+from epolab.symfunc import CSF_ROUTE, is_e_positive
 
 
 def run(capsys, *argv):
@@ -200,6 +206,35 @@ def test_sweep_output_deterministic_across_jobs(capsys):
     assert code1 == code2 == 0 and r1 == r2
 
 
+def test_sweep_c500_csv_matches_oracle_at_any_job_count(capsys, tmp_path):
+    rows = support.c500_rows_bruteforce(41, 120)
+    expected = "c,b,q\n" + "".join(f"{c},{b},{q}\n" for c, b, q in rows)
+    for jobs in ("1", "2"):
+        csv_file = tmp_path / f"jobs{jobs}.csv"
+        code, out, _ = run(capsys, "sweep", "c500", "41..120", "--jobs", jobs,
+                           "--csv", str(csv_file))
+        assert code == 0 and json.loads(out)["cells"] == len(rows)
+        assert csv_file.read_text() == expected, jobs
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_sweep_c500_memory_stays_bounded():
+    # each c's rows are dropped once folded in; 41..200 has 1,293,840 of them in all.
+    # A child's ru_maxrss starts from its parent's peak on Linux, so a fresh
+    # interpreter, not this test process, starts the sweep and reads its peak.
+    launcher = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+                "_, status, usage = os.wait4(p.pid, 0); "
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    sweep = [sys.executable, "-m", "epolab", "sweep", "c500", "41..200"]
+    done = subprocess.run([sys.executable, "-c", launcher] + sweep, capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PATH": ""}, timeout=300)
+    report, peak = done.stdout.splitlines()
+    code, kib = map(int, peak.split())
+    assert code == 0 and json.loads(report)["failures"] == []
+    assert kib < 50 * 1024, f"peak RSS {kib} KiB"
+
+
 def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "c500", "30..700")
     assert code == 2
@@ -253,6 +288,28 @@ def test_trees_scan_cache_survives_torn_last_line(capsys, tmp_path):
     code, out, _ = run(capsys, "trees-scan", "6", "--cache", str(torn))
     assert code == 0 and out == expected
     assert torn.read_text() == repaired
+
+
+def test_trees_scan_cache_prunes_records_it_can_no_longer_serve(capsys, tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    code, expected, _ = run(capsys, "trees-scan", "6", "--cache", str(clean))
+    assert code == 0
+    live = clean.read_text()
+    keys = [json.loads(line)["key"] for line in live.splitlines()]
+    # a record as the scan wrote it before it settled trees by certificate
+    # (csf_e's route, no settled_by), then the live records, then a torn tail
+    old = {"command": "trees-scan", "key": keys[0], "version": "0.1.0", "route": CSF_ROUTE,
+           "result": {"n": 6, "max_degree": 4, "e_positive": False}}
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps(old) + "\n" + live + live.splitlines()[0][:30])
+    code, out, _ = run(capsys, "trees-scan", "6", "--cache", str(cache))
+    assert code == 0 and out == expected
+    assert cache.read_text() == live
+    inode = os.stat(cache).st_ino
+    again, fresh = cli.ResultCache(str(cache)), cli.ResultCache(str(clean))
+    assert [again.get("trees-scan", k) for k in keys] == [fresh.get("trees-scan", k) for k in keys]
+    assert None not in [again.get("trees-scan", k) for k in keys]
+    assert cache.read_text() == live and os.stat(cache).st_ino == inode  # nothing dead: untouched
 
 
 def test_trees_scan_cache_skips_lines_that_are_not_records(capsys, tmp_path):

@@ -9,6 +9,8 @@ import support
 from epolab.graphs import CutProfile, spider, has_connected_partition
 from epolab.obstructions import (
     MissingTypeCertificate,
+    _c40_scan_c,
+    _uncovered,
     analysis_q,
     check_partsums_obstruction,
     q_certificate_search,
@@ -478,13 +480,14 @@ def test_sixm_materialization_spot_checks_m2():
 
 
 def test_sweep_determinism_across_jobs():
-    a = sweep_c40(2, 12, jobs=1)
-    b = sweep_c40(2, 12, jobs=2)
+    rows_a, rows_b = [], []
+    a = sweep_c40(2, 12, jobs=1, rows=rows_a.extend)
+    b = sweep_c40(2, 12, jobs=2, rows=rows_b.extend)
     da, db = a.to_json_dict(), b.to_json_dict()
     da.pop("wall_time_ms")
     db.pop("wall_time_ms")
     assert da == db
-    assert a.per_cell == b.per_cell
+    assert rows_a == rows_b
 
 
 def test_sweep_range_validation():
@@ -499,11 +502,39 @@ def test_sweep_range_validation():
 
 
 def test_sweep_c40_matches_cell_by_cell_oracle():
-    report = sweep_c40(2, 8)
+    per_cell = []
+    report = sweep_c40(2, 8, rows=per_cell.extend)
     failures, rows = support.c40_cells_bruteforce(2, 8)
-    assert report.per_cell == rows
+    assert per_cell == rows
     assert report.failures == failures
     assert report.cells == sum(row[4] for row in rows)
+
+
+def test_c40_interval_union_matches_bitmask_scan():
+    for c in range(2, 41):
+        assert _c40_scan_c(c) == support.c40_scan_c_bitmask(c), c
+
+
+def test_uncovered_lists_the_gaps_a_window_leaves():
+    # n = 5..30 with window (3, 4) alone: t = 2 covers 6..8, t = 3 covers 9..12,
+    # and from t0 = ceil(2/1) = 2 on the ranges touch, so only 5 is missed
+    assert _uncovered(5, 30, [(3, 4)]) == [5]
+    assert _uncovered(5, 30, [(5, 5)]) == [n for n in range(6, 31) if n % 5]
+    assert _uncovered(7, 9, []) == [7, 8, 9]
+    assert _uncovered(7, 9, [(7, 9)]) == []
+    # the real grid with q = floor(b/c) alone: gaps the full sweep fills with smaller q
+    missed = 0
+    for c in (5, 9, 12):
+        for b in range(2 * c, c * c // 2 + 1):
+            n_lo, n_hi = 2 * b + c + 1, -(-b // (c - 1)) * (b + 1)
+            window = q_interval(b, c, b // c)
+            gaps = _uncovered(n_lo, n_hi, [window] if window else [])
+            expected = [n for n in range(n_lo, n_hi + 1)
+                        if not (window and any(t * window[0] <= n <= t * window[1]
+                                               for t in range(1, n // window[0] + 1)))]
+            assert gaps == expected, (b, c)
+            missed += len(gaps)
+    assert missed > 0
 
 
 def test_worker_count_is_clamped():

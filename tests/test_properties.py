@@ -4,11 +4,12 @@ The frontier DP is checked against the 2^|E| subset tally, the expansion
 against the deletion-contraction chromatic polynomial, Waring's formula
 against Newton's recurrence, the connected-partition search against a blind
 set-partition enumeration, missing_types against one search per type, the
-cut profiles against one component count per deleted vertex, the tree DP's
-keys and signs against that search, and missing-type certificates on random
-trees against that search and a scan of every ordering.  On random trees up
-to 20 vertices a missing type must mean not e-positive.  Hypothesis runs
-derandomized, so every run draws the same examples.
+cut profiles against one component count per deleted vertex (and so on every
+free tree up to 11 vertices), the tree DP's keys and signs against that
+search, and missing-type certificates on random trees against that search
+and a scan of every ordering.  On random trees up to 20 vertices a missing
+type must mean not e-positive.  Hypothesis runs derandomized, so every run
+draws the same examples.
 """
 
 import math
@@ -20,6 +21,7 @@ from epolab.graphs import (
     Graph,
     _tree_type_tally,
     cut_profiles,
+    enumerate_free_trees,
     has_connected_partition,
     is_connected,
     missing_types,
@@ -123,6 +125,13 @@ def test_missing_types_match_per_type_search(G):
 @example(spider((2, 2, 1, 1)))
 def test_cut_profiles_match_per_vertex_components(G):
     assert cut_profiles(G) == support.cut_profiles_bruteforce(G)
+
+
+def test_cut_profiles_of_every_free_tree_match_per_vertex_components():
+    # cut_profiles takes its subtree-size pass on a tree: check it on all 436 trees with n <= 11
+    for n in range(1, 12):
+        for G in enumerate_free_trees(n):
+            assert cut_profiles(G) == support.cut_profiles_bruteforce(G), sorted(G.edges)
 
 
 @PROPERTY
