@@ -25,7 +25,6 @@ from .graphs import (
     path_graph,
     spider,
     star_graph,
-    tree_canonical_key,
 )
 from .symfunc import (
     ESymExpansion,

@@ -16,6 +16,7 @@ from typing import Optional
 
 from . import __version__
 from .graphs import (
+    FREE_TREES_MAX_N,
     MISSING_TYPES_MAX_N,
     CutProfile,
     Graph,
@@ -46,7 +47,6 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
 
-TREES_SCAN_MAX_N = 16  # trees-scan's guard on n_max, the free-tree enumerator's own
 # tags trees-scan's cached verdicts: the settle route, then csf_e's algorithms
 SCAN_ROUTE = f"settle=certificate,missing-type,csf;{CSF_ROUTE}"
 SETTLE_STEPS = ("certificate", "missing-type", "csf")  # a verdict's settled_by, in route order
@@ -143,19 +143,19 @@ def parse_profile_spec(spec: str) -> CutProfile:
 
 
 class ResultCache:
-    """Append-only JSONL cache keyed by (command, input key, version, route).
+    """Append-only JSONL cache of trees-scan verdicts, keyed by tree.
 
-    The route tag names the algorithms behind a result (SCAN_ROUTE), so a
-    record without it, or with another, is a miss.  A line that does not
-    parse is what an interrupted append leaves behind: it is skipped, and the
-    next append starts on a fresh line so that its record stays whole.  A line
-    that is not UTF-8, or parses but is not a whole record, or whose result is
-    not an object with a bool `e_positive` and a `settled_by` from
-    SETTLE_STEPS (the only command cached is trees-scan), is skipped too, as a
-    miss.  Records are written as ASCII JSON, so a skipped line is never one
-    of them.  A whole record under another version or route can never be
-    served again: when a load finds one, it rewrites the file with only the
-    records it can serve.
+    A record holds command "trees-scan", the key, the version and a route tag
+    naming the algorithms behind its result (SCAN_ROUTE); one under another
+    command, version or route, or with no route, is a miss.  A line that does
+    not parse is what an interrupted append leaves behind: it is skipped, and
+    the next append starts on a fresh line so that its record stays whole.  A
+    line that is not UTF-8, or parses but is not a whole record, or whose
+    result is not an object with a bool `e_positive` and a `settled_by` from
+    SETTLE_STEPS, is skipped too, as a miss.  Records are written as ASCII
+    JSON, so a skipped line is never one of them.  A whole record under
+    another command, version or route can never be served again: when a load
+    finds one, it rewrites the file with only the records it can serve.
     """
 
     def __init__(self, path: Optional[str]):
@@ -171,12 +171,12 @@ class ResultCache:
             for line in data.splitlines():
                 try:
                     rec = json.loads(line.decode("utf-8"))
-                    key = (rec["command"], rec["key"], rec["version"], rec.get("route"))
-                    result = rec["result"]
+                    tag = (rec["command"], rec["version"], rec.get("route"))
+                    key, result = rec["key"], rec["result"]
                     hash(key)  # a key that cannot be a dict key makes the line no record
                 except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                     continue
-                if key[2:] != (__version__, SCAN_ROUTE):
+                if tag != ("trees-scan", __version__, SCAN_ROUTE):
                     dead = True
                 elif (isinstance(result, dict) and isinstance(result.get("e_positive"), bool)
                         and result.get("settled_by") in SETTLE_STEPS):
@@ -204,25 +204,21 @@ class ResultCache:
             raise
         self._torn_tail = False
 
-    def get(self, command: str, key: str):
-        return self._records.get((command, key, __version__, SCAN_ROUTE))
+    def get(self, key: str):
+        return self._records.get(key)
 
-    def put(self, command: str, records) -> None:
-        """Store (key, result) pairs; the new ones are appended to the file in one open."""
-        lines = []
-        for key, result in records:
-            full_key = (command, key, __version__, SCAN_ROUTE)
-            if full_key not in self._records:
-                self._records[full_key] = result
-                record = {"command": command, "key": key, "version": __version__,
+    def put(self, records) -> None:
+        """Append (key, result) pairs in one open; get never serves them, as a scan looks each key up once."""
+        if not self.path or not records:
+            return
+        with open(self.path, "a") as fh:
+            if self._torn_tail:
+                fh.write("\n")
+                self._torn_tail = False
+            for key, result in records:
+                record = {"command": "trees-scan", "key": key, "version": __version__,
                           "route": SCAN_ROUTE, "result": result}
-                lines.append(json.dumps(record, sort_keys=True) + "\n")
-        if self.path and lines:
-            with open(self.path, "a") as fh:
-                if self._torn_tail:
-                    fh.write("\n")
-                    self._torn_tail = False
-                fh.writelines(lines)
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +314,8 @@ def cmd_trees_scan(args) -> int:
     n_max = args.n_max
     if n_max < 1:
         raise SpecError("need n_max >= 1")
-    if n_max > TREES_SCAN_MAX_N:
-        raise GuardError(f"size guard, n_max={n_max} > {TREES_SCAN_MAX_N}")
+    if n_max > FREE_TREES_MAX_N:
+        raise GuardError(f"size guard, n_max={n_max} > {FREE_TREES_MAX_N}")
     cache = ResultCache(args.cache)
     counterexamples = []
     rows = []
@@ -327,12 +323,12 @@ def cmd_trees_scan(args) -> int:
         qualifying = [G for G in enumerate_free_trees(n) if max_degree(G) >= 4]
         # the edge list determines the tree, so a hit is that tree's own verdict
         keys = [f"n{n}:" + ",".join(f"{u}-{v}" for u, v in sorted(G.edges)) for G in qualifying]
-        verdicts = [cache.get("trees-scan", key) for key in keys]
+        verdicts = [cache.get(key) for key in keys]
         todo = [i for i, hit in enumerate(verdicts) if hit is None]
         fresh = parallel_map(_settle_tree, [qualifying[i] for i in todo], args.jobs)
         for i, verdict in zip(todo, fresh):
-            verdicts[i] = {"n": n, "max_degree": max_degree(qualifying[i]), **verdict}
-        cache.put("trees-scan", [(keys[i], verdicts[i]) for i in todo])
+            verdicts[i] = verdict
+        cache.put([(keys[i], verdicts[i]) for i in todo])
         bad = [G for G, verdict in zip(qualifying, verdicts) if verdict["e_positive"]]
         counterexamples.extend(bad)
         settled = Counter(verdict["settled_by"] for verdict in verdicts)

@@ -9,10 +9,9 @@ and component computations cheap at the sizes this library targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .partitions import partitions_of
+from .partitions import packed_partitions
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,12 +387,6 @@ def _dfs_tree(adj) -> List[int]:
 MISSING_TYPES_MAX_N = 25
 
 
-@lru_cache(maxsize=None)  # one entry per n <= MISSING_TYPES_MAX_N
-def _packed_partitions(n: int) -> Tuple[Tuple[tuple, int], ...]:
-    """(lam, packed key) for every partition of n, in stream order."""
-    return tuple((lam, sum(1 << 5 * (p - 1) for p in lam)) for lam in partitions_of(n))
-
-
 def missing_types(G: Graph) -> List[tuple]:
     """Types with no connected partition, in stream order; G is searched for those its DFS tree lacks."""
     if G.n > MISSING_TYPES_MAX_N:
@@ -401,12 +394,14 @@ def missing_types(G: Graph) -> List[tuple]:
     if not is_connected(G):
         raise ValueError("graph must be connected")
     present = _tree_type_tally(_dfs_tree(G.adj), 1)
-    return [lam for lam, key in _packed_partitions(G.n) if key not in present
+    return [lam for lam, key in packed_partitions(G.n) if key not in present
             and (len(G.edges) == G.n - 1 or has_connected_partition(G, lam) is None)]
 
 
 # ---------------------------------------------------------------------------
 # Free trees
+
+FREE_TREES_MAX_N = 16  # enumerate_free_trees' guard on n, and so trees-scan's on n_max
 
 
 def tree_centroids(n: int, adjsets) -> List[int]:
@@ -457,8 +452,8 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
     is taken at that subtree's last vertex; when that vertex is deeper than
     level 2, the tail then restarts as a path as tall as the new first subtree.
     """
-    if not 1 <= n <= 16:
-        raise ValueError(f"free-tree guard: need 1 <= n <= 16, got {n}")
+    if not 1 <= n <= FREE_TREES_MAX_N:
+        raise ValueError(f"free-tree guard: need 1 <= n <= {FREE_TREES_MAX_N}, got {n}")
     if n == 1:
         yield Graph(1, [])
         return

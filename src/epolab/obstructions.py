@@ -97,9 +97,10 @@ def check_partsums_obstruction(lam, profile: CutProfile) -> bool:
     An ordering avoids the window iff some part p follows a sub-multiset S of
     the other parts with sum(S) <= b and sum(S) + p > b+c: put S first, then
     p, then the rest.  A largest part serves as p whenever any part does, so
-    this needs only the subset sums <= b of the other parts.  They are built
-    as a set, one distinct part value at a time, so the set never holds more
-    sums than there are such sub-multisets, however large b is.
+    this needs only the largest subset sum <= b of the other parts.  The sums
+    <= b are built as a set, one distinct part value at a time, but the last
+    value only extends each sum as far as it stays <= b: with two part values
+    v1 > v2, the set holds at most b/v1 + 1 sums.
     """
     parts = tuple(sorted(lam, reverse=True))
     if sum(parts) != profile.n:
@@ -107,11 +108,12 @@ def check_partsums_obstruction(lam, profile: CutProfile) -> bool:
     if any(p < profile.c1 + 1 for p in parts):
         return False
     lo, hi = profile.b + 1, profile.b + profile.c
-    reach = {0}  # the sums < lo of sub-multisets of parts[1:]
-    for v, run in groupby(parts[1:]):
-        top = v * len(tuple(run))
-        reach = {s + t for s in reach for t in range(0, min(top, lo - 1 - s) + 1, v)}
-    return max(reach) + parts[0] <= hi
+    runs = [(v, len(tuple(run))) for v, run in groupby(parts[1:])]
+    reach = {0}  # the sums < lo of sub-multisets of every run of parts[1:] but the last
+    for v, m in runs[:-1]:
+        reach = {s + t for s in reach for t in range(0, min(v * m, lo - 1 - s) + 1, v)}
+    v, m = runs[-1] if runs else (1, 0)
+    return max(s + v * min(m, (lo - 1 - s) // v) for s in reach) + parts[0] <= hi
 
 
 def q_interval(b: int, c: int, q: int) -> Optional[Tuple[int, int]]:
@@ -124,6 +126,20 @@ def q_interval(b: int, c: int, q: int) -> Optional[Tuple[int, int]]:
     return (x, y) if x <= y else None
 
 
+def _interval_certificate(profile: CutProfile, kind: str, qs) -> Optional[MissingTypeCertificate]:
+    """A certificate of an interval kind from the first q in qs whose window
+    q_interval(b, c, q) lies above c1 and holds a partition of n; None if none does."""
+    b, c, c1, n = profile.b, profile.c, profile.c1, profile.n
+    for q in qs:
+        window = q_interval(b, c, q)
+        if window is None or window[0] < c1 + 1:
+            continue
+        lam = interval_partition(n, *window)
+        if lam is not None:
+            return MissingTypeCertificate(profile, lam, kind, q=q if kind == "q-interval" else None)
+    return None
+
+
 def q_certificate_search(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     """Scan q downward for a compressed interval whose sums realize n.
 
@@ -131,15 +147,7 @@ def q_certificate_search(profile: CutProfile) -> Optional[MissingTypeCertificate
     the largest q with ceil((b+1)/q) >= c1+1, and the first q whose interval
     admits a partition of n wins.
     """
-    b, c, c1, n = profile.b, profile.c, profile.c1, profile.n
-    for q in range(b // c1, 0, -1):
-        window = q_interval(b, c, q)
-        if window is None or window[0] < c1 + 1:
-            continue
-        lam = interval_partition(n, *window)
-        if lam is not None:
-            return MissingTypeCertificate(profile, lam, "q-interval", q=q)
-    return None
+    return _interval_certificate(profile, "q-interval", range(profile.b // profile.c1, 0, -1))
 
 
 def strategy_check(b: int, c: int, q: int) -> bool:
@@ -207,20 +215,15 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
         return None
 
     if b <= 2 * c - 2:
-        q = None  # explicit-interval, whose window is q = 1's; the other interval arms set q
+        kind, qs = "explicit-interval", (1,)  # the window [b+1, b+c] itself
     elif c >= c1 + 1 and b == 2 * c - 1:
         if c == 2:
             # b = 3: all 2s when n is even, a single leading 3 otherwise
             lam = (2,) * (n // 2) if n % 2 == 0 else (3,) + (2,) * ((n - 3) // 2)
             return MissingTypeCertificate(profile, lam, "special-b-2c-1")
-        q = 2
+        kind, qs = "q-interval", (2,)
     elif 2 * c <= b and 2 * b <= c * c:
-        if c < 500:
-            cert = q_certificate_search(profile)
-            if cert is None:
-                raise RuntimeError(f"q search unexpectedly failed for {profile}")
-            return cert
-        q = analysis_q(b, c).q
+        kind, qs = "q-interval", range(b // c1, 0, -1) if c < 500 else (analysis_q(b, c).q,)
     elif c >= c1 + 2 and 2 * b >= c * c:
         two_coin = two_coin_representation(n, c)
         if two_coin is None:
@@ -230,11 +233,10 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     else:
         return None
 
-    lam = interval_partition(n, *q_interval(b, c, q or 1))
-    if lam is None:
-        raise RuntimeError(f"interval witness unexpectedly absent for {profile}, q={q}")
-    kind = "explicit-interval" if q is None else "q-interval"
-    return MissingTypeCertificate(profile, lam, kind, q=q)
+    cert = _interval_certificate(profile, kind, qs)
+    if cert is None:
+        raise RuntimeError(f"interval witness unexpectedly absent for {profile}")
+    return cert
 
 
 def describe_inapplicability(profile: CutProfile) -> str:

@@ -1,4 +1,4 @@
-"""Integer partitions, prefix sums, and interval representability.
+"""Integer partitions and their packed keys, prefix sums, interval representability.
 
 A partition is a nonempty tuple of positive ints in weakly decreasing order.
 parse_partition checks this for outside input; the generators here produce
@@ -7,8 +7,9 @@ nothing else.  All arithmetic is exact (Python ints).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 
 def format_parts(parts) -> str:
@@ -56,6 +57,16 @@ def partitions_of(n: int) -> Iterator[tuple]:
                 yield (first,) + tail
 
     yield from capped(n, n)
+
+
+# A multiset of part sizes, whether a partition, a component-size type or an
+# e-monomial, is also packed into one int: part p adds 1 << 5*(p-1), so two
+# multisets merge by one addition.  Each multiplicity must stay below 32,
+# which holds for every multiset of total n <= 31.
+@cache
+def packed_partitions(n: int) -> Tuple[Tuple[tuple, int], ...]:
+    """(lam, packed key) for every partition of n, in stream order."""
+    return tuple((lam, sum(1 << 5 * (p - 1) for p in lam)) for lam in partitions_of(n))
 
 
 def interval_partition(n: int, x: int, y: int) -> Optional[tuple]:

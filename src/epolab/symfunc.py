@@ -2,8 +2,9 @@
 
 Everything is exact: coefficients are Python ints (arbitrary precision), keys
 are partitions stored as weakly decreasing tuples (packed ints inside the
-tallies).  The public entry points are csf_e / is_e_positive, and
-specialize_e evaluates an expansion at k ones.
+tallies, as partitions.packed_partitions packs them).  The public entry
+points are csf_e / is_e_positive, and specialize_e evaluates an expansion at
+k ones.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cache, reduce
 from typing import Dict, List, Tuple
 
 from .graphs import Graph, _component_masks, _mask_vertices, _tree_type_tally
-from .partitions import format_parts, partitions_of
+from .partitions import format_parts, packed_partitions
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,9 +74,6 @@ class EposVerdict:
 CSF_ROUTE = "tally=tree-dp+frontier-dp;p2e=waring"  # tags cached verdicts by route
 CSF_MAX_N = 20  # csf_e's guard on the number of vertices
 STATE_BUDGET = 150_000  # live frontier-DP states; K10 peaks at Bell(10) = 115,975
-# A multiset of part sizes, whether a component-size type or an e-monomial, is
-# one int: part p adds 1 << 5*(p-1), so two multisets merge by one addition.
-# Multiplicities stay below 32 up to degree 25; csf_e guards n <= CSF_MAX_N.
 
 
 class StateBudgetError(RuntimeError):
@@ -92,27 +90,25 @@ def _merge(A: Dict[int, int], B: Dict[int, int]) -> Dict[int, int]:
 
 
 @cache
-def _waring(k: int) -> Tuple[Dict[int, int], Dict[int, tuple]]:
-    """p_k in the e-basis by Waring's formula, keyed by packed partitions, and
-    each partition of k (weakly decreasing) under its key.  The coefficient of
-    e_mu is (-1)^(k - l(mu)) k (l(mu) - 1)! / prod m_i!, m_i = #parts equal to i.
+def _waring(k: int) -> Dict[int, int]:
+    """p_k in the e-basis by Waring's formula, keyed by packed partitions.  The
+    coefficient of e_mu is (-1)^(k - l(mu)) k (l(mu) - 1)! / prod m_i!, m_i =
+    #parts equal to i.
     """
     if not 1 <= k <= 25:
         raise ValueError(f"p_in_e guard: need 1 <= k <= 25, got {k}")
-    coeffs, names = {}, {}
-    for mu in partitions_of(k):
-        key = sum(1 << 5 * (part - 1) for part in mu)
+    coeffs = {}
+    for mu, key in packed_partitions(k):
         coeff = k * math.factorial(len(mu) - 1)
         coeff //= math.prod(math.factorial(m) for m in Counter(mu).values())
         coeffs[key] = -coeff if (k - len(mu)) & 1 else coeff
-        names[key] = mu
-    return coeffs, names
+    return coeffs
 
 
 def p_in_e(k: int) -> ESymExpansion:
     """Degree-k power sum written in the elementary basis (Waring's formula)."""
-    coeffs, names = _waring(k)
-    return ESymExpansion(k, {names[key]: c for key, c in coeffs.items()})
+    coeffs = _waring(k)
+    return ESymExpansion(k, {mu: coeffs[key] for mu, key in packed_partitions(k)})
 
 
 # Bounded: its keys are packed partitions of k <= CSF_MAX_N = 20, at most
@@ -125,7 +121,7 @@ def _prod_p_in_e(lam: int) -> Dict[int, int]:
     if not lam:
         return {0: 1}
     top = (lam.bit_length() + 4) // 5
-    return _merge(_waring(top)[0], _prod_p_in_e(lam - (1 << 5 * (top - 1))))
+    return _merge(_waring(top), _prod_p_in_e(lam - (1 << 5 * (top - 1))))
 
 
 def _frontier_order(adj, comp: int) -> List[int]:
@@ -225,8 +221,7 @@ def csf_e(G: Graph) -> ESymExpansion:
             continue
         for key, val in _prod_p_in_e(lam).items():
             acc[key] = acc.get(key, 0) + cnt * val
-    names = _waring(G.n)[1]
-    return ESymExpansion(G.n, {names[key]: c for key, c in acc.items()})
+    return ESymExpansion(G.n, {lam: acc[key] for lam, key in packed_partitions(G.n) if key in acc})
 
 
 def is_e_positive(G: Graph) -> EposVerdict:

@@ -135,6 +135,22 @@ def test_prove_large_path_is_not_applicable(capsys):
     assert code == 1 and out.startswith("NOT-APPLICABLE: no cut vertex")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_prove_huge_profiles_fit_in_one_gib():
+    # two part values v1 > v2 would put about (b/v1)(b/v2)/2 prefix sums in one
+    # set; folding the last run by a max keeps about b/v1
+    cap = "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for spec in ("profile:a=5000000000,b=5000000000,cs=50000,50000",
+                 "profile:a=10000000000,b=10000000000,cs=5000,3"):
+        done = subprocess.run(
+            [sys.executable, "-c", cap + "runpy.run_module('epolab', run_name='__main__')",
+             "prove", spec], capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
+            timeout=120)
+        assert done.returncode == 0, (spec, done.stderr[-500:])
+        assert json.loads(done.stdout)["verified"] is True
+
+
 def test_trees_scan_small(capsys):
     # no tree on <= 4 vertices has a degree-4 vertex; the first is the
     # 5-vertex star, and it is not e-positive
@@ -307,9 +323,30 @@ def test_trees_scan_cache_prunes_records_it_can_no_longer_serve(capsys, tmp_path
     assert cache.read_text() == live
     inode = os.stat(cache).st_ino
     again, fresh = cli.ResultCache(str(cache)), cli.ResultCache(str(clean))
-    assert [again.get("trees-scan", k) for k in keys] == [fresh.get("trees-scan", k) for k in keys]
-    assert None not in [again.get("trees-scan", k) for k in keys]
+    assert [again.get(k) for k in keys] == [fresh.get(k) for k in keys]
+    assert None not in [again.get(k) for k in keys]
     assert cache.read_text() == live and os.stat(cache).st_ino == inode  # nothing dead: untouched
+
+
+def test_trees_scan_cache_prunes_records_under_another_command(capsys, tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    code, expected, _ = run(capsys, "trees-scan", "6", "--cache", str(clean))
+    assert code == 0
+    live = clean.read_text()
+    other = dict(json.loads(live.splitlines()[0]), command="csf")
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps(other) + "\n" + live)
+    code, out, _ = run(capsys, "trees-scan", "6", "--cache", str(cache))
+    assert (code, out) == (0, expected)
+    assert cache.read_text() == live
+
+
+def test_trees_scan_cache_serves_only_what_the_file_held_at_load(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    for cache in (cli.ResultCache(str(path)), cli.ResultCache(None)):
+        cache.put([("k", {"e_positive": False, "settled_by": "csf"})])
+        assert cache.get("k") is None
+    assert cli.ResultCache(str(path)).get("k") == {"e_positive": False, "settled_by": "csf"}
 
 
 def test_trees_scan_cache_skips_lines_that_are_not_records(capsys, tmp_path):

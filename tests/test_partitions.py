@@ -8,6 +8,7 @@ import support
 from epolab.partitions import (
     format_parts,
     interval_partition,
+    packed_partitions,
     parse_partition,
     partial_sums,
     partitions_of,
@@ -96,6 +97,14 @@ def test_partitions_of_counts_and_order():
     assert stream == sorted(stream, reverse=True)
     assert stream[0] == (8,) and stream[-1] == (1,) * 8
     assert len(set(stream)) == len(stream)
+
+
+def test_packed_partitions_decode_to_the_partitions_in_order():
+    for n in range(1, 26):
+        table = packed_partitions(n)
+        assert [lam for lam, _ in table] == list(partitions_of(n)), n
+        # distinct keys, each decoding to its own partition
+        assert list(support.unpack_tally({key: 1 for _, key in table})) == list(partitions_of(n)), n
 
 
 def test_interval_partition_examples():
