@@ -111,19 +111,6 @@ def p_in_e(k: int) -> ESymExpansion:
     return ESymExpansion(k, {mu: coeffs[key] for mu, key in packed_partitions(k)})
 
 
-# Bounded: its keys are packed partitions of k <= CSF_MAX_N = 20, at most
-# 2,713.  All 1,739 degree->=4 trees up to n = 13 plus five 20-vertex spiders
-# leave 1,281 keys and 107K entries, at a 25 MB peak.
-@cache
-def _prod_p_in_e(lam: int) -> Dict[int, int]:
-    """Packed e-basis expansion of the power-sum product over the parts of the
-    packed type lam, its largest part peeled first."""
-    if not lam:
-        return {0: 1}
-    top = (lam.bit_length() + 4) // 5
-    return _merge(_waring(top), _prod_p_in_e(lam - (1 << 5 * (top - 1))))
-
-
 def _frontier_order(adj, comp: int) -> List[int]:
     """Vertices of comp, each next one leaving the fewest frontier vertices (placed
     ones with an unplaced neighbour), then fewest unplaced neighbours, then lowest."""
@@ -211,16 +198,36 @@ def csf_e(G: Graph) -> ESymExpansion:
     Stanley's signed edge-subset sum over power sums, tallied by component-size
     type with no subset visited (_type_tally; the frontier DP costs its live
     states and raises StateBudgetError past STATE_BUDGET), then converted to
-    the e-basis through Waring's formula.
+    the e-basis through Waring's formula by one walk over the tally's types,
+    each read smallest part first and the types in lexicographic order.  A
+    stack holds the products of the current type's leading parts, so types
+    sharing leading parts share their products, and memory stays within the
+    stack and the result: nothing is kept between calls.
     """
     if G.n > CSF_MAX_N:
         raise ValueError(f"csf_e guard: n={G.n} > {CSF_MAX_N}")
+    names = {key: lam for lam, key in packed_partitions(G.n)}
     acc: Dict[int, int] = {}
-    for lam, cnt in _type_tally(G).items():
-        if cnt == 0:
-            continue
-        for key, val in _prod_p_in_e(lam).items():
-            acc[key] = acc.get(key, 0) + cnt * val
+    # stack[d] is the packed e-expansion of p_{path[0]} ... p_{path[d-1]}.  Smallest
+    # part first makes each node _waring(its largest part) times its parent, so
+    # big partials never meet the many small _waring(k).  Every type sums to G.n,
+    # so none extends another: each is a leaf, merged straight into acc.
+    path: List[int] = []
+    stack: List[Dict[int, int]] = [{0: 1}]
+    for parts, cnt in sorted((names[lam][::-1], cnt) for lam, cnt in _type_tally(G).items() if cnt):
+        *head, last = parts
+        d = 0
+        while d < len(path) and d < len(head) and path[d] == head[d]:
+            d += 1
+        del path[d:], stack[d + 1 :]
+        for part in head[d:]:
+            stack.append(_merge(_waring(part), stack[-1]))
+            path.append(part)
+        for kw, cw in _waring(last).items():
+            cw *= cnt
+            for kp, cp in stack[-1].items():
+                key = kw + kp
+                acc[key] = acc.get(key, 0) + cw * cp
     return ESymExpansion(G.n, {lam: acc[key] for lam, key in packed_partitions(G.n) if key in acc})
 
 

@@ -10,8 +10,9 @@ chromatic polynomial, the missing types by one search per type, the cut
 profiles by one component count per deleted vertex, and the free trees by
 deduplicating every rooted tree on its canonical key.
 Compositions and their rearrangements live here too: only the tests need
-ordered parts.  So do the disjoint union of two graphs and the product of two
-e-expansions, which only the multiplicativity check of csf_e uses.
+ordered parts.  So do the disjoint union of two graphs, which only the
+multiplicativity check of csf_e uses, and the product of two e-expansions,
+which that check and the power-sum to e-basis conversion by type share.
 """
 
 from __future__ import annotations
@@ -596,7 +597,8 @@ def unpack_tally(tally) -> Dict[tuple, int]:
     weakly decreasing tuples."""
     out: Dict[tuple, int] = {}
     for key, c in tally.items():
-        parts = tuple(p for p in range(25, 0, -1) for _ in range(key >> 5 * (p - 1) & 31))
+        top = (key.bit_length() + 4) // 5  # the highest non-empty 5-bit field
+        parts = tuple(p for p in range(top, 0, -1) for _ in range(key >> 5 * (p - 1) & 31))
         out[parts] = c
     return out
 
@@ -642,6 +644,21 @@ def p_in_e_recurrence(k: int) -> Dict[tuple, int]:
             merged = tuple(sorted(key + (i,), reverse=True))
             acc[merged] = acc.get(merged, 0) + (-1) ** (i - 1) * val
     return {key: val for key, val in acc.items() if val}
+
+
+def p_to_e_by_type(tally) -> ESymExpansion:
+    """sum_lam c_lam * prod_i p_{lam_i} in the e-basis, from a tally keyed by
+    partition tuples: Newton's recurrence per part and multiply_e per product,
+    with no packed keys and no Waring's formula."""
+    n = sum(next(iter(tally), ()))
+    acc: Dict[tuple, int] = {}
+    for lam, c in tally.items():
+        prod = ESymExpansion(0, {(): 1})
+        for part in lam:
+            prod = multiply_e(prod, ESymExpansion(part, p_in_e_recurrence(part)))
+        for key, val in prod.coeffs.items():
+            acc[key] = acc.get(key, 0) + c * val
+    return ESymExpansion(n, acc)
 
 
 def disjoint_union(G: Graph, H: Graph) -> Graph:

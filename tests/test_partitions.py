@@ -100,7 +100,8 @@ def test_partitions_of_counts_and_order():
 
 
 def test_packed_partitions_decode_to_the_partitions_in_order():
-    for n in range(1, 26):
+    # every n <= 31 packs (each multiplicity < 32); parts 26..31 use the top fields
+    for n in range(1, 32):
         table = packed_partitions(n)
         assert [lam for lam, _ in table] == list(partitions_of(n)), n
         # distinct keys, each decoding to its own partition

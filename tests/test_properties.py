@@ -1,8 +1,9 @@
 """Property tests of the e-expansion route on random small graphs.
 
 The frontier DP is checked against the 2^|E| subset tally, the expansion
-against the deletion-contraction chromatic polynomial, Waring's formula
-against Newton's recurrence, the connected-partition search against a blind
+against the deletion-contraction chromatic polynomial and (on every free tree
+up to 10 vertices too) against products of Newton's recurrence summed over the
+subset tally, Waring's formula against Newton's recurrence, the connected-partition search against a blind
 set-partition enumeration, missing_types against one search per type, the
 cut profiles against one component count per deleted vertex (and so on every
 free tree up to 11 vertices), the tree DP's keys and signs against that
@@ -92,6 +93,20 @@ def test_specialization_matches_chromatic_polynomial(G):
     X = csf_e(G)
     for k in range(5):
         assert specialize_e(X, k) == chromatic_polynomial(G, k)
+
+
+@PROPERTY
+@given(small_graphs())
+def test_csf_e_matches_p_to_e_by_type(G):
+    tally = support._subset_type_tally(G.n, sorted(G.edges))
+    assert csf_e(G) == support.p_to_e_by_type(tally)
+
+
+def test_csf_e_of_every_free_tree_and_a_spider_matches_p_to_e_by_type():
+    # all 201 trees with n <= 10, and S(6,4,1,1), which has every type
+    for G in [G for n in range(1, 11) for G in enumerate_free_trees(n)] + [spider((6, 4, 1, 1))]:
+        tally = support._subset_type_tally(G.n, sorted(G.edges))
+        assert csf_e(G) == support.p_to_e_by_type(tally), sorted(G.edges)
 
 
 @PROPERTY

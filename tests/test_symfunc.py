@@ -2,15 +2,18 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
 import support
 from support import _subset_type_tally, chromatic_polynomial, disjoint_union, multiply_e, unpack_tally
 from epolab.graphs import Graph, path_graph, spider
+from epolab.partitions import packed_partitions
 from epolab.symfunc import (
     ESymExpansion,
     _type_tally,
+    _waring,
     csf_e,
     is_e_positive,
     p_in_e,
@@ -97,6 +100,23 @@ def test_csf_k2_and_guard():
     assert csf_e(Graph(2, [(0, 1)])).coeffs == {(2,): 2}
     with pytest.raises(ValueError):
         csf_e(path_graph(21))
+
+
+def test_csf_memory_is_bounded_by_the_call():
+    # with _waring and the packed table warm, the p->e walk keeps nothing past
+    # the call and peaks at its stack and result (a memo of every type's
+    # product held 9.4 MB here)
+    for k in range(1, 21):
+        _waring(k)
+    packed_partitions(20)
+    tracemalloc.start()
+    try:
+        csf_e(spider((8, 7, 4)))
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert left < 500_000
 
 
 def test_csf_homogeneous():
