@@ -3,8 +3,9 @@
 The frontier DP is checked against the 2^|E| subset tally, the expansion
 against the deletion-contraction chromatic polynomial and (on every free tree
 up to 10 vertices too) against products of Newton's recurrence summed over the
-subset tally, Waring's formula against Newton's recurrence, the connected-partition search against a blind
-set-partition enumeration, missing_types against one search per type, the
+subset tally, Waring's formula against Newton's recurrence, the
+connected-partition search against a blind set-partition enumeration,
+missing_types against one search per type, the
 cut profiles against one component count per deleted vertex (and so on every
 free tree up to 11 vertices), the tree DP's keys and signs against that
 search, and missing-type certificates on random trees against that search

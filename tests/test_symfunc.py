@@ -103,9 +103,9 @@ def test_csf_k2_and_guard():
 
 
 def test_csf_memory_is_bounded_by_the_call():
-    # with _waring and the packed table warm, the p->e walk keeps nothing past
-    # the call and peaks at its stack and result (a memo of every type's
-    # product held 9.4 MB here)
+    # with _waring and the packed table warm, the p->e walk allocates only its
+    # stack and the result and keeps nothing past the call; a product kept
+    # per type would hold about 10 MB here
     for k in range(1, 21):
         _waring(k)
     packed_partitions(20)
