@@ -19,7 +19,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import accumulate, groupby, repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .graphs import ConnectedPartition, CutProfile, spider
@@ -499,83 +499,30 @@ class SixmConstruction:
     alpha: Optional[Tuple[int, ...]] = None
 
 
-def _window_free(parts: tuple, w1: int, w2: int) -> bool:
-    return not ({w1, w2} & partial_sums(parts))
-
-
-def _split_at_sum(seq: tuple, target: int) -> Tuple[tuple, int, tuple]:
-    """(head, mid, tail) where head sums to target and mid follows it."""
-    acc = 0
-    for i, p in enumerate(seq):
-        if acc == target:
-            return seq[:i], seq[i], seq[i + 1 :]
-        acc += p
-    raise RuntimeError(f"no proper prefix of {seq} sums to {target}")
-
-
-def _drop_one(seq: tuple, value: int) -> tuple:
-    i = seq.index(value)
-    return seq[:i] + seq[i + 1 :]
-
-
-def _repair_window(beta: tuple, m: int) -> Tuple[tuple, str]:
-    """Reorder beta so its prefix sums skip {6m-1, 6m}.
-
-    Assumes both the window {6m-1, 6m} and its mirror {6m+1, 6m+2} meet the
-    prefix sums of beta (otherwise beta or its reverse already works), that
-    beta has at most one part 1, and that it has a part >= 3.  One swap around
-    the window fixes each of the four boundary patterns.
-    """
-    w = 6 * m
-    sums = partial_sums(beta)
-
-    if w in sums and w + 1 in sums:
-        # head | 1 | tail with both halves summing 6m; move a big part onto the 1
-        head, _, tail = _split_at_sum(beta, w)
-        case = "one-between"
-        if not any(p >= 3 for p in head):
-            head, tail = tail[::-1], head[::-1]
-            case = "one-between-reversed"
-        big = max(p for p in head if p >= 3)
-        return _drop_one(head, big) + (1, big) + tail, case
-
-    if w in sums and w + 1 not in sums and w + 2 in sums:
-        # mirror image of the pattern below; reverse and fall through
-        alpha, case = _repair_window(beta[::-1], m)
-        return alpha, case + "-reversed"
-
-    if w - 1 in sums and w not in sums and w + 1 in sums:
-        head, _, tail = _split_at_sum(beta, w - 1)  # the part between is a 2
-        if any(p >= 3 for p in head):
-            big = max(p for p in head if p >= 3)
-            return _drop_one(head, big) + (2, big) + tail, "two-between"
-        # head must be a single 1 plus (3m-1) 2s; pull the big part forward
-        big = max(p for p in tail if p >= 3)
-        return (2,) * (3 * m - 1) + (big, 1, 2) + _drop_one(tail, big), "two-between-flat"
-
-    if w - 1 in sums and w not in sums and w + 1 not in sums and w + 2 in sums:
-        head, _, tail = _split_at_sum(beta, w - 1)  # the part between is a 3
-        if 1 in head:
-            return _drop_one(head, 1) + (3, 1) + tail, "three-between-one"
-        if any(p >= 4 for p in head):
-            big = max(p for p in head if p >= 4)
-            return _drop_one(head, big) + (3, big) + tail, "three-between-big"
-        if 1 in tail or any(p >= 4 for p in tail):
-            alpha, case = _repair_window(beta[::-1], m)
-            return alpha, case + "-reversed"
-        # both halves are all 2s and 3s; 6m-1 forces a 3 in front and a 2 behind
-        return _drop_one(head, 3) + (2, 3, 3) + _drop_one(tail, 2), "three-between-mixed"
-
-    raise RuntimeError(f"unreachable window pattern for {beta}")
-
-
 def sixm_rearrangement(lam, m: int) -> SixmConstruction:
     """Find an ordering of lam whose prefix sums skip {6m-1, 6m}.
 
-    Starts from the sorted ordering, tries its reverse, then applies one
-    repair swap around the window.  Types with two 1s, or all 2s plus one 1,
-    are flagged for the direct two-leaf construction instead.  Every returned
-    ordering is checked to avoid the window and preserve the multiset.
+    Types with two 1s, or all 2s plus one 1, are flagged for the direct
+    two-leaf construction instead.  Any other weakly decreasing type has at
+    most one part 1, which comes last, and a part >= 3.  With S its proper
+    prefix sums and w = 6m, one rule orders it:
+
+    * identity, when S misses {w-1, w};
+    * reversal, when S misses {w+1, w+2}: the reversed prefix sums are n - S;
+    * otherwise move the largest part parts[0].  If w-1 is in S, the part
+      after that prefix is a 2 or a 3 and parts[0] goes right behind it
+      (two-between, three-between-big).  Else w and w+2 are in S, and the
+      output is (2)^(3m-1), parts[0], 1, 2, then the ascending rest less one
+      parts[0] (two-between-flat-reversed).
+
+    Why these suffice: the 1 follows the prefix 12m, so no 1 follows a prefix
+    from w-1 to w+1.  If w-1 is in S and a part >= 4 follows it, the mirror
+    window {w+1, w+2} is missed.  A head of parts >= 2 summing to the odd
+    6m-1 has a part >= 3, and a head of parts >= 3 summing to 6m-1 = 2 (mod 3)
+    has a part >= 4, so parts[0] is bigger than the part it passes and the
+    new prefix jumps from below w-1 to past w.  Read in ascending order, only
+    the 1 and 2s reach 6m-1, which fixes the last ordering's head.  Every
+    returned ordering is checked to avoid the window and keep the multiset.
     """
     parts = tuple(sorted(lam, reverse=True))
     n = 12 * m + 1
@@ -583,7 +530,6 @@ def sixm_rearrangement(lam, m: int) -> SixmConstruction:
         raise ValueError(f"need m >= 1, got {m}")
     if sum(parts) != n:
         raise ValueError(f"type {parts} does not sum to {n}")
-    w1, w2 = 6 * m - 1, 6 * m
 
     if parts.count(1) >= 2:
         return SixmConstruction(m=m, lam=parts, kind="exceptional-two-ones", case="two-ones")
@@ -593,14 +539,21 @@ def sixm_rearrangement(lam, m: int) -> SixmConstruction:
             m=m, lam=parts, kind="exceptional-all-twos-one", case="all-twos-one"
         )
 
-    if _window_free(parts, w1, w2):
+    w = 6 * m
+    sums = partial_sums(parts)
+    if not {w - 1, w} & sums:
         alpha, case = parts, "identity"
-    elif _window_free(parts[::-1], w1, w2):
+    elif not {w + 1, w + 2} & sums:
         alpha, case = parts[::-1], "reversal"
+    elif w - 1 in sums:
+        k = list(accumulate(parts)).index(w - 1) + 1  # parts[k] follows the prefix w-1
+        alpha = parts[1:k] + (parts[k], parts[0]) + parts[k + 1 :]
+        case = "two-between" if parts[k] == 2 else "three-between-big"
     else:
-        alpha, case = _repair_window(parts, m)
+        alpha = (2,) * (3 * m - 1) + (parts[0], 1, 2) + parts[::-1][3 * m + 1 : -1]
+        case = "two-between-flat-reversed"
 
-    if not _window_free(alpha, w1, w2):
+    if {w - 1, w} & partial_sums(alpha):
         raise RuntimeError(f"construction failed for {parts} (case {case})")
     if tuple(sorted(alpha, reverse=True)) != parts:
         raise RuntimeError(f"construction changed the multiset for {parts}")
@@ -665,10 +618,6 @@ class SixmReport:
     case_tallies: Dict[str, int]
     failures: List[tuple]
     materialized: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def to_json_dict(self) -> dict:
         return {

@@ -92,14 +92,14 @@ def interval_partition(n: int, x: int, y: int) -> Optional[tuple]:
 def two_coin_representation(n: int, c: int) -> Optional[tuple]:
     """Nonnegative (a1, a2) with n = a1*c + a2*(c-1), smallest a1 first.
 
-    Guaranteed to exist for n >= (c-1)(c-2).
+    Guaranteed to exist for n >= (c-1)(c-2).  Since a1 = n (mod c-1), the
+    smallest candidate is n % (c-1); if even it overshoots n, none fits.
     """
     if c < 3:
         raise ValueError(f"need c >= 3, got {c}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    for a1 in range(n // c + 1):
-        rem = n - a1 * c
-        if rem % (c - 1) == 0:
-            return (a1, rem // (c - 1))
-    return None
+    a1 = n % (c - 1)
+    if a1 * c > n:
+        return None
+    return (a1, (n - a1 * c) // (c - 1))

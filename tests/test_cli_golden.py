@@ -44,6 +44,8 @@ COMMANDS = [
     "prove profile:a=6,b=4,cs=1,1",
     "prove spider:6,4,1,1",
     "prove spider:2,2,2,2,2",
+    "prove spider:3,2,1",
+    "prove profile:a=7,b=7,cs=4",
     "sixm 1 --cross-check",
     "sixm 2 --json",
     "sixm 3",

@@ -387,6 +387,15 @@ def test_sixm_examples():
     rec = sixm_rearrangement((3, 1, 1, 2, 2, 2, 2), 1)
     assert rec.kind == "exceptional-two-ones"
 
+    # one type per move of the largest part
+    for lam, alpha, case in [
+        ((5, 2, 2, 2, 2), (2, 5, 2, 2, 2), "two-between"),
+        ((5, 3, 3, 2), (3, 5, 3, 2), "three-between-big"),
+        ((6, 2, 2, 2, 1), (2, 2, 6, 1, 2), "two-between-flat-reversed"),
+    ]:
+        rec = sixm_rearrangement(lam, 1)
+        assert (rec.alpha, rec.case) == (alpha, case)
+
 
 def test_sixm_rearrangement_window_free():
     for m in (1, 2):

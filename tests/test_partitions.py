@@ -158,9 +158,14 @@ def test_two_coin_valid_and_guaranteed():
         threshold = (c - 1) * (c - 2)
         for n in range(1, c * c + 1):
             rep = two_coin_representation(n, c)
-            if rep is not None:
+            # brute force: the smallest a1 of any pair, or None when no pair exists
+            a1s = [a1 for a1 in range(n // c + 1) if (n - a1 * c) % (c - 1) == 0]
+            if rep is None:
+                assert not a1s, (n, c)
+            else:
                 a1, a2 = rep
                 assert a1 >= 0 and a2 >= 0 and a1 * c + a2 * (c - 1) == n
+                assert a1 == a1s[0], (n, c)
             if n >= threshold:
                 assert rep is not None, (n, c)
 
