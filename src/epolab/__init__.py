@@ -31,8 +31,6 @@ from .symfunc import (
     EposVerdict,
     csf_e,
     is_e_positive,
-    p_in_e,
-    specialize_e,
 )
 from .obstructions import (
     MissingTypeCertificate,
@@ -42,7 +40,6 @@ from .obstructions import (
     analysis_q,
     check_partsums_obstruction,
     describe_inapplicability,
-    q_certificate_search,
     q_interval,
     sixm_connected_partition,
     sixm_full_check,

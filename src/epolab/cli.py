@@ -31,6 +31,8 @@ from .graphs import (
     star_graph,
 )
 from .obstructions import (
+    SWEEP_C_BOUNDS,
+    check_c_range,
     describe_inapplicability,
     parallel_map,
     sixm_full_check,
@@ -134,7 +136,9 @@ def parse_profile_spec(spec: str) -> CutProfile:
         b = int(fields["b"][0])
         cs = [int(v) for v in fields["cs"]]
         return CutProfile(a, b, cs)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise SpecError(f"bad profile spec {spec!r}: missing field {exc.args[0]}") from None
+    except ValueError as exc:
         raise SpecError(f"bad profile spec {spec!r}: {exc}") from None
 
 
@@ -352,9 +356,10 @@ def cmd_trees_scan(args) -> int:
     return EXIT_NEGATIVE if counterexamples else EXIT_OK
 
 
-def _parse_range(text: Optional[str], lo_default: int, hi_default: int):
+def _parse_range(text: Optional[str], kind: str):
+    """LO..HI from text, or the sweep's whole c range when none is given."""
     if not text:
-        return lo_default, hi_default
+        return SWEEP_C_BOUNDS[kind]
     try:
         lo, _, hi = text.partition("..")
         return int(lo), int(hi)
@@ -363,30 +368,30 @@ def _parse_range(text: Optional[str], lo_default: int, hi_default: int):
 
 
 def cmd_sweep(args) -> int:
-    for path in (args.out, args.csv):
-        if path:
-            _open_user_file(path, "a").close()  # an unwritable path fails before the sweep runs
-    csv = None
+    lo, hi = _parse_range(args.range, args.kind)
+    try:
+        check_c_range(args.kind, lo, hi)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+    if args.kind == "c40" and args.mode is not None:
+        raise SpecError("--mode applies only to sweep c500")
+    # only checked arguments reach the files, and an unwritable path fails before the sweep runs
+    if args.out:
+        _open_user_file(args.out, "a").close()
+    csv = _open_user_file(args.csv, "w") if args.csv else None
 
     def write_rows(rows) -> None:
-        """Append one c's rows to --csv, which opens at the first c: once the sweep has
-        accepted its range, so that a usage error leaves the file as it was."""
-        nonlocal csv
-        if csv is None:
-            csv = _open_user_file(args.csv, "w")
-            csv.write("c,b,n_lo,n_hi,cells,failures\n" if args.kind == "c40" else "c,b,q\n")
+        """Append one c's rows to --csv, as that c completes."""
         csv.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
-    sink = write_rows if args.csv else None
+    sink = write_rows if csv else None
     try:
+        if csv is not None:
+            csv.write("c,b,n_lo,n_hi,cells,failures\n" if args.kind == "c40" else "c,b,q\n")
         if args.kind == "c40":
-            lo, hi = _parse_range(args.range, 2, 40)
             report = sweep_c40(lo, hi, jobs=args.jobs, rows=sink)
         else:
-            lo, hi = _parse_range(args.range, 41, 500)
-            report = sweep_c500(lo, hi, mode=args.mode, jobs=args.jobs, rows=sink)
-    except ValueError as exc:  # the sweeps reject out-of-range parameters
-        raise SpecError(str(exc)) from None
+            report = sweep_c500(lo, hi, mode=args.mode or "full", jobs=args.jobs, rows=sink)
     finally:
         if csv is not None:
             csv.close()
@@ -456,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="exhaustive certificate sweeps")
     p.add_argument("kind", choices=["c40", "c500"])
     p.add_argument("range", nargs="?", help="LO..HI (defaults: 2..40 / 41..500)")
-    p.add_argument("--mode", choices=["full", "sampled"], default="full")
+    p.add_argument("--mode", choices=["full", "sampled"], help="c500 only (default: full)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the JSON report to this file")
     p.add_argument("--csv", help="write per-cell rows to this CSV file")

@@ -43,14 +43,6 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "adj", tuple(masks))
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def to_text(self) -> str:
-        lines = [str(self.n)]
-        lines += [f"{u} {v}" for u, v in sorted(self.edges)]
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "Graph":
         """Parse the plain text format: first line n, then one "u v" per line."""

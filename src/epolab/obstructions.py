@@ -140,16 +140,6 @@ def _interval_certificate(profile: CutProfile, kind: str, qs) -> Optional[Missin
     return None
 
 
-def q_certificate_search(profile: CutProfile) -> Optional[MissingTypeCertificate]:
-    """Scan q downward for a compressed interval whose sums realize n.
-
-    Larger q gives wider relative windows, so the scan starts at floor(b/c1),
-    the largest q with ceil((b+1)/q) >= c1+1, and the first q whose interval
-    admits a partition of n wins.
-    """
-    return _interval_certificate(profile, "q-interval", range(profile.b // profile.c1, 0, -1))
-
-
 def strategy_check(b: int, c: int, q: int) -> bool:
     """True iff q yields x >= c+1, x < y, and a window threshold within n's reach.
 
@@ -206,7 +196,7 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
 
     Arms: (1) b <= 2c-2 takes the window itself as the part range;
     (2) b = 2c-1 with c > c1 uses all 2s (c=2) or halving (q=2);
-    (3) 2c <= b <= c^2/2 searches q (closed-form selection once c >= 500);
+    (3) 2c <= b <= c^2/2 scans q down from b // c1 (closed-form selection once c >= 500);
     (4) b >= c^2/2 with c >= c1+2 uses parts from {c-1, c}.
     Every certificate is verified against the prefix-sum criterion when built.
     """
@@ -356,7 +346,19 @@ def _sweep(kind: str, params: dict, scan, items: list, jobs: int, rows) -> Sweep
     return SweepReport(kind, params, cells, failures, int((time.perf_counter() - start) * 1000))
 
 
-def sweep_c40(c_lo: int = 2, c_hi: int = 40, jobs: int = 1, rows=None) -> SweepReport:
+# each sweep's c bounds: c40 is exhaustive in (b, c, n), c500 takes the c above it
+SWEEP_C_BOUNDS = {"c40": (2, 40), "c500": (41, 500)}
+
+
+def check_c_range(kind: str, c_lo: int, c_hi: int) -> None:
+    """Raise ValueError unless c_lo..c_hi lies within SWEEP_C_BOUNDS[kind]."""
+    lo, hi = SWEEP_C_BOUNDS[kind]
+    if not lo <= c_lo <= c_hi <= hi:
+        raise ValueError(f"bad c range {c_lo}..{c_hi} (need {lo} <= lo <= hi <= {hi})")
+
+
+def sweep_c40(c_lo: int = SWEEP_C_BOUNDS["c40"][0], c_hi: int = SWEEP_C_BOUNDS["c40"][1],
+              jobs: int = 1, rows=None) -> SweepReport:
     """Exhaustive (b, c, n) sweep for 2 <= c <= 40, 2c <= b <= c^2/2.
 
     Confirms that every n in [2b+c+1, ceil(b/(c-1))*(b+1)] admits a
@@ -364,8 +366,7 @@ def sweep_c40(c_lo: int = 2, c_hi: int = 40, jobs: int = 1, rows=None) -> SweepR
     covered).  Expected outcome: zero failure cells.  rows, when given, is
     called with each c's (c, b, n_lo, n_hi, cells, failures) rows in c order.
     """
-    if not 2 <= c_lo <= c_hi <= 40:  # c = 41..500 is sweep_c500's
-        raise ValueError(f"bad c range {c_lo}..{c_hi} (need 2 <= lo <= hi <= 40)")
+    check_c_range("c40", c_lo, c_hi)
     params = {"c_lo": c_lo, "c_hi": c_hi}
     return _sweep("c40", params, _c40_scan_c, list(range(c_lo, c_hi + 1)), jobs, rows)
 
@@ -390,7 +391,8 @@ def _c500_scan_c(args: tuple) -> Tuple[int, List[tuple], Iterator[tuple]]:
     return len(bs), failures, zip(repeat(c), bs, found)
 
 
-def sweep_c500(c_lo: int, c_hi: int, mode: str = "full", jobs: int = 1, rows=None) -> SweepReport:
+def sweep_c500(c_lo: int = SWEEP_C_BOUNDS["c500"][0], c_hi: int = SWEEP_C_BOUNDS["c500"][1],
+               mode: str = "full", jobs: int = 1, rows=None) -> SweepReport:
     """Per-(b, c) sweep for 41 <= c <= 500: some q passes strategy_check.
 
     Full mode visits every pair; sampled mode walks a deterministic lattice
@@ -398,8 +400,7 @@ def sweep_c500(c_lo: int, c_hi: int, mode: str = "full", jobs: int = 1, rows=Non
     when given, is called with each c's (c, b, q) rows in c order, q = 0
     where none passes.
     """
-    if not 41 <= c_lo <= c_hi <= 500:
-        raise ValueError(f"bad c range {c_lo}..{c_hi} (need 41 <= lo <= hi <= 500)")
+    check_c_range("c500", c_lo, c_hi)
     if mode not in ("full", "sampled"):
         raise ValueError(f"bad mode {mode!r}")
     c_stride, b_stride = (3, 7) if mode == "sampled" else (1, 1)
@@ -494,8 +495,7 @@ class SixmConstruction:
 
     m: int
     lam: Tuple[int, ...]
-    kind: str  # "rearrangement" | "exceptional-two-ones" | "exceptional-all-twos-one"
-    case: str
+    case: str  # "two-ones" or "all-twos-one" (no alpha), else the rule that ordered alpha
     alpha: Optional[Tuple[int, ...]] = None
 
 
@@ -532,12 +532,10 @@ def sixm_rearrangement(lam, m: int) -> SixmConstruction:
         raise ValueError(f"type {parts} does not sum to {n}")
 
     if parts.count(1) >= 2:
-        return SixmConstruction(m=m, lam=parts, kind="exceptional-two-ones", case="two-ones")
+        return SixmConstruction(m=m, lam=parts, case="two-ones")
     if set(parts) <= {1, 2}:
         # n odd and at most one 1 leaves exactly (2,...,2,1)
-        return SixmConstruction(
-            m=m, lam=parts, kind="exceptional-all-twos-one", case="all-twos-one"
-        )
+        return SixmConstruction(m=m, lam=parts, case="all-twos-one")
 
     w = 6 * m
     sums = partial_sums(parts)
@@ -557,7 +555,7 @@ def sixm_rearrangement(lam, m: int) -> SixmConstruction:
         raise RuntimeError(f"construction failed for {parts} (case {case})")
     if tuple(sorted(alpha, reverse=True)) != parts:
         raise RuntimeError(f"construction changed the multiset for {parts}")
-    return SixmConstruction(m=m, lam=parts, kind="rearrangement", case=case, alpha=alpha)
+    return SixmConstruction(m=m, lam=parts, case=case, alpha=alpha)
 
 
 def sixm_connected_partition(rec: SixmConstruction) -> ConnectedPartition:
@@ -572,7 +570,7 @@ def sixm_connected_partition(rec: SixmConstruction) -> ConnectedPartition:
     leaf_a, leaf_b = 12 * m - 1, 12 * m
 
     blocks: List[List[int]] = []
-    if rec.kind == "exceptional-two-ones":
+    if rec.case == "two-ones":
         lam_rest = [p for p in rec.lam if p != 1] + [1] * (rec.lam.count(1) - 2)
         blocks = [[leaf_a], [leaf_b]]
         # the rest of the spider is one path: short leg in, center, long leg out
@@ -581,7 +579,7 @@ def sixm_connected_partition(rec: SixmConstruction) -> ConnectedPartition:
         for p in sorted(lam_rest, reverse=True):
             blocks.append(path[pos : pos + p])
             pos += p
-    elif rec.kind == "exceptional-all-twos-one":
+    elif rec.case == "all-twos-one":
         blocks = [[leaf_a], [0, leaf_b]]
         for i in range(0, 6 * m - 2, 2):
             blocks.append(short_leaf_first[i : i + 2])
@@ -652,6 +650,6 @@ def sixm_full_check(m: int) -> SixmReport:
                 cp = sixm_connected_partition(rec)
                 cp.validate(G, lam)
                 materialized += 1
-        except Exception as exc:  # a failure here would falsify the claim
+        except (RuntimeError, AssertionError) as exc:  # the construction's own; a crash propagates
             failures.append((lam, repr(exc)))
     return SixmReport(m, total, tallies, failures, materialized)

@@ -3,8 +3,7 @@
 Everything is exact: coefficients are Python ints (arbitrary precision), keys
 are partitions stored as weakly decreasing tuples (packed ints inside the
 tallies, as partitions.packed_partitions packs them).  The public entry
-points are csf_e / is_e_positive, and specialize_e evaluates an expansion at
-k ones.
+points are csf_e / is_e_positive.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ class ESymExpansion:
             if val != 0:
                 clean[key] = int(val)
         object.__setattr__(self, "coeffs", clean)
-
-    def __getitem__(self, key) -> int:
-        return self.coeffs.get(tuple(key), 0)
 
     def stream_items(self) -> List[Tuple[tuple, int]]:
         """(partition, coefficient) pairs in partition stream order."""
@@ -96,19 +92,13 @@ def _waring(k: int) -> Dict[int, int]:
     #parts equal to i.
     """
     if not 1 <= k <= 25:
-        raise ValueError(f"p_in_e guard: need 1 <= k <= 25, got {k}")
+        raise ValueError(f"_waring guard: need 1 <= k <= 25, got {k}")
     coeffs = {}
     for mu, key in packed_partitions(k):
         coeff = k * math.factorial(len(mu) - 1)
         coeff //= math.prod(math.factorial(m) for m in Counter(mu).values())
         coeffs[key] = -coeff if (k - len(mu)) & 1 else coeff
     return coeffs
-
-
-def p_in_e(k: int) -> ESymExpansion:
-    """Degree-k power sum written in the elementary basis (Waring's formula)."""
-    coeffs = _waring(k)
-    return ESymExpansion(k, {mu: coeffs[key] for mu, key in packed_partitions(k)})
 
 
 def _frontier_order(adj, comp: int) -> List[int]:
@@ -235,18 +225,3 @@ def is_e_positive(G: Graph) -> EposVerdict:
     """Verdict plus all strictly negative coefficients, in stream order."""
     X = csf_e(G)
     return EposVerdict(tuple((lam, c) for lam, c in X.stream_items() if c < 0))
-
-
-def specialize_e(X: ESymExpansion, k: int) -> int:
-    """X evaluated at x_1 = ... = x_k = 1, all other variables 0."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    total = 0
-    for lam, c in X.coeffs.items():
-        term = c
-        for part in lam:
-            term *= math.comb(k, part)
-            if term == 0:
-                break
-        total += term
-    return total

@@ -6,7 +6,8 @@ labeled-tree enumeration via sequence decoding, subset-sum existence, full
 rearrangement scans, a cell-by-cell scan of the c <= 40 sweep, an
 isomorphism-class enumerator for small connected graphs built on an
 individualization-refinement canonical form, a deletion-contraction
-chromatic polynomial, the missing types by one search per type, the cut
+chromatic polynomial with the evaluation of an e-expansion at k ones that
+it is compared with, the missing types by one search per type, the cut
 profiles by one component count per deleted vertex, and the free trees by
 deduplicating every rooted tree on its canonical key.
 Compositions and their rearrangements live here too: only the tests need
@@ -679,6 +680,21 @@ def multiply_e(A: ESymExpansion, B: ESymExpansion) -> ESymExpansion:
 
 # ---------------------------------------------------------------------------
 # Chromatic polynomial (deletion-contraction), tied to csf_e by specialize_e
+
+
+def specialize_e(X: ESymExpansion, k: int) -> int:
+    """X evaluated at x_1 = ... = x_k = 1, all other variables 0 (e_j -> C(k, j))."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    total = 0
+    for lam, c in X.coeffs.items():
+        term = c
+        for part in lam:
+            term *= math.comb(k, part)
+            if term == 0:
+                break
+        total += term
+    return total
 
 
 _CHROMPOLY_CACHE: Dict[tuple, tuple] = {}

@@ -28,8 +28,8 @@ from epolab.obstructions import (
     theorem_decide,
 )
 from epolab.partitions import partitions_of
-from epolab.symfunc import csf_e, is_e_positive, specialize_e
-from support import chromatic_polynomial
+from epolab.symfunc import csf_e, is_e_positive
+from support import chromatic_polynomial, specialize_e
 
 
 def report(num: int, elapsed: float, detail: str) -> None:

@@ -10,7 +10,7 @@ import pytest
 
 import support
 
-from epolab import cli
+from epolab import cli, obstructions
 from epolab.cli import main, parse_graph_spec, parse_profile_spec, SpecError
 from epolab.graphs import (
     cut_profiles,
@@ -50,7 +50,7 @@ def test_parse_graph_file(tmp_path):
 def test_parse_profile_spec():
     prof = parse_profile_spec("profile:a=6,b=4,cs=1,1")
     assert (prof.a, prof.b, prof.cs) == (6, 4, (1, 1))
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="missing field cs"):
         parse_profile_spec("profile:a=6,b=4")
     with pytest.raises(SpecError):
         parse_profile_spec("profile:cs=1,1,a=2,b=4")  # violates a >= b
@@ -78,6 +78,9 @@ def test_csf_file_and_json(capsys, tmp_path):
     assert code == 0 and out.strip() == "2 * e_(2)"
     code, out, _ = run(capsys, "csf", str(p), "--json")
     assert json.loads(out) == {"degree": 2, "terms": [{"lambda": [2], "coeff": "2"}]}
+    p.write_text("abc\n0 1\n")
+    code, out, err = run(capsys, "csf", str(p))
+    assert code == 2 and out == "" and "malformed graph text" in err
 
 
 def test_csf_guard_and_usage(capsys):
@@ -85,6 +88,8 @@ def test_csf_guard_and_usage(capsys):
     assert code == 3 and "guard" in err
     code, _, err = run(capsys, "csf", "blob:4")
     assert code == 2
+    code, out, err = run(capsys, "csf", "spider:a,b")
+    assert code == 2 and out == "" and "bad spider shorthand" in err
 
 
 def test_epos_exit_codes(capsys):
@@ -118,6 +123,10 @@ def test_prove_profile_certificate(capsys):
     cert = json.loads(out)
     assert cert["verified"] is True
     assert cert["profile"] == {"a": 2, "b": 2, "cs": [2, 2, 2]}
+    code, out, err = run(capsys, "prove", "profile:x")
+    assert code == 2 and out == "" and "bad profile spec" in err
+    code, out, err = run(capsys, "prove", "profile:a=3,b=2")
+    assert code == 2 and out == "" and "missing field cs" in err
 
 
 def test_prove_not_applicable(capsys):
@@ -204,6 +213,9 @@ def test_sweep_c40_cli(capsys, tmp_path):
     rows = csv_file.read_text().splitlines()
     assert rows[0] == "c,b,n_lo,n_hi,cells,failures"
     assert len(rows) > 1
+    code, out, _ = run(capsys, "sweep", "c40")  # no range: the whole 2..40 grid
+    report = json.loads(out)
+    assert code == 0 and report["params"] == {"c_lo": 2, "c_hi": 40} and report["failures"] == []
 
 
 def test_sweep_c500_cli_sampled(capsys):
@@ -211,6 +223,8 @@ def test_sweep_c500_cli_sampled(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["failures"] == [] and report["params"]["mode"] == "sampled"
+    code, out, _ = run(capsys, "sweep", "c500", "41..43")  # no --mode: full
+    assert code == 0 and json.loads(out)["params"]["mode"] == "full"
 
 
 def test_sweep_output_deterministic_across_jobs(capsys):
@@ -251,11 +265,21 @@ def test_sweep_c500_memory_stays_bounded():
     assert kib < 50 * 1024, f"peak RSS {kib} KiB"
 
 
-def test_sweep_bad_range(capsys):
+def test_sweep_bad_range(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", "c500", "30..700")
     assert code == 2
     code, out, err = run(capsys, "sweep", "c40", "2..41")
     assert code == 2 and out == "" and "bad c range" in err
+    code, out, err = run(capsys, "sweep", "c40", "5")
+    assert code == 2 and out == "" and "bad range '5'" in err
+    code, out, err = run(capsys, "sweep", "c40", "2..5", "--mode", "sampled")
+    assert code == 2 and out == "" and "--mode" in err
+    # a usage error leaves no output file behind
+    csv_file, out_file = tmp_path / "x.csv", tmp_path / "x.json"
+    for argv in (["50..60"], ["2..5", "--mode", "full"]):
+        code, out, err = run(capsys, "sweep", "c40", *argv, "--csv", str(csv_file), "--out", str(out_file))
+        assert code == 2 and out == "", argv
+        assert not csv_file.exists() and not out_file.exists(), argv
 
 
 def test_bad_parallelism(capsys):
@@ -272,16 +296,29 @@ def test_disconnected_input_rejected(capsys, tmp_path):
     assert code == 2 and "connected" in err
 
 
-def test_sixm_cli(capsys):
+def test_sixm_cli(capsys, monkeypatch):
     code, out, _ = run(capsys, "sixm", "1", "--cross-check")
     assert code == 0
     assert "101/101" in out and "agrees: True" in out
+    code, out, _ = run(capsys, "sixm", "1", "--json", "--cross-check")
+    assert code == 0 and json.loads(out)["brute_force_agrees"] is True
     code, out, _ = run(capsys, "sixm", "2", "--json")
     assert code == 0
     rep = json.loads(out)
     assert rep["total"] == 1958 and rep["failures"] == []
     code, _, _ = run(capsys, "sixm", "4")
     assert code == 2
+    code, out, err = run(capsys, "sixm", "2", "--cross-check")
+    assert code == 2 and out == "" and "--cross-check" in err
+
+    # a construction that fails falsifies the claim: exit 1, one line per type
+    def broken(lam, m):
+        raise RuntimeError("construction failed")
+
+    monkeypatch.setattr(obstructions, "sixm_rearrangement", broken)
+    code, out, _ = run(capsys, "sixm", "1")
+    assert code == 1 and "0/101 types realized" in out
+    assert out.count("  FAILURE at ") == 101 and "RuntimeError('construction failed')" in out
 
 
 def test_epolab_jobs_env_is_ignored(capsys, monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import epolab
-from epolab import cli, symfunc
+from epolab import cli, obstructions, symfunc
 from epolab.cli import main
 from epolab.graphs import Graph
 
@@ -77,6 +77,15 @@ def test_crash_exits_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "epos", "path:4")
     assert code == 4 and out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+    # inside sixm, only the construction's own RuntimeError is a finding (test_sixm_cli)
+    def broken(lam, m):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(obstructions, "sixm_rearrangement", broken)
+    code, out, err = run(capsys, "sixm", "1")
+    assert code == 4 and out == ""
+    assert err == "internal error: TypeError: broken\n"
 
 
 def test_argparse_exit_codes_unchanged(capsys):

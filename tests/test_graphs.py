@@ -38,7 +38,7 @@ def test_graph_validation():
 
 def test_graph_text_roundtrip():
     g = spider((3, 2, 1))
-    assert Graph.from_text(g.to_text()) == g
+    assert Graph.from_text("7\n0 3\n0 5\n0 6\n1 2\n2 3\n4 5\n") == g
     with pytest.raises(ValueError):
         Graph.from_text("")
     with pytest.raises(ValueError):
@@ -49,7 +49,7 @@ def test_spider_shapes():
     star = spider((1, 1, 1))
     assert star.n == 4
     assert max_degree(star) == 3
-    assert star.degree(0) == 3
+    assert star.adj[0].bit_count() == 3
 
     big = spider((6, 4, 1, 1))
     assert big.n == 13
@@ -57,7 +57,7 @@ def test_spider_shapes():
 
     one_leg = spider((3,))
     assert one_leg.n == 4
-    assert sorted(one_leg.degree(v) for v in range(4)).count(1) == 2  # a path
+    assert sorted(one_leg.adj[v].bit_count() for v in range(4)).count(1) == 2  # a path
 
 
 def test_spider_labels_are_fixed():

@@ -13,7 +13,6 @@ from epolab.obstructions import (
     _uncovered,
     analysis_q,
     check_partsums_obstruction,
-    q_certificate_search,
     q_interval,
     sixm_connected_partition,
     sixm_full_check,
@@ -137,14 +136,19 @@ def test_compressed_interval_types_are_obstructed():
 
 
 def test_q_certificate_search_examples():
-    cert = q_certificate_search(CutProfile(1, 1, (1, 1, 1)))
-    assert cert is not None and cert.q == 1 and cert.verified
+    # the window at q = 1 is [b+1, b+c] itself
+    cert = theorem_decide(CutProfile(1, 1, (1, 1, 1)))
+    assert cert is not None and cert.window == q_interval(1, 3, 1) and cert.verified
     # the certified type really is missing in the five-leaf star
     G = spider((1, 1, 1, 1, 1))
     assert has_connected_partition(G, cert.lam) is None
 
-    assert q_certificate_search(CutProfile(6, 4, (1, 1))) is None
-    assert q_certificate_search(CutProfile(5, 3, (2,))) is None
+    # the middle regime scans q down from floor(b/c1) = 2, whose window (7, 8) holds 36
+    cert = theorem_decide(CutProfile(18, 12, (5,)))
+    assert (cert.kind, cert.q, cert.window) == ("q-interval", 2, (7, 8))
+
+    assert theorem_decide(CutProfile(6, 4, (1, 1))) is None
+    assert theorem_decide(CutProfile(5, 3, (2,))) is None
 
 
 def test_strategy_check_examples():
@@ -301,7 +305,7 @@ def test_certificate_check_cost_does_not_grow_with_b():
 
 
 def test_certificate_json():
-    cert = q_certificate_search(CutProfile(1, 1, (1, 1, 1)))
+    cert = MissingTypeCertificate(CutProfile(1, 1, (1, 1, 1)), (3, 3), "q-interval", q=1)
     d = cert.to_json_dict()
     assert d["profile"] == {"a": 1, "b": 1, "cs": [1, 1, 1]}
     assert d["kind"] == "q-interval"
@@ -382,10 +386,10 @@ def test_sixm_examples():
     assert rec.alpha == (13,)
 
     rec = sixm_rearrangement((2, 2, 2, 2, 2, 2, 1), 1)
-    assert rec.kind == "exceptional-all-twos-one"
+    assert rec.case == "all-twos-one" and rec.alpha is None
 
     rec = sixm_rearrangement((3, 1, 1, 2, 2, 2, 2), 1)
-    assert rec.kind == "exceptional-two-ones"
+    assert rec.case == "two-ones" and rec.alpha is None
 
     # one type per move of the largest part
     for lam, alpha, case in [
@@ -402,7 +406,7 @@ def test_sixm_rearrangement_window_free():
         w1, w2 = 6 * m - 1, 6 * m
         for lam in partitions_of(12 * m + 1):
             rec = sixm_rearrangement(lam, m)
-            if rec.kind == "rearrangement":
+            if rec.alpha is not None:
                 sums = partial_sums(rec.alpha)
                 assert w1 not in sums and w2 not in sums
                 assert tuple(sorted(rec.alpha, reverse=True)) == lam
@@ -438,7 +442,7 @@ def test_sweep_c40_restricted_slice():
 
 
 def test_sweep_c40_agrees_with_search_on_cells():
-    """Spot-check the vectorized sweep against the certificate search."""
+    """Spot-check the sweep against theorem_decide's q scan on the same cells."""
     rng = random.Random(37)
     for _ in range(60):
         c = rng.randint(4, 12)
@@ -449,14 +453,14 @@ def test_sweep_c40_agrees_with_search_on_cells():
         n_hi = (-(-b // (c - 1))) * (b + 1)
         n = rng.randint(n_lo, n_hi)
         profile = CutProfile(n - b - c - 1, b, (c,))
-        cert = q_certificate_search(profile)
+        cert = theorem_decide(profile)
         assert cert is not None, (b, c, n)
         assert cert.window[0] >= c + 1
 
 
 def test_sweep_single_cell_record():
     profile = CutProfile(36 - 12 - 5 - 1, 12, (5,))
-    cert = q_certificate_search(profile)
+    cert = theorem_decide(profile)
     assert cert is not None
     assert cert.q >= 1 and sum(cert.lam) == 36
 
