@@ -40,7 +40,7 @@ from .obstructions import (
     sweep_c500,
     theorem_decide,
 )
-from .partitions import format_parts, parse_partition
+from .partitions import format_parts, parse_partition, partitions_of
 from .symfunc import CSF_MAX_N, CSF_ROUTE, StateBudgetError, csf_e, is_e_positive
 
 EXIT_OK = 0
@@ -126,9 +126,14 @@ def parse_profile_spec(spec: str) -> CutProfile:
     for tok in body.split(","):
         if "=" in tok:
             key, _, val = tok.partition("=")
-            fields[key.strip()] = [val.strip()]
+            key = key.strip()
+            if key not in ("a", "b", "cs"):
+                raise SpecError(f"bad profile spec {spec!r}: unknown field {key}")
+            if key in fields:
+                raise SpecError(f"bad profile spec {spec!r}: repeated field {key}")
+            fields[key] = [val.strip()]
         elif key is not None:
-            fields[key.strip()].append(tok.strip())
+            fields[key].append(tok.strip())
         else:
             raise SpecError(f"bad profile spec {spec!r}")
     try:
@@ -410,8 +415,9 @@ def cmd_sixm(args) -> int:
         raise SpecError("--cross-check is only feasible for m=1")
     report = sixm_full_check(args.m)
     agree = None
-    if args.cross_check:
-        agree = not missing_types(spider((6, 4, 1, 1)))
+    if args.cross_check:  # the blind search, one type at a time
+        G = spider((6, 4, 1, 1))
+        agree = all(has_connected_partition(G, lam) is not None for lam in partitions_of(13))
     if args.json:
         out = report.to_json_dict()
         if agree is not None:

@@ -99,8 +99,8 @@ class ConnectedPartition:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
 
-    def validate(self, G: Graph, lam=None) -> None:
-        """Raise unless blocks are disjoint, cover V, and induce connected subgraphs."""
+    def validate(self, G: Graph, lam) -> None:
+        """Raise unless blocks are disjoint, cover V, induce connected subgraphs, have type lam."""
         seen = set()
         for b in self.blocks:
             if seen & b:
@@ -113,7 +113,7 @@ class ConnectedPartition:
             mask = sum(1 << v for v in b)
             if _component_masks(adj, mask) != [mask]:
                 raise AssertionError(f"block {sorted(b)} is not connected")
-        if lam is not None and sorted(len(b) for b in self.blocks) != sorted(lam):
+        if sorted(len(b) for b in self.blocks) != sorted(lam):
             raise AssertionError("block sizes do not match the declared type")
 
 

@@ -563,49 +563,36 @@ def sixm_connected_partition(rec: SixmConstruction) -> ConnectedPartition:
 
     Spider labels: center 0; the long leg (6m) is 1..6m leaf-first; the short
     leg (6m-2) is 6m+1..12m-2 leaf-first; the leaf legs are 12m-1 and 12m.
+    Less those two, the spider is one path P: the short leg from its leaf, the
+    center at position 6m-2, the long leg out to its leaf.  Each block is a run
+    of P, and each leaf is a block of its own or joins the center's run:
+
+    * two-ones: both leaves stand alone; the other parts cut P in any order;
+    * all-twos-one: leaf 12m-1 stands alone and P is cut into runs of 2, but
+      the run at the (even) center position is the center, and 12m joins it;
+    * an ordering alpha: both leaves join.  The prefix sums of alpha skip
+      {6m-1, 6m}, so one part jumps from at most 6m-2 to at least 6m+1, and
+      its run, two vertices shorter, still holds the center.
     """
     m = rec.m
-    long_leaf_first = list(range(1, 6 * m + 1))  # leaf ... center-adjacent
-    short_leaf_first = list(range(6 * m + 1, 12 * m - 1))
-    leaf_a, leaf_b = 12 * m - 1, 12 * m
-
-    blocks: List[List[int]] = []
-    if rec.case == "two-ones":
-        lam_rest = [p for p in rec.lam if p != 1] + [1] * (rec.lam.count(1) - 2)
-        blocks = [[leaf_a], [leaf_b]]
-        # the rest of the spider is one path: short leg in, center, long leg out
-        path = short_leaf_first + [0] + long_leaf_first[::-1]
-        pos = 0
-        for p in sorted(lam_rest, reverse=True):
+    alone = {"two-ones": 2, "all-twos-one": 1}.get(rec.case, 0)
+    parts = rec.lam[: len(rec.lam) - alone] if rec.alpha is None else rec.alpha
+    path = [*range(6 * m + 1, 12 * m - 1), 0, *range(6 * m, 0, -1)]
+    center = 6 * m - 2
+    leaves = [12 * m - 1, 12 * m]
+    blocks = [[leaf] for leaf in leaves[:alone]]
+    join = leaves[alone:]
+    pos = 0
+    for p in parts:
+        if pos <= center < pos + p - len(join):  # this run, less the leaves, holds the center
+            p -= len(join)
+            blocks.append(path[pos : pos + p] + join)
+            join = []
+        else:
             blocks.append(path[pos : pos + p])
-            pos += p
-    elif rec.case == "all-twos-one":
-        blocks = [[leaf_a], [0, leaf_b]]
-        for i in range(0, 6 * m - 2, 2):
-            blocks.append(short_leaf_first[i : i + 2])
-        for i in range(0, 6 * m, 2):
-            blocks.append(long_leaf_first[i : i + 2])
-    else:
-        alpha = rec.alpha
-        pre = 0
-        i = 0
-        while i < len(alpha) and pre + alpha[i] <= 6 * m - 2:
-            pre += alpha[i]
-            i += 1
-        # prefix sums avoid {6m-1, 6m}, so the next prefix jumps past 6m
-        pos = 0
-        for j in range(i):
-            blocks.append(short_leaf_first[pos : pos + alpha[j]])
-            pos += alpha[j]
-        middle = short_leaf_first[pos:] + [0, leaf_a, leaf_b]
-        vpos = 0
-        for j in range(i + 1, len(alpha)):
-            blocks.append(long_leaf_first[vpos : vpos + alpha[j]])
-            vpos += alpha[j]
-        middle += long_leaf_first[vpos:]
-        if len(middle) != alpha[i]:
-            raise RuntimeError(f"middle block size mismatch for {rec}")
-        blocks.append(middle)
+        pos += p
+    if pos != len(path):  # also when no run held the center for the joining leaves
+        raise RuntimeError(f"the runs of {parts} do not end at the end of P for {rec}")
     return ConnectedPartition(blocks)
 
 

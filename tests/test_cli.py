@@ -54,6 +54,10 @@ def test_parse_profile_spec():
         parse_profile_spec("profile:a=6,b=4")
     with pytest.raises(SpecError):
         parse_profile_spec("profile:cs=1,1,a=2,b=4")  # violates a >= b
+    with pytest.raises(SpecError, match="'profile:a=6,b=4,cs=2,2,b=5': repeated field b"):
+        parse_profile_spec("profile:a=6,b=4,cs=2,2,b=5")
+    with pytest.raises(SpecError, match="'profile:a=6,b=4,cs=1,1,typo=9': unknown field typo"):
+        parse_profile_spec("profile:a=6,b=4,cs=1,1,typo=9")
 
 
 def test_csf_star_text(capsys):

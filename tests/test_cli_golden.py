@@ -42,6 +42,7 @@ COMMANDS = [
     "prove profile:a=10,b=9,cs=1,1,1,1",
     "prove profile:a=1300,b=1200,cs=300,200",
     "prove profile:a=6,b=4,cs=1,1",
+    "prove profile:a=6,b=4,cs=2,2,b=5",
     "prove spider:6,4,1,1",
     "prove spider:2,2,2,2,2",
     "prove spider:3,2,1",

@@ -9,6 +9,7 @@ import support
 from epolab.graphs import CutProfile, spider, has_connected_partition
 from epolab.obstructions import (
     MissingTypeCertificate,
+    SixmConstruction,
     _c40_scan_c,
     _uncovered,
     analysis_q,
@@ -427,6 +428,9 @@ def test_sixm_materialization_validates():
         rec = sixm_rearrangement(lam, 1)
         cp = sixm_connected_partition(rec)
         cp.validate(G, lam)
+    # an ordering whose prefix sums hit 6m-1 = 5 leaves no run for the leaves
+    with pytest.raises(RuntimeError, match="do not end at the end of P"):
+        sixm_connected_partition(SixmConstruction(1, (8, 5), "identity", (5, 8)))
 
 
 def test_sixm_cross_check_against_search():
@@ -475,18 +479,9 @@ def test_sweep_c500_top_column_full():
     assert rep.ok and rep.cells == 500 * 500 // 2 - 2 * 500 + 1
 
 
-def test_sixm_materialization_spot_checks_m2():
+def test_sixm_materialization_every_type_m2():
     G = spider((12, 10, 1, 1))
-    for lam in [
-        (25,),
-        (13, 12),
-        (12, 11, 2),
-        (3,) * 8 + (1,),
-        (2,) * 12 + (1,),
-        (19, 2, 2, 1, 1),
-        (9, 8, 7, 1),
-    ]:
-        lam = tuple(sorted(lam, reverse=True))
+    for lam in partitions_of(25):
         rec = sixm_rearrangement(lam, 2)
         cp = sixm_connected_partition(rec)
         cp.validate(G, lam)

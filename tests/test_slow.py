@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 import support
-from epolab.graphs import Graph, enumerate_free_trees, missing_types, tree_canonical_key
-from epolab.obstructions import sixm_rearrangement
+from epolab.graphs import Graph, enumerate_free_trees, missing_types, spider, tree_canonical_key
+from epolab.obstructions import sixm_connected_partition, sixm_rearrangement
 from epolab.partitions import partial_sums, partitions_of
 from epolab.symfunc import is_e_positive
 
@@ -33,7 +33,9 @@ def test_free_trees_match_labeled_dedup_to_nine():
 
 @pytest.mark.slow
 def test_sixm_rearrangement_every_type_m4():
-    """Past the CLI's m <= 3 guard: every type of 49 orders around {23, 24}."""
+    """Past the CLI's m <= 3 guard: every type of 49 orders around {23, 24},
+    and its blocks validate on S(24, 22, 1, 1)."""
+    G = spider((24, 22, 1, 1))
     cases = Counter()
     for lam in partitions_of(49):
         rec = sixm_rearrangement(lam, 4)
@@ -41,6 +43,7 @@ def test_sixm_rearrangement_every_type_m4():
         if rec.alpha is not None:
             assert not {23, 24} & partial_sums(rec.alpha), lam
             assert tuple(sorted(rec.alpha, reverse=True)) == lam
+        sixm_connected_partition(rec).validate(G, lam)
     assert sum(cases.values()) == 173525
     assert set(cases) == {
         "identity",
