@@ -141,18 +141,15 @@ def _interval_certificate(profile: CutProfile, kind: str, qs) -> Optional[Missin
 
 
 def strategy_check(b: int, c: int, q: int) -> bool:
-    """True iff q yields x >= c+1, x < y, and a window threshold within n's reach.
-
-    The threshold condition is ceil((x-1)/(y-x)) * x <= 2b + c + 1, evaluated
-    in exact integer arithmetic.
+    """True iff q's window x = ceil((b+1)/q), y = floor((b+c)/q) has c < x < y
+    and ceil((x-1)/(y-x)) * x <= 2b + c + 1.  Both ceilings are floor divisions:
+    ceil((b+1)/q) = b//q + 1, since b//q < (b+1)/q <= b//q + 1; and ceil(a/d) =
+    (a + d - 1) // d for d >= 1, so with a = x - 1, d = y - x it is (y-2) // (y-x).
     """
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
-    x = -(-(b + 1) // q)
-    y = (b + c) // q
-    if x < c + 1 or x >= y:
-        return False
-    return (-(-(x - 1) // (y - x))) * x <= 2 * b + c + 1
+    x, y = b // q + 1, (b + c) // q
+    return c < x < y and (y - 2) // (y - x) * x <= 2 * b + c + 1
 
 
 def analysis_q(b: int, c: int) -> QSelectionTrace:
@@ -374,20 +371,25 @@ def sweep_c40(c_lo: int = SWEEP_C_BOUNDS["c40"][0], c_hi: int = SWEEP_C_BOUNDS["
 def _c500_scan_c(args: tuple) -> Tuple[int, List[tuple], Iterator[tuple]]:
     """All (b, c) cells for one c: the largest q <= b/c that passes strategy_check, or 0.
 
-    The rows (c, b, q) come back as an iterator over the list of q, so that
-    until a sink reads them they cost one pointer per cell, not one tuple.
+    Each q is tested inline in strategy_check's closed forms: ceil((b+1)/q) = b//q + 1,
+    since b//q < (b+1)/q <= b//q + 1; and ceil((x-1)/(y-x)) = (y-2) // (y-x), since
+    ceil(a/d) = (a + d - 1) // d for d >= 1.  The rows (c, b, q) come back as an
+    iterator over the list of q, so that until a sink reads them they cost one
+    pointer per cell, not one tuple.
     """
     c, b_stride = args
     bs = range(2 * c, c * c // 2 + 1, b_stride)
-    found = []
+    found, failures = [], []
     for b in bs:
-        for q in range(b // c, 0, -1):
-            if strategy_check(b, c, q):
+        bc, reach, q = b + c, 2 * b + c + 1, b // c
+        while q:
+            x, y = b // q + 1, bc // q
+            if c < x < y and (y - 2) // (y - x) * x <= reach:
                 break
+            q -= 1
         else:
-            q = 0
+            failures.append((b, c))
         found.append(q)
-    failures = [(b, c) for b, q in zip(bs, found) if not q]
     return len(bs), failures, zip(repeat(c), bs, found)
 
 

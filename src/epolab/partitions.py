@@ -44,19 +44,27 @@ def partitions_of(n: int) -> Iterator[tuple]:
     """All partitions of n, each exactly once, in reverse-lexicographic order.
 
     (n) comes first and (1,...,1) last; this is the canonical stream order
-    used for rendering expansions and missing-type lists.
+    used for rendering expansions and missing-type lists.  Each steps to the next
+    by Zoghbi and Stojmenovic's ZS1: the last part v > 1 drops to v-1, and the 1
+    it frees plus the trailing 1s refill greedily as parts v-1 and one remainder.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-
-    def capped(rest: int, cap: int) -> Iterator[tuple]:
-        if rest == 0:
-            yield ()
-        for first in range(min(rest, cap), 0, -1):
-            for tail in capped(rest - first, first):
-                yield (first,) + tail
-
-    yield from capped(n, n)
+    parts, m, h = [n] + [1] * (n - 1), 1, 0  # the partition parts[:m]; parts[h] is its last part > 1
+    yield (n,)
+    while parts[0] > 1:
+        v = parts[h] - 1
+        if v == 1:
+            parts[h], m, h = 1, m + 1, h - 1
+        else:
+            k, t = divmod(m - h, v)  # m - h: the freed 1 and the trailing 1s
+            parts[h:h + k + 1] = [v] * (k + 1)
+            h += k
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                parts[h] = t
+        yield tuple(parts[:m])
 
 
 # A multiset of part sizes, whether a partition, a component-size type or an

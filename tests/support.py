@@ -9,7 +9,8 @@ individualization-refinement canonical form, a deletion-contraction
 chromatic polynomial with the evaluation of an e-expansion at k ones that
 it is compared with, the missing types by one search per type, the cut
 profiles by one component count per deleted vertex, and the free trees by
-deduplicating every rooted tree on its canonical key.
+deduplicating every rooted tree on its canonical key.  The partitions come
+by recursion on the first part, and the c500 window test in exact rationals.
 Compositions and their rearrangements live here too: only the tests need
 ordered parts.  So do the disjoint union of two graphs, which only the
 multiplicativity check of csf_e uses, and the product of two e-expansions,
@@ -496,19 +497,18 @@ def free_trees_by_dedup(n: int) -> Iterator[Graph]:
             yield g
 
 
-def brute_force_partitions(n: int) -> List[tuple]:
-    """All partitions of n by filtered combinations, for count cross-checks."""
-    out = []
+def partitions_recursive(n: int) -> Iterator[tuple]:
+    """All partitions of n in reverse-lexicographic order, by recursion on the first
+    part: the generator that partitions_of replaced, one frame per part."""
 
-    def rec(remaining: int, biggest: int, acc: tuple):
-        if remaining == 0:
-            out.append(acc)
-            return
-        for part in range(min(remaining, biggest), 0, -1):
-            rec(remaining - part, part, acc + (part,))
+    def capped(rest: int, cap: int) -> Iterator[tuple]:
+        if rest == 0:
+            yield ()
+        for first in range(min(rest, cap), 0, -1):
+            for tail in capped(rest - first, first):
+                yield (first,) + tail
 
-    rec(n, n, ())
-    return out
+    yield from capped(n, n)
 
 
 def c40_cells_bruteforce(c_lo: int, c_hi: int) -> Tuple[List[tuple], List[tuple]]:
@@ -572,21 +572,18 @@ def c40_scan_c_bitmask(c: int) -> Tuple[int, List[tuple], List[tuple]]:
     return cells, failures, rows
 
 
+def strategy_check_exact(b: int, c: int, q: int) -> bool:
+    """strategy_check in exact rationals: q's window x = ceil((b+1)/q), y = floor((b+c)/q)
+    has c+1 <= x < y and ceil((x-1)/(y-x)) * x <= 2b+c+1."""
+    x, y = math.ceil(Fraction(b + 1, q)), math.floor(Fraction(b + c, q))
+    return c + 1 <= x < y and math.ceil(Fraction(x - 1, y - x)) * x <= 2 * b + c + 1
+
+
 def c500_rows_bruteforce(c_lo: int, c_hi: int) -> List[tuple]:
-    """sweep_c500's full-mode (c, b, q) rows, in exact rationals: q is the largest
-    block count <= b/c whose window x = ceil((b+1)/q), y = floor((b+c)/q) has
-    c+1 <= x < y and ceil((x-1)/(y-x)) * x <= 2b+c+1, or 0 when none has."""
-    rows = []
-    for c in range(c_lo, c_hi + 1):
-        for b in range(2 * c, c * c // 2 + 1):
-            found = 0
-            for q in range(b // c, 0, -1):
-                x, y = math.ceil(Fraction(b + 1, q)), math.floor(Fraction(b + c, q))
-                if c + 1 <= x < y and math.ceil(Fraction(x - 1, y - x)) * x <= 2 * b + c + 1:
-                    found = q
-                    break
-            rows.append((c, b, found))
-    return rows
+    """sweep_c500's full-mode (c, b, q) rows: q is the largest block count <= b/c
+    that passes strategy_check_exact, or 0 when none does."""
+    return [(c, b, next((q for q in range(b // c, 0, -1) if strategy_check_exact(b, c, q)), 0))
+            for c in range(c_lo, c_hi + 1) for b in range(2 * c, c * c // 2 + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def test_criterion_9_engine_self_consistency():
             g = Graph(n, edges)
             X = csf_e(g)
             tally = support.coloring_multiset_tally(g)
-            for mu in support.brute_force_partitions(n):
+            for mu in support.partitions_recursive(n):
                 padded = mu + (0,) * (n - len(mu))
                 coeff = sum(
                     c * support.zero_one_matrix_count(lam, padded)

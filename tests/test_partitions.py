@@ -91,8 +91,11 @@ def test_rearrangements_distinct_lex_and_multiset():
 
 def test_partitions_of_counts_and_order():
     assert sum(1 for _ in partitions_of(4)) == 5
-    assert sum(1 for _ in partitions_of(7)) == len(support.brute_force_partitions(7)) == 15
-    assert sum(1 for _ in partitions_of(13)) == len(support.brute_force_partitions(13)) == 101
+    # the recursive generator partitions_of replaced is the oracle, order included
+    for n in range(1, 31):
+        assert list(partitions_of(n)) == list(support.partitions_recursive(n)), n
+    # p(n) from OEIS A000041
+    assert [sum(1 for _ in partitions_of(n)) for n in (7, 13, 37, 40)] == [15, 101, 21637, 37338]
     stream = list(partitions_of(8))
     assert stream == sorted(stream, reverse=True)
     assert stream[0] == (8,) and stream[-1] == (1,) * 8

@@ -10,7 +10,8 @@ cut profiles against one component count per deleted vertex (and so on every
 free tree up to 11 vertices), the tree DP's keys and signs against that
 search, and missing-type certificates on random trees against that search
 and a scan of every ordering.  On random trees up to 20 vertices a missing
-type must mean not e-positive.  Hypothesis runs derandomized, so every run
+type must mean not e-positive.  The c500 window test's floor-division forms
+are checked against its statement in exact rationals.  Hypothesis runs derandomized, so every run
 draws the same examples.
 """
 
@@ -29,7 +30,7 @@ from epolab.graphs import (
     missing_types,
     spider,
 )
-from epolab.obstructions import theorem_decide
+from epolab.obstructions import strategy_check, theorem_decide
 from epolab.partitions import partitions_of
 from epolab.symfunc import _type_tally, _waring, csf_e, is_e_positive
 from support import chromatic_polynomial, specialize_e
@@ -183,6 +184,24 @@ def test_certificates_hold_on_random_trees(G):
         assert has_connected_partition(G, cert.lam) is None, (profile, cert.lam)
         if support.count_rearrangements(cert.lam) <= 20000:
             assert support.all_rearrangements_hit(cert.lam, profile.b + 1, profile.b + profile.c)
+
+
+@st.composite
+def c500_cells(draw):
+    """(b, c, q) as the c500 sweep tries them: 2c <= b <= c^2/2 and 1 <= q <= b/c."""
+    c = draw(st.integers(4, 600))
+    b = draw(st.integers(2 * c, c * c // 2))
+    return b, c, draw(st.integers(1, b // c))
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(st.one_of(c500_cells(), st.tuples(st.integers(-10**6, 10**6), st.integers(-10**3, 10**3),
+                                         st.integers(1, 10**3))))
+@example((82, 41, 2))  # x = 42, y = 61: passes
+@example((5, 3, 2))  # x = 3 < c+1
+@example((1300, 50, 25))  # x = 53, y = 54: y - x = 1
+def test_strategy_check_matches_exact_rationals(cell):
+    assert strategy_check(*cell) == support.strategy_check_exact(*cell)
 
 
 def test_complete_graph_closed_form():

@@ -221,7 +221,7 @@ def test_coloring_oracle_equivalence_small():
             g = Graph(n, edges)
             X = csf_e(g)
             tally = support.coloring_multiset_tally(g)
-            for mu in support.brute_force_partitions(n):
+            for mu in support.partitions_recursive(n):
                 padded = mu + (0,) * (n - len(mu))
                 monomial_coeff = sum(
                     c * support.zero_one_matrix_count(lam, padded)
