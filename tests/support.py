@@ -582,8 +582,16 @@ def strategy_check_exact(b: int, c: int, q: int) -> bool:
 def c500_rows_bruteforce(c_lo: int, c_hi: int) -> List[tuple]:
     """sweep_c500's full-mode (c, b, q) rows: q is the largest block count <= b/c
     that passes strategy_check_exact, or 0 when none does."""
-    return [(c, b, next((q for q in range(b // c, 0, -1) if strategy_check_exact(b, c, q)), 0))
-            for c in range(c_lo, c_hi + 1) for b in range(2 * c, c * c // 2 + 1)]
+    rows = []
+    for c in range(c_lo, c_hi + 1):
+        for b in range(2 * c, c * c // 2 + 1):
+            found = 0
+            for q in range(b // c, 0, -1):
+                if strategy_check_exact(b, c, q):
+                    found = q
+                    break
+            rows.append((c, b, found))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ free tree up to 11 vertices), the tree DP's keys and signs against that
 search, and missing-type certificates on random trees against that search
 and a scan of every ordering.  On random trees up to 20 vertices a missing
 type must mean not e-positive.  The c500 window test's floor-division forms
-are checked against its statement in exact rationals.  Hypothesis runs derandomized, so every run
-draws the same examples.
+are checked against its statement in exact rationals.  Hypothesis runs
+derandomized, so every run draws the same examples.
 """
 
 import math
