@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / positive outcome, 1 negative finding (not e-positive,
 missing type, sweep failure, theorem not applicable), 2 usage or parse error,
-3 size-guard violation or state budget exceeded, 4 internal error.
+3 size-guard violation or state or part budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .graphs import (
 )
 from .obstructions import (
     SWEEP_C_BOUNDS,
+    PartBudgetError,
     check_c_range,
     describe_inapplicability,
     parallel_map,
@@ -384,15 +385,17 @@ def cmd_sweep(args) -> int:
     if args.out:
         _open_user_file(args.out, "a").close()
     csv = _open_user_file(args.csv, "w") if args.csv else None
+    header = "c,b,n_lo,n_hi,cells,failures\n" if args.kind == "c40" else "c,b,q\n"
+    row_format = ",".join(["%d"] * (header.count(",") + 1)) + "\n"
 
     def write_rows(rows) -> None:
         """Append one c's rows to --csv, as that c completes."""
-        csv.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        csv.writelines(row_format % row for row in rows)
 
     sink = write_rows if csv else None
     try:
         if csv is not None:
-            csv.write("c,b,n_lo,n_hi,cells,failures\n" if args.kind == "c40" else "c,b,q\n")
+            csv.write(header)
         if args.kind == "c40":
             report = sweep_c40(lo, hi, jobs=args.jobs, rows=sink)
         else:
@@ -494,7 +497,7 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise SpecError("parallelism must be >= 1")
         code = args.fn(args)
-    except (SpecError, GuardError, StateBudgetError) as exc:
+    except (SpecError, GuardError, StateBudgetError, PartBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE if isinstance(exc, SpecError) else EXIT_GUARD
     except Exception as exc:  # a crash must not exit 1, the code of a finding

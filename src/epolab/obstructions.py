@@ -26,6 +26,19 @@ from .graphs import ConnectedPartition, CutProfile, spider
 from .partitions import interval_partition, partial_sums, partitions_of, two_coin_representation
 
 CERT_KINDS = ("explicit-interval", "q-interval", "parts-c-c1", "special-b-2c-1")
+# the most parts a certificate's type may have, half of what fits in 1 GiB: under a 1 GiB
+# address-space cap, prove fits 2*10^7 parts in every arm but not 3*10^7 of 13 digits
+PART_BUDGET = 10_000_000
+
+
+class PartBudgetError(RuntimeError):
+    """A certificate's type would have more than PART_BUDGET parts."""
+
+
+def _check_part_count(parts: int) -> None:
+    """Raise PartBudgetError before a type of this many parts is built."""
+    if parts > PART_BUDGET:
+        raise PartBudgetError(f"size guard, a type of {parts} parts > {PART_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -121,21 +134,25 @@ def q_interval(b: int, c: int, q: int) -> Optional[Tuple[int, int]]:
     at q = 1 it is [b+1, b+c], the prefix-sum window forced by the cut vertex."""
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
-    x = -(-(b + 1) // q)
-    y = (b + c) // q
+    x, y = b // q + 1, (b + c) // q
     return (x, y) if x <= y else None
 
 
 def _interval_certificate(profile: CutProfile, kind: str, qs) -> Optional[MissingTypeCertificate]:
     """A certificate of an interval kind from the first q in qs whose window
-    q_interval(b, c, q) lies above c1 and holds a partition of n; None if none does."""
-    b, c, c1, n = profile.b, profile.c, profile.c1, profile.n
+    q_interval(b, c, q) holds a partition of n; None if none does.  Every q a caller
+    passes puts x above c1: x = b + 1 at q = 1, x = c >= c1 + 1 at q = 2 with b = 2c - 1,
+    x > b/q >= c1 for q <= b // c1, and x > c when analysis_q picks q.  The certificate's
+    prefix-sum check still tests that."""
+    b, c, n = profile.b, profile.c, profile.n
     for q in qs:
         window = q_interval(b, c, q)
-        if window is None or window[0] < c1 + 1:
+        if window is None:
             continue
-        lam = interval_partition(n, *window)
-        if lam is not None:
+        t = -(-n // window[1])  # the fewest parts <= y; the window holds a partition iff t*x <= n
+        if t * window[0] <= n:
+            _check_part_count(t)
+            lam = interval_partition(n, *window)
             return MissingTypeCertificate(profile, lam, kind, q=q if kind == "q-interval" else None)
     return None
 
@@ -196,6 +213,7 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     (3) 2c <= b <= c^2/2 scans q down from b // c1 (closed-form selection once c >= 500);
     (4) b >= c^2/2 with c >= c1+2 uses parts from {c-1, c}.
     Every certificate is verified against the prefix-sum criterion when built.
+    Raises PartBudgetError, before building it, for a type of more than PART_BUDGET parts.
     """
     b, c, c1, n = profile.b, profile.c, profile.c1, profile.n
     if c < 2:
@@ -206,6 +224,7 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     elif c >= c1 + 1 and b == 2 * c - 1:
         if c == 2:
             # b = 3: all 2s when n is even, a single leading 3 otherwise
+            _check_part_count(n // 2)
             lam = (2,) * (n // 2) if n % 2 == 0 else (3,) + (2,) * ((n - 3) // 2)
             return MissingTypeCertificate(profile, lam, "special-b-2c-1")
         kind, qs = "q-interval", (2,)
@@ -216,6 +235,7 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
         if two_coin is None:
             raise RuntimeError(f"two-coin witness unexpectedly absent for {profile}")
         a1, a2 = two_coin
+        _check_part_count(a1 + a2)
         return MissingTypeCertificate(profile, (c,) * a1 + (c - 1,) * a2, "parts-c-c1")
     else:
         return None
@@ -273,45 +293,38 @@ class SweepReport:
         }
 
 
-def _gaps(lo: int, top: int, spans: List[Tuple[int, int]]) -> Iterator[int]:
-    """The n in [lo, top) outside every (start, end) span, in increasing order."""
-    for start, end in sorted(spans):
-        if lo >= top:
-            return
-        yield from range(lo, min(start, top))
-        lo = max(lo, end + 1)
-    yield from range(lo, top)
-
-
 def _uncovered(n_lo: int, n_hi: int, windows) -> List[int]:
     """The n in [n_lo, n_hi] that no range [t*x, t*y], t >= 1, of any window (x, y) covers.
 
-    From t0 = ceil((x-1)/(y-x)) on, t*y + 1 >= (t+1)*x, so the ranges of one
-    window touch and their union is [t0*x, oo): a window adds that tail and
-    its ranges below t0, and everything from the lowest tail up is covered.
-    Windows are read only until [n_lo, n_hi] is covered.
+    From t0 = ceil((x-1)/(y-x)) = (y-2) // (y-x) on, t*y + 1 >= (t+1)*x, so the ranges
+    of a window with y > x touch and cover the tail [t0*x, oo).  A tail that starts at or
+    below n_lo covers everything: at n_lo = 2b + c + 1 that is strategy_check's test.  Else
+    each window adds its tail and its ranges below t0, and one sorted pass finds the gaps.
     """
-    top = n_hi + 1  # [top, n_hi] is covered
     spans: List[Tuple[int, int]] = []
     for x, y in windows:
+        t_end = n_hi // x + 1  # the first t with t*x > n_hi
         if y > x:
-            t0 = -(-(x - 1) // (y - x))
-            top = min(top, max(t0 * x, n_lo))
-        else:
-            t0 = n_hi // x + 1  # one-point ranges never touch
-        below = range(max(1, -(-n_lo // y)), min(t0, (top - 1) // x + 1))  # t < t0, t*x < top
-        spans.extend((t * x, t * y) for t in below)
-        if next(_gaps(n_lo, top, spans), None) is None:
-            return []
-    return list(_gaps(n_lo, top, spans))
+            t0 = (y - 2) // (y - x)
+            if t0 * x <= n_lo:
+                return []
+            spans.append((t0 * x, n_hi))
+            t_end = min(t_end, t0)
+        spans.extend((t * x, t * y) for t in range(max(1, -(-n_lo // y)), t_end))
+    gaps, lo = [], n_lo
+    for start, end in sorted(spans):
+        gaps.extend(range(lo, min(start, n_hi + 1)))
+        lo = max(lo, end + 1)
+    gaps.extend(range(lo, n_hi + 1))
+    return gaps
 
 
 def _c40_scan_c(c: int) -> Tuple[int, List[tuple], List[tuple]]:
     """All (b, n) cells for one c: coverage by some q-compressed interval.
 
     For fixed (b, c) the n values realizable with block count q and t parts
-    form the range [t*x, t*y]; their union over every q with x >= c+1
-    decides every cell of the n-window exactly.
+    form the range [t*x, t*y]; their union over every q <= b/c, where
+    x = b//q + 1 >= c+1, decides every cell of the n-window exactly.
     """
     cells = 0
     failures: List[tuple] = []
@@ -319,7 +332,6 @@ def _c40_scan_c(c: int) -> Tuple[int, List[tuple], List[tuple]]:
     for b in range(2 * c, c * c // 2 + 1):
         n_lo = 2 * b + c + 1
         n_hi = (-(-b // (c - 1))) * (b + 1)
-        # q <= b/c keeps x = ceil((b+1)/q) >= c+1
         windows = filter(None, (q_interval(b, c, q) for q in range(b // c, 0, -1)))
         miss = _uncovered(n_lo, n_hi, windows)
         width = n_hi - n_lo + 1

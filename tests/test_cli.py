@@ -20,7 +20,7 @@ from epolab.graphs import (
     missing_types,
     spider,
 )
-from epolab.obstructions import theorem_decide
+from epolab.obstructions import PART_BUDGET, theorem_decide
 from epolab.symfunc import CSF_ROUTE, is_e_positive
 
 
@@ -148,20 +148,35 @@ def test_prove_large_path_is_not_applicable(capsys):
     assert code == 1 and out.startswith("NOT-APPLICABLE: no cut vertex")
 
 
+def _prove_in_one_gib(spec: str) -> subprocess.CompletedProcess:
+    """`epolab prove spec` in a child whose address space is capped at 1 GiB."""
+    cap = "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", cap + "runpy.run_module('epolab', run_name='__main__')", "prove", spec],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
 def test_prove_huge_profiles_fit_in_one_gib():
     # two part values v1 > v2 would put about (b/v1)(b/v2)/2 prefix sums in one
     # set; folding the last run by a max keeps about b/v1
-    cap = "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-    src = str(Path(cli.__file__).resolve().parents[1])
     for spec in ("profile:a=5000000000,b=5000000000,cs=50000,50000",
                  "profile:a=10000000000,b=10000000000,cs=5000,3"):
-        done = subprocess.run(
-            [sys.executable, "-c", cap + "runpy.run_module('epolab', run_name='__main__')",
-             "prove", spec], capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""},
-            timeout=120)
+        done = _prove_in_one_gib(spec)
         assert done.returncode == 0, (spec, done.stderr[-500:])
         assert json.loads(done.stdout)["verified"] is True
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_prove_guards_the_part_count_before_building_a_type():
+    # about 2.5*10^11 parts of 3 and 4 (explicit-interval), and 4*10^8 parts of
+    # 5,003 and 5,002 (parts-c-c1): each would exhaust memory, so each exits 3
+    for spec in ("profile:a=1000000000000,b=2,cs=1,1",
+                 "profile:a=1000000000000,b=1000000000000,cs=5000,3"):
+        done = _prove_in_one_gib(spec)
+        assert done.returncode == 3, (spec, done.stderr[-500:])
+        assert done.stdout == "" and f"parts > {PART_BUDGET}" in done.stderr
 
 
 def test_trees_scan_small(capsys):

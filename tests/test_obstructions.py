@@ -6,9 +6,11 @@ import time
 import pytest
 
 import support
+from epolab import obstructions
 from epolab.graphs import CutProfile, spider, has_connected_partition
 from epolab.obstructions import (
     MissingTypeCertificate,
+    PartBudgetError,
     SixmConstruction,
     _c40_scan_c,
     _uncovered,
@@ -266,6 +268,20 @@ def test_theorem_decide_arm_coverage():
     cert = theorem_decide(CutProfile(9, 8, (1, 1, 1)))
     assert cert is not None and cert.kind == "parts-c-c1"
     assert set(cert.lam) <= {2, 3}
+
+
+def test_theorem_decide_guards_each_arms_part_count(monkeypatch):
+    # each arm's count is the length of the type it then builds: at that budget the
+    # certificate is built, one part below it PartBudgetError comes first
+    for profile in (CutProfile(10, 2, (1, 1)), CutProfile(10, 3, (1, 1)), CutProfile(11, 3, (1, 1)),
+                    CutProfile(20, 5, (2, 1)), CutProfile(30, 8, (2, 1, 1)), CutProfile(30, 10, (2, 2))):
+        parts = len(theorem_decide(profile).lam)
+        monkeypatch.setattr(obstructions, "PART_BUDGET", parts)
+        assert len(theorem_decide(profile).lam) == parts
+        monkeypatch.setattr(obstructions, "PART_BUDGET", parts - 1)
+        with pytest.raises(PartBudgetError, match=f"{parts} parts > {parts - 1}"):
+            theorem_decide(profile)
+        monkeypatch.undo()
 
 
 def test_certificate_validation():
@@ -530,6 +546,9 @@ def test_uncovered_lists_the_gaps_a_window_leaves():
     assert _uncovered(5, 30, [(5, 5)]) == [n for n in range(6, 31) if n % 5]
     assert _uncovered(7, 9, []) == [7, 8, 9]
     assert _uncovered(7, 9, [(7, 9)]) == []
+    # (3, 4)'s tail starts at 6 and one-point (5, 5) has none, yet t = 1 of (5, 5) fills in 5
+    assert _uncovered(5, 30, [(3, 4), (5, 5)]) == []
+    assert _uncovered(5, 30, [(5, 5), (3, 4)]) == []
     # the real grid with q = floor(b/c) alone: gaps the full sweep fills with smaller q
     missed = 0
     for c in (5, 9, 12):

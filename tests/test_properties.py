@@ -11,7 +11,8 @@ free tree up to 11 vertices), the tree DP's keys and signs against that
 search, and missing-type certificates on random trees against that search
 and a scan of every ordering.  On random trees up to 20 vertices a missing
 type must mean not e-positive.  The c500 window test's floor-division forms
-are checked against its statement in exact rationals.  Hypothesis runs
+are checked against its statement in exact rationals, and the c40 sweep's
+gap finder against a per-n scan of random window lists.  Hypothesis runs
 derandomized, so every run draws the same examples.
 """
 
@@ -30,7 +31,7 @@ from epolab.graphs import (
     missing_types,
     spider,
 )
-from epolab.obstructions import strategy_check, theorem_decide
+from epolab.obstructions import _uncovered, strategy_check, theorem_decide
 from epolab.partitions import partitions_of
 from epolab.symfunc import _type_tally, _waring, csf_e, is_e_positive
 from support import chromatic_polynomial, specialize_e
@@ -202,6 +203,34 @@ def c500_cells(draw):
 @example((1300, 50, 25))  # x = 53, y = 54: y - x = 1
 def test_strategy_check_matches_exact_rationals(cell):
     assert strategy_check(*cell) == support.strategy_check_exact(*cell)
+
+
+@st.composite
+def window_lists(draw):
+    """0 to 6 windows (x, y) with x <= y, one-point and x = 1 ones among them, and an
+    n range [n_lo, n_hi] that may lie above every range t = 1 reaches or be empty."""
+    windows = []
+    for _ in range(draw(st.integers(0, 6))):
+        x = draw(st.integers(1, 30))
+        windows.append((x, x + draw(st.one_of(st.just(0), st.integers(0, 30)))))
+    n_lo = draw(st.integers(1, 300))
+    return n_lo, n_lo + draw(st.integers(-1, 200)), windows
+
+
+@PROPERTY
+@given(window_lists())
+@example((5, 30, [(3, 4)]))  # the tail starts at 6, one above n_lo
+@example((6, 30, [(3, 4)]))  # the tail starts at n_lo
+@example((5, 30, [(3, 4), (5, 5)]))  # the union covers, no one tail does
+@example((5, 30, [(5, 5), (3, 4)]))
+@example((7, 40, [(1, 1)]))  # x = 1, one-point: every n
+@example((7, 40, [(1, 3), (6, 6)]))  # x = 1: the tail starts at 0
+@example((90, 140, [(2, 2), (40, 41)]))  # n_lo above t = 1's ranges
+def test_uncovered_matches_a_per_n_scan(case):
+    n_lo, n_hi, windows = case
+    expected = [n for n in range(n_lo, n_hi + 1)
+                if not any(t * x <= n <= t * y for x, y in windows for t in range(1, n // x + 1))]
+    assert _uncovered(n_lo, n_hi, windows) == expected
 
 
 def test_complete_graph_closed_form():
