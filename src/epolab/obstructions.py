@@ -19,7 +19,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .graphs import ConnectedPartition, CutProfile, spider
@@ -64,7 +64,7 @@ class MissingTypeCertificate:
             raise ValueError(f"q-interval needs q and no other kind takes one, got {self.kind} with q={self.q}")
         if self.kind in ("explicit-interval", "q-interval"):
             window = self.window
-            if window is None or any(not window[0] <= p <= window[1] for p in self.lam):
+            if window is None or not (window[0] <= min(self.lam) and max(self.lam) <= window[1]):
                 raise ValueError(f"{self.kind} certificate has a part outside its window {window}")
         if not check_partsums_obstruction(self.lam, self.profile):
             raise ValueError(f"type {self.lam} fails the prefix-sum criterion for {self.profile}")
@@ -110,62 +110,45 @@ def check_partsums_obstruction(lam, profile: CutProfile) -> bool:
     An ordering avoids the window iff some part p follows a sub-multiset S of
     the other parts with sum(S) <= b and sum(S) + p > b+c: put S first, then
     p, then the rest.  A largest part serves as p whenever any part does, so
-    this needs only the largest subset sum <= b of the other parts.  The sums
-    <= b are built as a set, one distinct part value at a time, but the last
-    value only extends each sum as far as it stays <= b: with two part values
+    this needs only the largest subset sum <= b of the other parts.  One pass
+    counts the parts of each value, so the type is never copied.  The sums <= b
+    are built as a set, one run of equal parts at a time, largest first, but the
+    last run only extends each sum as far as it stays <= b: with two part values
     v1 > v2, the set holds at most b/v1 + 1 sums.
     """
-    parts = tuple(sorted(lam, reverse=True))
-    if sum(parts) != profile.n:
-        raise ValueError(f"type {parts} does not sum to profile size {profile.n}")
-    if any(p < profile.c1 + 1 for p in parts):
+    counts: Dict[int, int] = {}
+    for p in lam:
+        counts[p] = counts.get(p, 0) + 1
+    runs = sorted(counts.items(), reverse=True)
+    if sum(v * m for v, m in runs) != profile.n:
+        raise ValueError(f"type {tuple(sorted(lam, reverse=True))} does not sum to profile size {profile.n}")
+    if runs[-1][0] < profile.c1 + 1:  # runs is not empty: n >= 1
         return False
     lo, hi = profile.b + 1, profile.b + profile.c
-    runs = [(v, len(tuple(run))) for v, run in groupby(parts[1:])]
-    reach = {0}  # the sums < lo of sub-multisets of every run of parts[1:] but the last
+    top, m = runs[0]
+    runs[0] = (top, m - 1)  # the other parts; a run of count 0 adds no sum
+    reach = {0}  # the sums < lo of sub-multisets of every run but the last
     for v, m in runs[:-1]:
         reach = {s + t for s in reach for t in range(0, min(v * m, lo - 1 - s) + 1, v)}
-    v, m = runs[-1] if runs else (1, 0)
-    return max(s + v * min(m, (lo - 1 - s) // v) for s in reach) + parts[0] <= hi
+    v, m = runs[-1]
+    return max(s + v * min(m, (lo - 1 - s) // v) for s in reach) + top <= hi
 
 
 def q_interval(b: int, c: int, q: int) -> Optional[Tuple[int, int]]:
     """The window (x, y) = (ceil((b+1)/q), floor((b+c)/q)), or None when x > y;
-    at q = 1 it is [b+1, b+c], the prefix-sum window forced by the cut vertex."""
+    at q = 1 it is [b+1, b+c], the prefix-sum window forced by the cut vertex.
+    ceil((b+1)/q) = b//q + 1, since b//q < (b+1)/q <= b//q + 1."""
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     x, y = b // q + 1, (b + c) // q
     return (x, y) if x <= y else None
 
 
-def _interval_certificate(profile: CutProfile, kind: str, qs) -> Optional[MissingTypeCertificate]:
-    """A certificate of an interval kind from the first q in qs whose window
-    q_interval(b, c, q) holds a partition of n; None if none does.  Every q a caller
-    passes puts x above c1: x = b + 1 at q = 1, x = c >= c1 + 1 at q = 2 with b = 2c - 1,
-    x > b/q >= c1 for q <= b // c1, and x > c when analysis_q picks q.  The certificate's
-    prefix-sum check still tests that."""
-    b, c, n = profile.b, profile.c, profile.n
-    for q in qs:
-        window = q_interval(b, c, q)
-        if window is None:
-            continue
-        t = -(-n // window[1])  # the fewest parts <= y; the window holds a partition iff t*x <= n
-        if t * window[0] <= n:
-            _check_part_count(t)
-            lam = interval_partition(n, *window)
-            return MissingTypeCertificate(profile, lam, kind, q=q if kind == "q-interval" else None)
-    return None
-
-
 def strategy_check(b: int, c: int, q: int) -> bool:
-    """True iff q's window x = ceil((b+1)/q), y = floor((b+c)/q) has c < x < y
-    and ceil((x-1)/(y-x)) * x <= 2b + c + 1.  Both ceilings are floor divisions:
-    ceil((b+1)/q) = b//q + 1, since b//q < (b+1)/q <= b//q + 1; and ceil(a/d) =
-    (a + d - 1) // d for d >= 1, so with a = x - 1, d = y - x it is (y-2) // (y-x).
-    """
-    if q < 1:
-        raise ValueError(f"need q >= 1, got {q}")
-    x, y = b // q + 1, (b + c) // q
+    """True iff q's window (x, y) = q_interval(b, c, q) has c < x < y and
+    ceil((x-1)/(y-x)) * x <= 2b + c + 1.  The ceiling is (y-2) // (y-x), since
+    ceil(a/d) = (a + d - 1) // d for d >= 1."""
+    x, y = q_interval(b, c, q) or (0, 0)
     return c < x < y and (y - 2) // (y - x) * x <= 2 * b + c + 1
 
 
@@ -240,10 +223,19 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     else:
         return None
 
-    cert = _interval_certificate(profile, kind, qs)
-    if cert is None:
-        raise RuntimeError(f"interval witness unexpectedly absent for {profile}")
-    return cert
+    # the first q whose window holds a partition of n.  Each q puts x above c1: x = b + 1
+    # at q = 1, x = c >= c1 + 1 at q = 2 with b = 2c - 1, x > b/q >= c1 for q <= b // c1,
+    # and x > c when analysis_q picks q.  The certificate's prefix-sum check still tests that.
+    for q in qs:
+        window = q_interval(b, c, q)
+        if window is None:
+            continue
+        t = -(-n // window[1])  # the fewest parts <= y; the window holds a partition iff t*x <= n
+        if t * window[0] <= n:
+            _check_part_count(t)
+            lam = interval_partition(n, *window)
+            return MissingTypeCertificate(profile, lam, kind, q=q if kind == "q-interval" else None)
+    raise RuntimeError(f"interval witness unexpectedly absent for {profile}")
 
 
 def describe_inapplicability(profile: CutProfile) -> str:
@@ -383,11 +375,9 @@ def sweep_c40(c_lo: int = SWEEP_C_BOUNDS["c40"][0], c_hi: int = SWEEP_C_BOUNDS["
 def _c500_scan_c(args: tuple) -> Tuple[int, List[tuple], Iterator[tuple]]:
     """All (b, c) cells for one c: the largest q <= b/c that passes strategy_check, or 0.
 
-    Each q is tested inline in strategy_check's closed forms: ceil((b+1)/q) = b//q + 1,
-    since b//q < (b+1)/q <= b//q + 1; and ceil((x-1)/(y-x)) = (y-2) // (y-x), since
-    ceil(a/d) = (a + d - 1) // d for d >= 1.  The rows (c, b, q) come back as an
-    iterator over the list of q, so that until a sink reads them they cost one
-    pointer per cell, not one tuple.
+    Each q is tested inline by strategy_check's floor divisions, without a call per q.
+    The rows (c, b, q) come back as an iterator over the list of q, so that until a
+    sink reads them they cost one pointer per cell, not one tuple.
     """
     c, b_stride = args
     bs = range(2 * c, c * c // 2 + 1, b_stride)

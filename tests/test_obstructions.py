@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,7 @@ from epolab.obstructions import (
     sweep_c500,
     theorem_decide,
 )
-from epolab.partitions import partial_sums, partitions_of
+from epolab.partitions import interval_partition, partial_sums, partitions_of
 from epolab.symfunc import is_e_positive
 
 
@@ -47,13 +48,22 @@ def test_check_partsums_examples():
 
 
 def test_check_partsums_size_mismatch():
-    with pytest.raises(ValueError):
-        check_partsums_obstruction((2, 2), CutProfile(2, 2, (1,)))
+    with pytest.raises(ValueError, match=r"^type \(3, 3, 1\) does not sum to profile size 6$"):
+        check_partsums_obstruction((1, 3, 3), CutProfile(2, 2, (1,)))
 
 
 def test_check_partsums_vs_full_enumeration():
-    """The prefix-sum check agrees with a blind scan over all orderings."""
+    """The prefix-sum check agrees with a blind scan over all orderings, for each
+    type as generated and as a shuffled tuple."""
     rng = random.Random(13)
+
+    def check(lam, profile):
+        shuffled = list(lam)
+        rng.shuffle(shuffled)
+        got = check_partsums_obstruction(lam, profile)
+        assert check_partsums_obstruction(tuple(shuffled), profile) == got, (profile, lam, shuffled)
+        return got
+
     profiles = [
         CutProfile(1, 1, (1,)),
         CutProfile(3, 2, (2, 1)),
@@ -67,7 +77,7 @@ def test_check_partsums_vs_full_enumeration():
         for lam in partitions_of(profile.n):
             if count_rearrangements(lam) > 20000:
                 continue
-            got = check_partsums_obstruction(lam, profile)
+            got = check(lam, profile)
             if any(p < profile.c1 + 1 for p in lam):
                 assert not got
             else:
@@ -89,7 +99,7 @@ def test_check_partsums_vs_full_enumeration():
                 if count_rearrangements(p) <= 20000
             ]
         )
-        got = check_partsums_obstruction(lam, profile)
+        got = check(lam, profile)
         lo, hi = profile.b + 1, profile.b + profile.c
         expected = all(p >= profile.c1 + 1 for p in lam) and support.all_rearrangements_hit(
             lam, lo, hi
@@ -107,8 +117,6 @@ def test_q_interval_examples():
 
 def test_compressed_interval_types_are_obstructed():
     """Any type inside a valid q-interval is rejected by the prefix-sum check."""
-    from epolab.partitions import interval_partition
-
     rng = random.Random(29)
     for _ in range(200):
         b = rng.randint(2, 14)
@@ -319,6 +327,21 @@ def test_certificate_check_cost_does_not_grow_with_b():
     cert = theorem_decide(profile)
     assert time.perf_counter() - start < 1
     assert cert.lam == (2 * 10**10 + 1, 2 * 10**10) and cert.kind == "explicit-interval"
+
+
+def test_certificate_check_makes_no_copy_of_the_type():
+    # 10^6 parts of 7 and 6 in the window [5, 7]: counting the parts per value
+    # allocates a few small objects, where a sorted copy of the type alone is 8 MB
+    profile = CutProfile(7 * 10**6 - 10, 4, (2, 1))
+    lam = interval_partition(profile.n, 5, 7)
+    assert len(lam) == 10**6
+    tracemalloc.start()
+    try:
+        MissingTypeCertificate(profile, lam, "explicit-interval")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_certificate_json():
