@@ -2,7 +2,11 @@
 
 Exit codes: 0 success / positive outcome, 1 negative finding (not e-positive,
 missing type, sweep failure, theorem not applicable), 2 usage or parse error,
-3 size-guard violation or state or part budget exceeded, 4 internal error.
+3 size-guard violation or state or part budget exceeded (GuardError), 4 internal
+error, 141 (128 + SIGPIPE) when the reader of stdout has closed it.
+
+Each command imports the library modules it runs when it is called, so
+`--version` loads none of them.
 """
 
 from __future__ import annotations
@@ -12,46 +16,22 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import __version__
-from .graphs import (
-    FREE_TREES_MAX_N,
-    MISSING_TYPES_MAX_N,
-    CutProfile,
-    Graph,
-    cut_profiles,
-    has_connected_partition,
-    is_connected as is_graph_connected,
-    max_degree,
-    missing_types,
-    enumerate_free_trees,
-    path_graph,
-    spider,
-    star_graph,
-)
-from .obstructions import (
-    SWEEP_C_BOUNDS,
-    PartBudgetError,
-    check_c_range,
-    describe_inapplicability,
-    parallel_map,
-    sixm_full_check,
-    sweep_c40,
-    sweep_c500,
-    theorem_decide,
-)
-from .partitions import format_parts, parse_partition, partitions_of
-from .symfunc import CSF_MAX_N, CSF_ROUTE, StateBudgetError, csf_e, is_e_positive
+from . import GuardError, __version__
+
+if TYPE_CHECKING:
+    from .graphs import CutProfile, Graph
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 
-# tags trees-scan's cached verdicts: the settle route, then csf_e's algorithms
-SCAN_ROUTE = f"settle=certificate,missing-type,csf;{CSF_ROUTE}"
+# tags trees-scan's cached verdicts: the settle route, then csf_e's tally and p->e algorithms
+SCAN_ROUTE = "settle=certificate,missing-type,csf;tally=tree-dp+frontier-dp;p2e=waring"
 SETTLE_STEPS = ("certificate", "missing-type", "csf")  # a verdict's settled_by, in route order
 # prove's guard on n: Graph.adj holds about n^2/16 bytes on a path, and
 # prove path:50000 peaks at 206 MB and answers in 1.6 s on a 2-core host.
@@ -60,10 +40,6 @@ PROVE_MAX_N = 50_000
 
 class SpecError(ValueError):
     """Malformed input (graph/profile shorthand, file, type, range): exit 2."""
-
-
-class GuardError(Exception):
-    """Input beyond a subcommand's size guard: exit 3."""
 
 
 def _open_user_file(path: str, mode: str):
@@ -80,6 +56,7 @@ def parse_graph_spec(spec: str, limit: Optional[int] = None, connected: bool = F
     Raises GuardError past `limit` vertices, from n alone, before any graph
     is built; and SpecError on a disconnected graph when `connected` is set.
     """
+    from .graphs import Graph, is_connected, path_graph, spider, star_graph
 
     def guard(n: int) -> None:
         if limit is not None and n > limit:
@@ -114,13 +91,14 @@ def parse_graph_spec(spec: str, limit: Optional[int] = None, connected: bool = F
             G = Graph.from_text(text)
         except ValueError as exc:
             raise SpecError(str(exc)) from None
-    if connected and not is_graph_connected(G):
+    if connected and not is_connected(G):
         raise SpecError("graph must be connected")
     return G
 
 
 def parse_profile_spec(spec: str) -> CutProfile:
     """Parse "profile:a=6,b=4,cs=1,1"."""
+    from .graphs import CutProfile
     body = spec.partition(":")[2]
     fields = {}
     key = None
@@ -236,12 +214,15 @@ class ResultCache:
 
 
 def cmd_csf(args) -> int:
+    from .symfunc import CSF_MAX_N, csf_e
     X = csf_e(parse_graph_spec(args.graph, CSF_MAX_N))
     print(json.dumps(X.to_json_dict()) if args.json else X.to_text())
     return EXIT_OK
 
 
 def cmd_epos(args) -> int:
+    from .partitions import format_parts
+    from .symfunc import CSF_MAX_N, is_e_positive
     verdict = is_e_positive(parse_graph_spec(args.graph, CSF_MAX_N))
     if args.json:
         negatives = [{"lambda": list(lam), "coeff": str(c)} for lam, c in verdict.negatives]
@@ -256,6 +237,8 @@ def cmd_epos(args) -> int:
 
 
 def cmd_connparts(args) -> int:
+    from .graphs import MISSING_TYPES_MAX_N, has_connected_partition, missing_types
+    from .partitions import format_parts, parse_partition
     G = parse_graph_spec(args.graph, MISSING_TYPES_MAX_N, connected=True)
     try:
         lam = parse_partition(args.type) if args.type is not None else None
@@ -286,6 +269,8 @@ def cmd_connparts(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from .graphs import cut_profiles
+    from .obstructions import describe_inapplicability, theorem_decide
     if args.spec.startswith("profile:"):
         profiles = [parse_profile_spec(args.spec)]
     else:
@@ -313,6 +298,9 @@ def _settle_tree(G: Graph) -> dict:
     certificate on a cut profile, or else a type the tree DP misses, settles
     "not e-positive"; csf_e runs only on a tree that has every type.
     """
+    from .graphs import cut_profiles, missing_types
+    from .obstructions import theorem_decide
+    from .symfunc import is_e_positive
     if any(theorem_decide(profile) is not None for _, profile in cut_profiles(G)):
         return {"e_positive": False, "settled_by": "certificate"}
     if missing_types(G):
@@ -321,6 +309,8 @@ def _settle_tree(G: Graph) -> dict:
 
 
 def cmd_trees_scan(args) -> int:
+    from .graphs import FREE_TREES_MAX_N, enumerate_free_trees, max_degree
+    from .obstructions import parallel_map
     n_max = args.n_max
     if n_max < 1:
         raise SpecError("need n_max >= 1")
@@ -365,6 +355,7 @@ def cmd_trees_scan(args) -> int:
 def _parse_range(text: Optional[str], kind: str):
     """LO..HI from text, or the sweep's whole c range when none is given."""
     if not text:
+        from .obstructions import SWEEP_C_BOUNDS
         return SWEEP_C_BOUNDS[kind]
     try:
         lo, _, hi = text.partition("..")
@@ -374,6 +365,7 @@ def _parse_range(text: Optional[str], kind: str):
 
 
 def cmd_sweep(args) -> int:
+    from .obstructions import check_c_range, sweep_c40, sweep_c500
     lo, hi = _parse_range(args.range, args.kind)
     try:
         check_c_range(args.kind, lo, hi)
@@ -412,6 +404,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sixm(args) -> int:
+    from .obstructions import sixm_full_check
     if not 1 <= args.m <= 3:
         raise SpecError(f"need 1 <= m <= 3, got {args.m}")
     if args.cross_check and args.m != 1:
@@ -419,6 +412,8 @@ def cmd_sixm(args) -> int:
     report = sixm_full_check(args.m)
     agree = None
     if args.cross_check:  # the blind search, one type at a time
+        from .graphs import has_connected_partition, spider
+        from .partitions import partitions_of
         G = spider((6, 4, 1, 1))
         agree = all(has_connected_partition(G, lam) is not None for lam in partitions_of(13))
     if args.json:
@@ -497,9 +492,13 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise SpecError("parallelism must be >= 1")
         code = args.fn(args)
-    except (SpecError, GuardError, StateBudgetError, PartBudgetError) as exc:
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+    except (SpecError, GuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE if isinstance(exc, SpecError) else EXIT_GUARD
+    except BrokenPipeError:  # the output's reader is gone: stop quietly, as a pipe writer does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # keeps the exit flush quiet
+        code = EXIT_PIPE
     except Exception as exc:  # a crash must not exit 1, the code of a finding
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_INTERNAL

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from . import GuardError
 from .graphs import ConnectedPartition, CutProfile, spider
 from .partitions import interval_partition, partial_sums, partitions_of, two_coin_representation
 
@@ -31,7 +32,7 @@ CERT_KINDS = ("explicit-interval", "q-interval", "parts-c-c1", "special-b-2c-1")
 PART_BUDGET = 10_000_000
 
 
-class PartBudgetError(RuntimeError):
+class PartBudgetError(GuardError):
     """A certificate's type would have more than PART_BUDGET parts."""
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from typing import Dict, List, Tuple
 
+from . import GuardError
 from .graphs import Graph, _component_masks, _mask_vertices, _tree_type_tally
 from .partitions import format_parts, packed_partitions
 
@@ -67,12 +68,11 @@ class EposVerdict:
         return not self.negatives
 
 
-CSF_ROUTE = "tally=tree-dp+frontier-dp;p2e=waring"  # tags cached verdicts by route
 CSF_MAX_N = 20  # csf_e's guard on the number of vertices
 STATE_BUDGET = 150_000  # live frontier-DP states; K10 peaks at Bell(10) = 115,975
 
 
-class StateBudgetError(RuntimeError):
+class StateBudgetError(GuardError):
     """The frontier DP needed more than STATE_BUDGET live states."""
 
 

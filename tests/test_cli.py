@@ -21,7 +21,7 @@ from epolab.graphs import (
     spider,
 )
 from epolab.obstructions import PART_BUDGET, theorem_decide
-from epolab.symfunc import CSF_ROUTE, is_e_positive
+from epolab.symfunc import is_e_positive
 
 
 def run(capsys, *argv):
@@ -370,7 +370,8 @@ def test_trees_scan_cache_prunes_records_it_can_no_longer_serve(capsys, tmp_path
     keys = [json.loads(line)["key"] for line in live.splitlines()]
     # a record as the scan wrote it before it settled trees by certificate
     # (csf_e's route, no settled_by), then the live records, then a torn tail
-    old = {"command": "trees-scan", "key": keys[0], "version": "0.1.0", "route": CSF_ROUTE,
+    old = {"command": "trees-scan", "key": keys[0], "version": "0.1.0",
+           "route": "tally=tree-dp+frontier-dp;p2e=waring",
            "result": {"n": 6, "max_degree": 4, "e_positive": False}}
     cache = tmp_path / "cache.jsonl"
     cache.write_text(json.dumps(old) + "\n" + live + live.splitlines()[0][:30])
@@ -488,7 +489,7 @@ def test_sweep_checks_its_output_paths_before_it_runs(capsys, tmp_path, monkeypa
     def sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before its output paths were checked")
 
-    monkeypatch.setattr(cli, "sweep_c40", sweep)
+    monkeypatch.setattr(obstructions, "sweep_c40", sweep)
     for flag, name in [("--out", "x.json"), ("--csv", "x.csv")]:
         code, out, err = run(capsys, "sweep", "c40", flag, str(tmp_path / "no-such-dir" / name))
         assert code == 2 and out == "" and err.startswith("error: cannot open "), (flag, err)
@@ -512,3 +513,19 @@ def test_cli_import_leaves_numpy_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+    # each command loads only the library modules it runs
+    probe = ("import atexit, sys; atexit.register(lambda: print(*sys.modules, file=sys.stderr)); "
+             "from epolab.cli import main; main()")
+    for argv, left_out in [
+        (["--version"], ["epolab.graphs", "epolab.partitions", "epolab.symfunc", "epolab.obstructions",
+                         "dataclasses"]),
+        (["csf", "path:4"], ["epolab.obstructions"]),
+        (["connparts", "path:4"], ["epolab.symfunc", "epolab.obstructions"]),
+        (["prove", "profile:a=6,b=2,cs=1,1"], ["epolab.symfunc"]),
+    ]:
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env={"PYTHONPATH": src, "PATH": ""},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (argv, done.stderr)
+        loaded = done.stderr.split()
+        assert "epolab.cli" in loaded and not set(left_out) & set(loaded), argv

@@ -1,7 +1,9 @@
 """CLI failure modes: state budget, stale cache records, crashes, `-m` entry,
-size guards ahead of graph building, and user-named files that cannot be opened."""
+size guards ahead of graph building, user-named files that cannot be opened,
+and a stdout whose reader has gone."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import epolab
-from epolab import cli, obstructions, symfunc
+from epolab import cli, graphs, obstructions, symfunc
 from epolab.cli import main
 from epolab.graphs import Graph
 
@@ -51,7 +53,7 @@ def test_trees_scan_cache_ignores_records_of_another_route(capsys, tmp_path, mon
         rec["result"]["e_positive"] = True
         stale.append(json.dumps(rec))
         stale.append(json.dumps(dict(rec, route="tally=subsets;p2e=newton")))
-        stale.append(json.dumps(dict(rec, route=symfunc.CSF_ROUTE)))
+        stale.append(json.dumps(dict(rec, route="tally=tree-dp+frontier-dp;p2e=waring")))
     seeded = tmp_path / "seeded.jsonl"
     seeded.write_text("\n".join(stale) + "\n")
 
@@ -110,13 +112,33 @@ def test_python_m_epolab():
     assert done.stdout == f"epolab {epolab.__version__}\n"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [("csf", "path:5"), ("trees-scan", "9")])
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    # as in `epolab trees-scan 9 | head -1`: the reader closes its end before the command writes
+    src = str(Path(epolab.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "epolab", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={"PYTHONPATH": src, "PATH": "", "PYTHONUNBUFFERED": unbuffered},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b""), argv
+
+
 def test_size_guard_fires_before_any_graph_is_built(capsys, tmp_path, monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("a graph was built past its size guard")
 
     monkeypatch.setattr(Graph, "__post_init__", build)
     for name in ("spider", "path_graph", "star_graph"):
-        monkeypatch.setattr(cli, name, build)
+        monkeypatch.setattr(graphs, name, build)
     huge = tmp_path / "huge.txt"
     huge.write_text("1000000000\n0 1\n")
     for argv, n, limit in [
@@ -133,7 +155,7 @@ def test_user_files_that_cannot_be_opened_exit_2(capsys, tmp_path, monkeypatch):
     def scan(n):
         raise AssertionError("the scan started before the cache path was checked")
 
-    monkeypatch.setattr(cli, "enumerate_free_trees", scan)
+    monkeypatch.setattr(graphs, "enumerate_free_trees", scan)
     nowhere = tmp_path / "no-such-dir"
     for argv in [
         ("sweep", "c40", "2..3", "--out", str(nowhere / "x.json")),
