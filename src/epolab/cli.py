@@ -30,9 +30,9 @@ EXIT_GUARD = 3
 EXIT_INTERNAL = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 
-# tags trees-scan's cached verdicts: the settle route, then csf_e's tally and p->e algorithms
+# tags trees-scan's cached rows: the settle route, then csf_e's tally and p->e algorithms
 SCAN_ROUTE = "settle=certificate,missing-type,csf;tally=tree-dp+frontier-dp;p2e=waring"
-SETTLE_STEPS = ("certificate", "missing-type", "csf")  # a verdict's settled_by, in route order
+SETTLE_STEPS = ("certificate", "missing_type", "csf")  # a verdict's settled_by, in route order
 # prove's guard on n: Graph.adj holds about n^2/16 bytes on a path, and
 # prove path:50000 peaks at 206 MB and answers in 1.6 s on a 2-core host.
 PROVE_MAX_N = 50_000
@@ -127,86 +127,73 @@ def parse_profile_spec(spec: str) -> CutProfile:
 
 
 # ---------------------------------------------------------------------------
-# Result cache (append-only JSON lines)
+# Result cache (JSON lines, one row per n)
 
 
 class ResultCache:
-    """Append-only JSONL cache of trees-scan verdicts, keyed by tree.
+    """JSONL cache of trees-scan rows, one line per n.
 
-    A record holds command "trees-scan", the key, the version and a route tag
-    naming the algorithms behind its result (SCAN_ROUTE); one under another
-    command, version or route, or with no route, is a miss.  A line that does
-    not parse is what an interrupted append leaves behind: it is skipped, and
-    the next append starts on a fresh line so that its record stays whole.  A
-    line that is not UTF-8, or parses but is not a whole record, or whose
-    result is not an object with a bool `e_positive` and a `settled_by` from
-    SETTLE_STEPS, is skipped too, as a miss.  Records are written as ASCII
-    JSON, so a skipped line is never one of them.  A whole record under
-    another command, version or route can never be served again: when a load
-    finds one, it rewrites the file with only the records it can serve.
+    A line holds command "trees-scan", n, the version, a route tag naming the
+    algorithms behind its row (SCAN_ROUTE) and the row: `degree4_trees`,
+    `counterexamples` (each an edge list) and `settled` (a count per step of
+    SETTLE_STEPS).  A line that is not UTF-8, or does not parse, or is under
+    another command, version or route, or whose row lacks a field or holds
+    one of another type, is skipped, as a miss.  Each put rewrites the whole
+    file with the rows the cache holds, so a skipped line is gone after the
+    first write.
     """
 
     def __init__(self, path: Optional[str]):
         self.path = path
-        self._records = {}
-        self._torn_tail = False
-        if path:
-            with _open_user_file(path, "a+b") as fh:  # a path that cannot take appends fails here
-                fh.seek(0)
-                data = fh.read()
-            self._torn_tail = bool(data) and not data.endswith(b"\n")
-            live, dead = [], False
-            for line in data.splitlines():
-                try:
-                    rec = json.loads(line.decode("utf-8"))
-                    tag = (rec["command"], rec["version"], rec.get("route"))
-                    key, result = rec["key"], rec["result"]
-                    hash(key)  # a key that cannot be a dict key makes the line no record
-                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
+        self._rows = {}
+        if not path:
+            return
+        with _open_user_file(path, "a+b") as fh:  # a path that cannot be written fails here
+            fh.seek(0)
+            lines = fh.read().splitlines()
+        for line in lines:
+            try:
+                rec = json.loads(line.decode("utf-8"))
+                if (rec["command"], rec["version"], rec["route"]) != ("trees-scan", __version__, SCAN_ROUTE):
                     continue
-                if tag != ("trees-scan", __version__, SCAN_ROUTE):
-                    dead = True
-                elif (isinstance(result, dict) and isinstance(result.get("e_positive"), bool)
-                        and result.get("settled_by") in SETTLE_STEPS):
-                    self._records[key] = result
-                    live.append(line)
-            if dead:
-                try:
-                    self._rewrite(live)
-                except OSError:
-                    pass  # no temp file can go beside it: the dead records stay, as misses
+                n, row = rec["n"], rec["row"]
+                # the row as the scan builds it: edges as tuples, steps in route order
+                counterexamples = [[(u, v) for u, v in edges] for edges in row["counterexamples"]]
+                row = {"degree4_trees": row["degree4_trees"], "counterexamples": counterexamples,
+                       "settled": {step: row["settled"][step] for step in SETTLE_STEPS}}
+            except (ValueError, KeyError, TypeError):  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                continue
+            ends = [v for edges in counterexamples for edge in edges for v in edge]
+            if all(type(v) is int for v in [n, row["degree4_trees"], *row["settled"].values(), *ends]):
+                self._rows[n] = row
 
-    def _rewrite(self, lines) -> None:
-        """Replace the file by these lines, through a temp file beside it and os.replace,
-        so that a reader finds the old file or the new one, never a mix."""
-        import tempfile  # only a load that prunes needs it, so no other call imports it
+    def get(self, n: int):
+        return self._rows.get(n)
 
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)))
+    def put(self, n: int, row: dict) -> None:
+        """Hold the row of size n, and replace the file by every row held, through a
+        temp file beside it and os.replace, so that a reader finds the old file or the
+        new one, never a mix."""
+        self._rows[n] = row
+        if not self.path:
+            return
+        import tempfile  # only a miss writes, so a warm scan never imports it
+
+        lines = [json.dumps({"command": "trees-scan", "n": n, "version": __version__,
+                             "route": SCAN_ROUTE, "row": row}, sort_keys=True) + "\n"
+                 for n, row in sorted(self._rows.items())]
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.writelines(line + b"\n" for line in lines)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)))
+        except OSError as exc:
+            raise SpecError(f"cannot write {self.path}: {exc.strerror}") from None
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.writelines(lines)
             os.chmod(tmp, os.stat(self.path).st_mode & 0o7777)
             os.replace(tmp, self.path)
         except BaseException:
             os.unlink(tmp)
             raise
-        self._torn_tail = False
-
-    def get(self, key: str):
-        return self._records.get(key)
-
-    def put(self, records) -> None:
-        """Append (key, result) pairs in one open; get never serves them, as a scan looks each key up once."""
-        if not self.path or not records:
-            return
-        with open(self.path, "a") as fh:
-            if self._torn_tail:
-                fh.write("\n")
-                self._torn_tail = False
-            for key, result in records:
-                record = {"command": "trees-scan", "key": key, "version": __version__,
-                          "route": SCAN_ROUTE, "result": result}
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -304,49 +291,53 @@ def _settle_tree(G: Graph) -> dict:
     if any(theorem_decide(profile) is not None for _, profile in cut_profiles(G)):
         return {"e_positive": False, "settled_by": "certificate"}
     if missing_types(G):
-        return {"e_positive": False, "settled_by": "missing-type"}
+        return {"e_positive": False, "settled_by": "missing_type"}
     return {"e_positive": is_e_positive(G).positive, "settled_by": "csf"}
 
 
-def cmd_trees_scan(args) -> int:
-    from .graphs import FREE_TREES_MAX_N, enumerate_free_trees, max_degree
+def _scan_size(n: int, jobs: int) -> dict:
+    """The row of size n: how many trees have a degree-4 vertex, the edge lists of
+    the e-positive ones among them, in enumeration order, and how many each step settled."""
+    from .graphs import enumerate_free_trees, max_degree
     from .obstructions import parallel_map
+    qualifying = [G for G in enumerate_free_trees(n) if max_degree(G) >= 4]
+    verdicts = list(parallel_map(_settle_tree, qualifying, jobs))
+    settled = Counter(verdict["settled_by"] for verdict in verdicts)
+    return {"degree4_trees": len(qualifying),
+            "counterexamples": [sorted(G.edges) for G, verdict in zip(qualifying, verdicts)
+                                if verdict["e_positive"]],
+            "settled": {step: settled[step] for step in SETTLE_STEPS}}
+
+
+def cmd_trees_scan(args) -> int:
+    from .graphs import FREE_TREES_MAX_N
     n_max = args.n_max
     if n_max < 1:
         raise SpecError("need n_max >= 1")
     if n_max > FREE_TREES_MAX_N:
         raise GuardError(f"size guard, n_max={n_max} > {FREE_TREES_MAX_N}")
     cache = ResultCache(args.cache)
-    counterexamples = []
     rows = []
     for n in range(1, n_max + 1):
-        qualifying = [G for G in enumerate_free_trees(n) if max_degree(G) >= 4]
-        # the edge list determines the tree, so a hit is that tree's own verdict
-        keys = [f"n{n}:" + ",".join(f"{u}-{v}" for u, v in sorted(G.edges)) for G in qualifying]
-        verdicts = [cache.get(key) for key in keys]
-        todo = [i for i, hit in enumerate(verdicts) if hit is None]
-        fresh = parallel_map(_settle_tree, [qualifying[i] for i in todo], args.jobs)
-        for i, verdict in zip(todo, fresh):
-            verdicts[i] = verdict
-        cache.put([(keys[i], verdicts[i]) for i in todo])
-        bad = [G for G, verdict in zip(qualifying, verdicts) if verdict["e_positive"]]
-        counterexamples.extend(bad)
-        settled = Counter(verdict["settled_by"] for verdict in verdicts)
-        rows.append((n, len(qualifying), len(bad), settled))
+        row = cache.get(n)
+        if row is None:
+            row = _scan_size(n, args.jobs)
+            cache.put(n, row)
+        rows.append((n, row))
+    counterexamples = [edges for _, row in rows for edges in row["counterexamples"]]
     if args.json:
-        table = [{"n": n, "degree4_trees": q, "counterexamples": b,
-                  "settled": {step.replace("-", "_"): settled[step] for step in SETTLE_STEPS}}
-                 for n, q, b, settled in rows]
-        found = [sorted(g.edges) for g in counterexamples]
-        print(json.dumps({"n_max": n_max, "rows": table, "counterexamples": found}))
+        table = [{"n": n, "degree4_trees": row["degree4_trees"],
+                  "counterexamples": len(row["counterexamples"]), "settled": row["settled"]}
+                 for n, row in rows]
+        print(json.dumps({"n_max": n_max, "rows": table, "counterexamples": counterexamples}))
     else:
         print(f"{'n':>3} {'deg>=4 trees':>13} {'e-positive (unexpected)':>24}")
-        for n, q, b, _ in rows:
-            print(f"{n:>3} {q:>13} {b:>24}")
+        for n, row in rows:
+            print(f"{n:>3} {row['degree4_trees']:>13} {len(row['counterexamples']):>24}")
         if counterexamples:
             print("counterexamples found:")
-            for g in counterexamples:
-                print(f"  {sorted(g.edges)}")
+            for edges in counterexamples:
+                print(f"  {edges}")
         else:
             print("no counterexamples: every scanned tree with a degree-4 vertex fails e-positivity")
     return EXIT_NEGATIVE if counterexamples else EXIT_OK
@@ -474,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trees-scan", help="degree>=4 trees are never e-positive")
     p.add_argument("n_max", type=int)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cache", help="append-only JSONL result cache")
+    p.add_argument("--cache", help="JSONL result cache, one row per n")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_trees_scan)
 

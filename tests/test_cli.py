@@ -10,7 +10,8 @@ import pytest
 
 import support
 
-from epolab import cli, obstructions
+import epolab
+from epolab import cli, graphs, obstructions
 from epolab.cli import main, parse_graph_spec, parse_profile_spec, SpecError
 from epolab.graphs import (
     cut_profiles,
@@ -210,13 +211,49 @@ def test_trees_scan_cache(capsys, tmp_path):
     code1, out1, _ = run(capsys, "trees-scan", "6", "--cache", str(cache))
     assert code1 == 0 and cache.exists()
     lines = cache.read_text().splitlines()
-    assert len(lines) == 3  # one deg>=4 tree at n=5, two at n=6
-    rec = json.loads(lines[0])
-    assert rec["command"] == "trees-scan" and rec["result"]["e_positive"] is False
-    # a second run is a pure cache hit: no new lines, identical output
+    assert len(lines) == 6  # one row per n
+    recs = [json.loads(line) for line in lines]
+    assert [rec["n"] for rec in recs] == [1, 2, 3, 4, 5, 6]
+    assert {(rec["command"], rec["version"], rec["route"]) for rec in recs} == {
+        ("trees-scan", epolab.__version__, cli.SCAN_ROUTE)}
+    # one deg>=4 tree at n=5, two at n=6, none e-positive
+    assert [rec["row"]["degree4_trees"] for rec in recs] == [0, 0, 0, 0, 1, 2]
+    assert recs[5]["row"]["counterexamples"] == [] and sum(recs[5]["row"]["settled"].values()) == 2
+    # a second run is a pure cache hit: nothing written, identical output
+    inode = os.stat(cache).st_ino
     code2, out2, _ = run(capsys, "trees-scan", "6", "--cache", str(cache))
     assert code2 == 0 and out2 == out1
-    assert cache.read_text().splitlines() == lines
+    assert cache.read_text().splitlines() == lines and os.stat(cache).st_ino == inode
+
+
+def test_trees_scan_cache_hit_enumerates_and_settles_nothing(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    cold = [run(capsys, "trees-scan", "9", *flag, "--cache", str(cache)) for flag in ([], ["--json"])]
+    assert [code for code, _, _ in cold] == [0, 0]
+    bounded = tmp_path / "bounded.jsonl"
+    assert run(capsys, "trees-scan", "8", "--cache", str(bounded))[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("a cache hit enumerated or settled a tree")
+
+    enumerate_trees = graphs.enumerate_free_trees
+    monkeypatch.setattr(graphs, "enumerate_free_trees", refuse)
+    monkeypatch.setattr(cli, "_settle_tree", refuse)
+    warm = [run(capsys, "trees-scan", "9", *flag, "--cache", str(cache)) for flag in ([], ["--json"])]
+    assert warm == cold
+
+    # with rows for n <= 8 held, trees-scan 10 enumerates only n = 9 and 10
+    monkeypatch.undo()
+    expected = run(capsys, "trees-scan", "10")
+    enumerated = []
+
+    def recording(n):
+        enumerated.append(n)
+        return enumerate_trees(n)
+
+    monkeypatch.setattr(graphs, "enumerate_free_trees", recording)
+    assert run(capsys, "trees-scan", "10", "--cache", str(bounded)) == expected
+    assert enumerated == [9, 10]
 
 
 def test_sweep_c40_cli(capsys, tmp_path):
@@ -352,14 +389,18 @@ def test_trees_scan_cache_survives_torn_last_line(capsys, tmp_path):
     assert code == 0
     text = clean.read_text()
     torn = tmp_path / "torn.jsonl"
-    torn.write_text(text[: text.rindex("\n", 0, -1) + 1 + 20])  # last record cut mid-line
+    torn.write_text(text[: text.rindex("\n", 0, -1) + 1 + 20])  # last row cut mid-line
     code, out, _ = run(capsys, "trees-scan", "6", "--cache", str(torn))
     assert code == 0 and out == expected
-    repaired = torn.read_text()
-    assert repaired.endswith(text.splitlines()[-1] + "\n")  # re-appended whole, on its own line
+    assert torn.read_text() == text  # the torn row recomputed, and the file rewritten whole
     code, out, _ = run(capsys, "trees-scan", "6", "--cache", str(torn))
     assert code == 0 and out == expected
-    assert torn.read_text() == repaired
+    assert torn.read_text() == text
+
+
+# a record as the scan wrote it when it cached one per tree
+PER_TREE_RECORD = {"command": "trees-scan", "key": "n5:0-1,0-2,0-3,0-4", "version": epolab.__version__,
+                   "route": cli.SCAN_ROUTE, "result": {"e_positive": True, "settled_by": "csf"}}
 
 
 def test_trees_scan_cache_prunes_records_it_can_no_longer_serve(capsys, tmp_path):
@@ -367,22 +408,23 @@ def test_trees_scan_cache_prunes_records_it_can_no_longer_serve(capsys, tmp_path
     code, expected, _ = run(capsys, "trees-scan", "6", "--cache", str(clean))
     assert code == 0
     live = clean.read_text()
-    keys = [json.loads(line)["key"] for line in live.splitlines()]
-    # a record as the scan wrote it before it settled trees by certificate
-    # (csf_e's route, no settled_by), then the live records, then a torn tail
-    old = {"command": "trees-scan", "key": keys[0], "version": "0.1.0",
-           "route": "tally=tree-dp+frontier-dp;p2e=waring",
-           "result": {"n": 6, "max_degree": 4, "e_positive": False}}
+    rows = live.splitlines(keepends=True)
+    # a per-tree record, a row under the scan's tag before it settled trees by
+    # certificate, then the rows for n <= 5 and a torn tail
+    old = dict(json.loads(rows[4]), route="tally=tree-dp+frontier-dp;p2e=waring")
     cache = tmp_path / "cache.jsonl"
-    cache.write_text(json.dumps(old) + "\n" + live + live.splitlines()[0][:30])
+    seeded = json.dumps(PER_TREE_RECORD) + "\n" + json.dumps(old) + "\n" + "".join(rows[:5]) + rows[5][:30]
+    cache.write_text(seeded)
+    inode = os.stat(cache).st_ino
+    code, out, _ = run(capsys, "trees-scan", "5", "--cache", str(cache))
+    assert (code, out) == run(capsys, "trees-scan", "5")[:2]
+    assert cache.read_text() == seeded and os.stat(cache).st_ino == inode  # every n a hit: untouched
     code, out, _ = run(capsys, "trees-scan", "6", "--cache", str(cache))
     assert code == 0 and out == expected
-    assert cache.read_text() == live
-    inode = os.stat(cache).st_ino
+    assert cache.read_text() == live  # the first write keeps only the rows it can serve
     again, fresh = cli.ResultCache(str(cache)), cli.ResultCache(str(clean))
-    assert [again.get(k) for k in keys] == [fresh.get(k) for k in keys]
-    assert None not in [again.get(k) for k in keys]
-    assert cache.read_text() == live and os.stat(cache).st_ino == inode  # nothing dead: untouched
+    assert [again.get(n) for n in range(1, 7)] == [fresh.get(n) for n in range(1, 7)]
+    assert None not in [again.get(n) for n in range(1, 7)]
 
 
 def test_trees_scan_cache_prunes_records_under_another_command(capsys, tmp_path):
@@ -390,53 +432,75 @@ def test_trees_scan_cache_prunes_records_under_another_command(capsys, tmp_path)
     code, expected, _ = run(capsys, "trees-scan", "6", "--cache", str(clean))
     assert code == 0
     live = clean.read_text()
-    other = dict(json.loads(live.splitlines()[0]), command="csf")
+    other = dict(json.loads(live.splitlines()[5]), command="csf")
     cache = tmp_path / "cache.jsonl"
-    cache.write_text(json.dumps(other) + "\n" + live)
+    cache.write_text(json.dumps(other) + "\n" + "".join(live.splitlines(keepends=True)[:5]))
     code, out, _ = run(capsys, "trees-scan", "6", "--cache", str(cache))
     assert (code, out) == (0, expected)
     assert cache.read_text() == live
 
 
-def test_trees_scan_cache_serves_only_what_the_file_held_at_load(tmp_path):
+def test_trees_scan_cache_put_rewrites_the_file_with_every_row_held(tmp_path):
     path = tmp_path / "cache.jsonl"
-    for cache in (cli.ResultCache(str(path)), cli.ResultCache(None)):
-        cache.put([("k", {"e_positive": False, "settled_by": "csf"})])
-        assert cache.get("k") is None
-    assert cli.ResultCache(str(path)).get("k") == {"e_positive": False, "settled_by": "csf"}
+    path.write_text("not a row\n")
+    path.chmod(0o640)
+    one = {"degree4_trees": 0, "counterexamples": [], "settled": dict.fromkeys(cli.SETTLE_STEPS, 0)}
+    two = {"degree4_trees": 1, "counterexamples": [[(0, 1), (0, 2)]],
+           "settled": {"certificate": 0, "missing_type": 0, "csf": 1}}
+    cache = cli.ResultCache(str(path))
+    cache.put(2, two)
+    cache.put(1, one)
+    assert cache.get(2) == two
+    assert [json.loads(line)["n"] for line in path.read_text().splitlines()] == [1, 2]
+    assert os.stat(path).st_mode & 0o777 == 0o640
+    again = cli.ResultCache(str(path))
+    assert (again.get(1), again.get(2), again.get(3)) == (one, two, None)
+    assert list(again.get(2)["settled"]) == list(cli.SETTLE_STEPS)  # route order, not the file's
+    memory = cli.ResultCache(None)  # no path: the row is held, and nothing is written
+    memory.put(1, one)
+    assert memory.get(1) == one and os.listdir(tmp_path) == ["cache.jsonl"]
 
 
 def test_trees_scan_cache_skips_lines_that_are_not_records(capsys, tmp_path):
-    code, expected, _ = run(capsys, "trees-scan", "5")
+    clean = tmp_path / "clean.jsonl"
+    code, expected, _ = run(capsys, "trees-scan", "5", "--json", "--cache", str(clean))
     assert code == 0
-    unhashable_key = {"command": "trees-scan", "key": ["x"], "version": "0.1.0",
-                      "result": {"e_positive": True}}
-    lines = ['{"command": "trees-scan", "key": "x"}', "[1, 2]", '"text"', "7", "null",
-             json.dumps(unhashable_key)]
+    row = json.loads(clean.read_text().splitlines()[4])
+    rootless = {key: value for key, value in row.items() if key != "route"}
+    lines = ['{"command": "trees-scan", "n": 5}', "[1, 2]", '"text"', "7", "null",
+             json.dumps(dict(row, n="5")), json.dumps(dict(row, n=True)), json.dumps(dict(row, n=[5])),
+             json.dumps(rootless), json.dumps(PER_TREE_RECORD)]
     for line in lines:
         cache = tmp_path / "partial.jsonl"
         cache.write_text(line + "\n")
-        code, out, err = run(capsys, "trees-scan", "5", "--cache", str(cache))
+        code, out, err = run(capsys, "trees-scan", "5", "--json", "--cache", str(cache))
         assert (code, out, err) == (0, expected, ""), line
-        assert cache.read_text().startswith(line + "\n")
+        assert cache.read_text() == clean.read_text(), line
 
 
 def test_trees_scan_cache_skips_records_without_a_verdict(capsys, tmp_path):
     clean = tmp_path / "clean.jsonl"
-    code, expected, _ = run(capsys, "trees-scan", "5", "--cache", str(clean))
+    code, expected, _ = run(capsys, "trees-scan", "5", "--json", "--cache", str(clean))
     assert code == 0
-    for result in [5, {"e_positive": "no"}, {"n": 5}, {"e_positive": True}]:
+    good = json.loads(clean.read_text().splitlines()[4])["row"]
+    bad_rows = [5, None, [good]] + [{k: v for k, v in good.items() if k != field} for field in good] + [
+        dict(good, degree4_trees="1"), dict(good, degree4_trees=True), dict(good, degree4_trees=1.0),
+        dict(good, counterexamples="ab"), dict(good, counterexamples=[[["0", "1"]]]),
+        dict(good, counterexamples=[[[0, 1, 2]]]), dict(good, counterexamples=[5]),
+        dict(good, settled={"certificate": 1, "missing_type": 0}),
+        dict(good, settled=dict(good["settled"], csf=0.5)), dict(good, settled=[1, 0, 0])]
+    for bad in bad_rows:
         cache = tmp_path / "bad.jsonl"
-        recs = [dict(json.loads(line), result=result) for line in clean.read_text().splitlines()]
+        recs = [dict(json.loads(line), row=bad) for line in clean.read_text().splitlines()]
         cache.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
-        code, out, err = run(capsys, "trees-scan", "5", "--cache", str(cache))
-        assert (code, out, err) == (0, expected, ""), result
+        code, out, err = run(capsys, "trees-scan", "5", "--json", "--cache", str(cache))
+        assert (code, out, err) == (0, expected, ""), bad
 
 
 def test_trees_scan_cache_skips_lines_that_are_not_utf8(capsys, tmp_path, monkeypatch):
     clean = tmp_path / "clean.jsonl"
     code, expected, _ = run(capsys, "trees-scan", "5", "--cache", str(clean))
-    assert code == 0 and len(clean.read_text().splitlines()) == 1
+    assert code == 0 and len(clean.read_text().splitlines()) == 5
     cache = tmp_path / "bytes.jsonl"
     cache.write_bytes(b"\xff\xfe\n" + clean.read_bytes())
     lookups = []
@@ -449,27 +513,54 @@ def test_trees_scan_cache_skips_lines_that_are_not_utf8(capsys, tmp_path, monkey
     monkeypatch.setattr(cli.ResultCache, "get", recording_get)
     code, out, err = run(capsys, "trees-scan", "5", "--cache", str(cache))
     assert (code, out, err) == (0, expected, "")
-    assert len(lookups) == 1 and lookups[0] is not None
-    assert cache.read_bytes() == b"\xff\xfe\n" + clean.read_bytes()
+    assert len(lookups) == 5 and None not in lookups
+    assert cache.read_bytes() == b"\xff\xfe\n" + clean.read_bytes()  # a full hit writes nothing
+    code, _, err = run(capsys, "trees-scan", "6", "--cache", str(cache))
+    assert (code, err) == (0, "") and b"\xff" not in cache.read_bytes()
 
 
 def test_trees_scan_counterexamples_print_in_tree_order_whatever_the_cache_holds(
         capsys, tmp_path, monkeypatch):
-    trees = [G for G in enumerate_free_trees(7) if max_degree(G) >= 4]
-    forged = {trees[0].edges, trees[-1].edges}
+    sixes, sevens = ([G for G in enumerate_free_trees(n) if max_degree(G) >= 4] for n in (6, 7))
+    forged = {sixes[0].edges, sevens[0].edges, sevens[-1].edges}
     settle = cli._settle_tree
-    monkeypatch.setattr(cli, "_settle_tree", lambda G: {"e_positive": True, "settled_by": "csf"}
-                        if G.edges in forged else settle(G))
+    settled_sizes = []
+
+    def forging(G):
+        settled_sizes.append(G.n)
+        return {"e_positive": True, "settled_by": "csf"} if G.edges in forged else settle(G)
+
+    monkeypatch.setattr(cli, "_settle_tree", forging)
+    expected = [run(capsys, "trees-scan", "7", *flag) for flag in ([], ["--json"])]
+    positions = [expected[0][1].index(str(sorted(G.edges))) for G in (sixes[0], sevens[0], sevens[-1])]
+    assert expected[0][0] == 1 and positions == sorted(positions)
     cold = tmp_path / "cold.jsonl"
-    code, expected, _ = run(capsys, "trees-scan", "7", "--cache", str(cold))
-    assert code == 1 and expected.index(str(sorted(trees[0].edges))) < expected.index(
-        str(sorted(trees[-1].edges)))
-    positives = [line for line in cold.read_text().splitlines() if '"e_positive": true' in line]
-    assert len(positives) == 2
-    cache = tmp_path / "later-tree-only.jsonl"
-    cache.write_text(positives[-1] + "\n")  # the later tree is a hit, the earlier a miss
+    assert run(capsys, "trees-scan", "7", "--cache", str(cold)) == expected[0]
+    seven = cold.read_text().splitlines()[6]
+    assert len(json.loads(seven)["row"]["counterexamples"]) == 2
+    for flag, want in zip(([], ["--json"]), expected):
+        cache = tmp_path / "later-size-only.jsonl"
+        cache.write_text(seven + "\n")  # n = 7 is a hit, n = 6 a miss
+        settled_sizes.clear()
+        assert run(capsys, "trees-scan", "7", *flag, "--cache", str(cache)) == want
+        assert sorted(set(settled_sizes)) == [5, 6]
+
+
+def test_trees_scan_cache_write_leaves_one_servable_row_per_n(capsys, tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    code, expected, _ = run(capsys, "trees-scan", "7", "--cache", str(clean))
+    assert code == 0
+    rows = clean.read_text().splitlines()
+    other_version = dict(json.loads(rows[2]), version="0.0.1")
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps(other_version) + "\n" + json.dumps(PER_TREE_RECORD) + "\n" + rows[3][:40])
     code, out, _ = run(capsys, "trees-scan", "7", "--cache", str(cache))
-    assert (code, out) == (1, expected)
+    assert (code, out) == (0, expected)
+    recs = [json.loads(line) for line in cache.read_text().splitlines()]  # every line parses
+    assert [rec["n"] for rec in recs] == list(range(1, 8))
+    written = cli.ResultCache(str(cache))
+    assert None not in [written.get(n) for n in range(1, 8)]
+    assert cache.read_text() == clean.read_text()
 
 
 def test_settle_route_agrees_with_csf_and_every_reported_type_is_absent():

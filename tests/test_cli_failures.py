@@ -1,11 +1,12 @@
 """CLI failure modes: state budget, stale cache records, crashes, `-m` entry,
-size guards ahead of graph building, user-named files that cannot be opened,
+size guards ahead of graph building, user-named files that cannot be opened or rewritten,
 and a stdout whose reader has gone."""
 
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,14 +44,16 @@ def test_trees_scan_cache_ignores_records_of_another_route(capsys, tmp_path, mon
     clean = tmp_path / "clean.jsonl"
     code, expected, _ = run(capsys, "trees-scan", "6", "--cache", str(clean))
     assert code == 0
-    # the same records in the format without a route tag, and under other routes
-    # (csf_e's own among them, the scan's tag before it settled trees by certificate),
-    # each with the verdict flipped: serving any would change the output
-    stale = []
+    # the same rows with no route tag, and under other routes (csf_e's own among
+    # them, the scan's tag before it settled trees by certificate), each with a
+    # forged counterexample, and a record of the per-tree format with a flipped
+    # verdict: serving any would change the output
+    stale = [json.dumps({"command": "trees-scan", "key": "n5:0-1,0-2,0-3,0-4", "version": epolab.__version__,
+                         "route": cli.SCAN_ROUTE, "result": {"e_positive": True, "settled_by": "csf"}})]
     for line in clean.read_text().splitlines():
         rec = json.loads(line)
         assert rec.pop("route") == cli.SCAN_ROUTE
-        rec["result"]["e_positive"] = True
+        rec["row"]["counterexamples"] = [[[0, 1]]]
         stale.append(json.dumps(rec))
         stale.append(json.dumps(dict(rec, route="tally=subsets;p2e=newton")))
         stale.append(json.dumps(dict(rec, route="tally=tree-dp+frontier-dp;p2e=waring")))
@@ -67,8 +70,20 @@ def test_trees_scan_cache_ignores_records_of_another_route(capsys, tmp_path, mon
     monkeypatch.setattr(cli.ResultCache, "get", recording_get)
     code, out, _ = run(capsys, "trees-scan", "6", "--cache", str(seeded))
     assert code == 0 and out == expected
-    assert len(lookups) == 3 and lookups == [None] * 3
-    assert seeded.read_text() == clean.read_text()  # the dead records were pruned on load
+    assert lookups == [None] * 6
+    assert seeded.read_text() == clean.read_text()  # the dead lines went at the first write
+
+
+def test_trees_scan_cache_that_cannot_be_rewritten_exits_2(capsys, tmp_path, monkeypatch):
+    def mkstemp(**kwargs):  # as in a directory that takes no new file
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("not a row\n")
+    code, out, err = run(capsys, "trees-scan", "5", "--cache", str(cache))
+    assert (code, out, err) == (2, "", f"error: cannot write {cache}: Permission denied\n")
+    assert cache.read_text() == "not a row\n" and os.listdir(tmp_path) == ["cache.jsonl"]
 
 
 def test_crash_exits_internal_error(capsys, monkeypatch):
