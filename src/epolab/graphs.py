@@ -1,5 +1,6 @@
 """Undirected simple graphs, cut-vertex profiles, connected partitions,
-the tree type DP, spider/path/star constructors, and free-tree enumeration.
+the tree type DP, spider/path/star constructors, and free-tree enumeration,
+with the slotted record bases of the library's value classes.
 
 Vertices are labelled 0..n-1.  Graph values are immutable; adjacency is
 exposed as per-vertex bitmasks, which keeps the connected-partition search
@@ -8,31 +9,68 @@ and component computations cheap at the sizes this library targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .partitions import packed_partitions
 
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+class Record:
+    """A slotted value, set by its `__init__` through `_set`.  Its `_fields` are compared,
+    pickled as constructor arguments and, less `_hidden`, shown by repr as
+    `Name(field=value, ...)`.  It is unhashable, since it can change."""
+
+    __slots__ = ()
+    _hidden = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class FrozenRecord(Record):
+    """A Record hashed by its `_fields`, none of which can be assigned or deleted."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(FrozenRecord):
     """Simple undirected graph on vertices 0..n-1.
 
     Edges are stored once each as (u, v) with u < v; adj[v] is the adjacency
     bitmask of v, with bit u set iff {u, v} is an edge.
     """
 
-    n: int
-    edges: frozenset
-    adj: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "edges", "adj")
+    _fields = ("n", "edges")  # adj follows from them
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, edges):
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
         norm = set()
         masks = [0] * n
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -40,8 +78,7 @@ class Graph:
             norm.add((u, v) if u < v else (v, u))
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "adj", tuple(masks))
+        self._set(n, frozenset(norm), tuple(masks))
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
@@ -60,22 +97,19 @@ class Graph:
         return cls(n, edges)
 
 
-@dataclass(frozen=True, slots=True)
-class CutProfile:
+class CutProfile(FrozenRecord):
     """Component sizes around a cut vertex: a >= b >= c1 >= ... >= ck >= 1."""
 
-    a: int
-    b: int
-    cs: Tuple[int, ...]
+    __slots__ = _fields = ("a", "b", "cs")
 
-    def __post_init__(self):
-        cs = tuple(self.cs)
+    def __init__(self, a: int, b: int, cs: Tuple[int, ...]):
+        cs = tuple(cs)
         if not cs:
             raise ValueError("need at least one small component (k >= 1)")
-        chain = (self.a, self.b) + cs
+        chain = (a, b) + cs
         if any(chain[i] < chain[i + 1] for i in range(len(chain) - 1)) or cs[-1] < 1:
             raise ValueError(f"sizes must satisfy a >= b >= c1 >= ... >= ck >= 1, got {chain}")
-        object.__setattr__(self, "cs", cs)
+        self._set(a, b, cs)
 
     @property
     def c(self) -> int:
@@ -90,14 +124,13 @@ class CutProfile:
         return self.a + self.b + self.c + 1
 
 
-@dataclass(frozen=True, slots=True)
-class ConnectedPartition:
+class ConnectedPartition(FrozenRecord):
     """Disjoint vertex blocks covering V, each inducing a connected subgraph."""
 
-    blocks: Tuple[frozenset, ...]
+    __slots__ = _fields = ("blocks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
+    def __init__(self, blocks):
+        self._set(tuple(frozenset(b) for b in blocks))
 
     def validate(self, G: Graph, lam) -> None:
         """Raise unless blocks are disjoint, cover V, induce connected subgraphs, have type lam."""

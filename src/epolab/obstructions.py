@@ -18,12 +18,11 @@ import math
 import os
 import time
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import GuardError
-from .graphs import ConnectedPartition, CutProfile, spider
+from .graphs import ConnectedPartition, CutProfile, FrozenRecord, Record, spider
 from .partitions import interval_partition, partial_sums, partitions_of, two_coin_representation
 
 CERT_KINDS = ("explicit-interval", "q-interval", "parts-c-c1", "special-b-2c-1")
@@ -42,8 +41,7 @@ def _check_part_count(parts: int) -> None:
         raise PartBudgetError(f"size guard, a type of {parts} parts > {PART_BUDGET}")
 
 
-@dataclass(frozen=True)
-class MissingTypeCertificate:
+class MissingTypeCertificate(FrozenRecord):
     """Machine-checkable witness that `lam` has no connected partition.
 
     Valid for every connected graph whose cut-vertex profile is `profile`.
@@ -52,13 +50,10 @@ class MissingTypeCertificate:
     """
 
     verified = True  # a class constant, not a field: construction verifies
+    __slots__ = _fields = ("profile", "lam", "kind", "q")
 
-    profile: CutProfile
-    lam: Tuple[int, ...]
-    kind: str
-    q: Optional[int] = None
-
-    def __post_init__(self):
+    def __init__(self, profile: CutProfile, lam: Tuple[int, ...], kind: str, q: Optional[int] = None):
+        self._set(profile, lam, kind, q)
         if self.kind not in CERT_KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
         if (self.kind == "q-interval") != (self.q is not None):
@@ -92,17 +87,13 @@ class MissingTypeCertificate:
         return out
 
 
-@dataclass(frozen=True)
-class QSelectionTrace:
+class QSelectionTrace(FrozenRecord):
     """Which rule produced q for (b, c), with the case-4 division internals."""
 
-    b: int
-    c: int
-    case: int
-    q: int
-    x: int
-    y: int
-    internals: Optional[dict] = None
+    __slots__ = _fields = ("b", "c", "case", "q", "x", "y", "internals")
+
+    def __init__(self, b: int, c: int, case: int, q: int, x: int, y: int, internals: Optional[dict] = None):
+        self._set(b, c, case, q, x, y, internals)
 
 
 def check_partsums_obstruction(lam, profile: CutProfile) -> bool:
@@ -264,13 +255,11 @@ def describe_inapplicability(profile: CutProfile) -> str:
 # Computer sweeps
 
 
-@dataclass
-class SweepReport:
-    kind: str
-    params: dict
-    cells: int
-    failures: List[tuple]
-    wall_time_ms: int
+class SweepReport(Record):
+    __slots__ = _fields = ("kind", "params", "cells", "failures", "wall_time_ms")
+
+    def __init__(self, kind: str, params: dict, cells: int, failures: List[tuple], wall_time_ms: int):
+        self._set(kind, params, cells, failures, wall_time_ms)
 
     @property
     def ok(self) -> bool:
@@ -455,17 +444,16 @@ def parallel_map(fn, items: list, jobs: int) -> Iterator:
 # Four-leg spiders
 
 
-@dataclass(frozen=True)
-class Spider4Verdict:
+class Spider4Verdict(FrozenRecord):
     """Classification of a four-leg spider: always not e-positive."""
 
     e_positive = False  # a class constant, not a field: every verdict is negative
+    # method is "obstruction-certificate" (with its certificate) or "external:zheng-cor-4.6"
+    __slots__ = _fields = ("legs", "profile", "method", "certificate", "note")
 
-    legs: Tuple[int, ...]
-    profile: CutProfile
-    method: str  # "obstruction-certificate" | "external:zheng-cor-4.6"
-    certificate: Optional[MissingTypeCertificate]
-    note: str
+    def __init__(self, legs: Tuple[int, ...], profile: CutProfile, method: str,
+                 certificate: Optional[MissingTypeCertificate], note: str):
+        self._set(legs, profile, method, certificate, note)
 
 
 def spider4_classify(legs) -> Spider4Verdict:
@@ -494,14 +482,14 @@ def spider4_classify(legs) -> Spider4Verdict:
 # Spiders S(6m, 6m-2, 1, 1): every type has a connected partition
 
 
-@dataclass(frozen=True)
-class SixmConstruction:
+class SixmConstruction(FrozenRecord):
     """How a type lam is realized in S(6m, 6m-2, 1, 1)."""
 
-    m: int
-    lam: Tuple[int, ...]
-    case: str  # "two-ones" or "all-twos-one" (no alpha), else the rule that ordered alpha
-    alpha: Optional[Tuple[int, ...]] = None
+    # case is "two-ones" or "all-twos-one" (no alpha), else the rule that ordered alpha
+    __slots__ = _fields = ("m", "lam", "case", "alpha")
+
+    def __init__(self, m: int, lam: Tuple[int, ...], case: str, alpha: Optional[Tuple[int, ...]] = None):
+        self._set(m, lam, case, alpha)
 
 
 def sixm_rearrangement(lam, m: int) -> SixmConstruction:
@@ -601,13 +589,11 @@ def sixm_connected_partition(rec: SixmConstruction) -> ConnectedPartition:
     return ConnectedPartition(blocks)
 
 
-@dataclass
-class SixmReport:
-    m: int
-    total: int
-    case_tallies: Dict[str, int]
-    failures: List[tuple]
-    materialized: int
+class SixmReport(Record):
+    __slots__ = _fields = ("m", "total", "case_tallies", "failures", "materialized")
+
+    def __init__(self, m: int, total: int, case_tallies: Dict[str, int], failures: List[tuple], materialized: int):
+        self._set(m, total, case_tallies, failures, materialized)
 
     def to_json_dict(self) -> dict:
         return {

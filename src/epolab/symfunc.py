@@ -10,36 +10,34 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache, reduce
 from typing import Dict, List, Tuple
 
 from . import GuardError
-from .graphs import Graph, _component_masks, _mask_vertices, _tree_type_tally
+from .graphs import FrozenRecord, Graph, _component_masks, _mask_vertices, _tree_type_tally
 from .partitions import format_parts, packed_partitions
 
 
-@dataclass(frozen=True, slots=True)
-class ESymExpansion:
+class ESymExpansion(FrozenRecord):
     """Association from partitions of `degree` to exact integer coefficients.
 
     Zero coefficients are never stored.
     """
 
-    degree: int
-    coeffs: Dict[tuple, int] = field(repr=False)
+    __slots__ = _fields = ("degree", "coeffs")
+    _hidden = ("coeffs",)
 
-    def __post_init__(self):
+    def __init__(self, degree: int, coeffs: Dict[tuple, int]):
         clean = {}
-        for key, val in self.coeffs.items():
+        for key, val in coeffs.items():
             key = tuple(key)
-            if sum(key) != self.degree:
-                raise ValueError(f"key {key} is not a partition of {self.degree}")
+            if sum(key) != degree:
+                raise ValueError(f"key {key} is not a partition of {degree}")
             if any(key[i] < key[i + 1] for i in range(len(key) - 1)):
                 raise ValueError(f"key {key} is not weakly decreasing")
             if val != 0:
                 clean[key] = int(val)
-        object.__setattr__(self, "coeffs", clean)
+        self._set(degree, clean)
 
     def stream_items(self) -> List[Tuple[tuple, int]]:
         """(partition, coefficient) pairs in partition stream order."""
@@ -57,11 +55,13 @@ class ESymExpansion:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class EposVerdict:
+class EposVerdict(FrozenRecord):
     """Positivity verdict plus every strictly negative (partition, coefficient) term."""
 
-    negatives: Tuple[Tuple[tuple, int], ...]
+    __slots__ = _fields = ("negatives",)
+
+    def __init__(self, negatives: Tuple[Tuple[tuple, int], ...]):
+        self._set(negatives)
 
     @property
     def positive(self) -> bool:

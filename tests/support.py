@@ -25,8 +25,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
+import epolab
 from epolab.graphs import (
     CutProfile,
     Graph,
@@ -38,6 +40,11 @@ from epolab.graphs import (
 )
 from epolab.partitions import format_parts, partitions_of
 from epolab.symfunc import ESymExpansion
+
+# the environment of every interpreter the tests start: this checkout's epolab, no PATH,
+# and no bytecode written into the source tree
+CHILD_ENV = {"PYTHONPATH": str(Path(epolab.__file__).resolve().parents[1]), "PATH": "",
+             "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 # ---------------------------------------------------------------------------

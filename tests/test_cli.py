@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -152,10 +151,9 @@ def test_prove_large_path_is_not_applicable(capsys):
 def _prove_in_one_gib(spec: str) -> subprocess.CompletedProcess:
     """`epolab prove spec` in a child whose address space is capped at 1 GiB."""
     cap = "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-    src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-c", cap + "runpy.run_module('epolab', run_name='__main__')", "prove", spec],
-        capture_output=True, text=True, env={"PYTHONPATH": src, "PATH": ""}, timeout=120)
+        capture_output=True, text=True, env=support.CHILD_ENV, timeout=120)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
@@ -311,10 +309,9 @@ def test_sweep_c500_memory_stays_bounded():
     launcher = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
                 "_, status, usage = os.wait4(p.pid, 0); "
                 "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-    src = str(Path(cli.__file__).resolve().parents[1])
     sweep = [sys.executable, "-m", "epolab", "sweep", "c500", "41..200"]
     done = subprocess.run([sys.executable, "-c", launcher] + sweep, capture_output=True, text=True,
-                          env={"PYTHONPATH": src, "PATH": ""}, timeout=300)
+                          env=support.CHILD_ENV, timeout=300)
     report, peak = done.stdout.splitlines()
     code, kib = map(int, peak.split())
     assert code == 0 and json.loads(report)["failures"] == []
@@ -587,17 +584,10 @@ def test_sweep_checks_its_output_paths_before_it_runs(capsys, tmp_path, monkeypa
 
 
 def test_cli_import_leaves_numpy_out():
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import epolab
-
-    src = str(Path(epolab.__file__).resolve().parents[1])
     probe = "import sys, epolab.cli; print('numpy' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", probe],
-        env={"PYTHONPATH": src, "PATH": ""},
+        env=support.CHILD_ENV,
         capture_output=True,
         text=True,
         timeout=60,
@@ -605,18 +595,21 @@ def test_cli_import_leaves_numpy_out():
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
-    # each command loads only the library modules it runs
+    # each command loads only the library modules it runs, and none loads dataclasses or inspect
     probe = ("import atexit, sys; atexit.register(lambda: print(*sys.modules, file=sys.stderr)); "
              "from epolab.cli import main; main()")
     for argv, left_out in [
-        (["--version"], ["epolab.graphs", "epolab.partitions", "epolab.symfunc", "epolab.obstructions",
-                         "dataclasses"]),
+        (["--version"], ["epolab.graphs", "epolab.partitions", "epolab.symfunc", "epolab.obstructions"]),
         (["csf", "path:4"], ["epolab.obstructions"]),
+        (["epos", "path:4"], ["epolab.obstructions"]),
         (["connparts", "path:4"], ["epolab.symfunc", "epolab.obstructions"]),
         (["prove", "profile:a=6,b=2,cs=1,1"], ["epolab.symfunc"]),
+        (["sweep", "c40", "2..3"], ["epolab.symfunc"]),
+        (["sixm", "1"], ["epolab.symfunc"]),
+        (["trees-scan", "6"], []),
     ]:
-        done = subprocess.run([sys.executable, "-c", probe, *argv], env={"PYTHONPATH": src, "PATH": ""},
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=support.CHILD_ENV,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, (argv, done.stderr)
         loaded = done.stderr.split()
-        assert "epolab.cli" in loaded and not set(left_out) & set(loaded), argv
+        assert "epolab.cli" in loaded and not {"dataclasses", "inspect", *left_out} & set(loaded), argv

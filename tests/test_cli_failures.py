@@ -8,9 +8,10 @@ import subprocess
 import sys
 import tempfile
 import time
-from pathlib import Path
 
 import pytest
+
+import support
 
 import epolab
 from epolab import cli, graphs, obstructions, symfunc
@@ -115,10 +116,9 @@ def test_argparse_exit_codes_unchanged(capsys):
 
 
 def test_python_m_epolab():
-    src = str(Path(epolab.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-m", "epolab", "--version"],
-        env={"PYTHONPATH": src, "PATH": ""},
+        env=support.CHILD_ENV,
         capture_output=True,
         text=True,
         timeout=60,
@@ -131,7 +131,6 @@ def test_python_m_epolab():
 @pytest.mark.parametrize("argv", [("csf", "path:5"), ("trees-scan", "9")])
 def test_closed_stdout_exits_141_quietly(argv, unbuffered):
     # as in `epolab trees-scan 9 | head -1`: the reader closes its end before the command writes
-    src = str(Path(epolab.__file__).resolve().parents[1])
     read, write = os.pipe()
     os.close(read)
     try:
@@ -139,7 +138,7 @@ def test_closed_stdout_exits_141_quietly(argv, unbuffered):
             [sys.executable, "-m", "epolab", *argv],
             stdout=write,
             stderr=subprocess.PIPE,
-            env={"PYTHONPATH": src, "PATH": "", "PYTHONUNBUFFERED": unbuffered},
+            env={**support.CHILD_ENV, "PYTHONUNBUFFERED": unbuffered},
             timeout=60,
         )
     finally:
@@ -151,7 +150,7 @@ def test_size_guard_fires_before_any_graph_is_built(capsys, tmp_path, monkeypatc
     def build(*args, **kwargs):
         raise AssertionError("a graph was built past its size guard")
 
-    monkeypatch.setattr(Graph, "__post_init__", build)
+    monkeypatch.setattr(Graph, "__init__", build)
     for name in ("spider", "path_graph", "star_graph"):
         monkeypatch.setattr(graphs, name, build)
     huge = tmp_path / "huge.txt"

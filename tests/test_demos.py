@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import support
+
 import epolab
 
 # the names the package root documents, by the module that defines each
@@ -33,10 +35,9 @@ def test_three_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_zero(script, tmp_path):
-    src = str(Path(epolab.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, str(script)],
-        env={"PYTHONPATH": src, "PATH": ""},
+        env=support.CHILD_ENV,
         cwd=tmp_path,
         capture_output=True,
         text=True,
@@ -60,10 +61,9 @@ def test_public_api_resolves_each_name_to_its_modules_object():
 
 
 def test_package_import_loads_no_submodule():
-    src = str(Path(epolab.__file__).resolve().parents[1])
     probe = ("import sys, epolab; print(sorted(m for m in sys.modules if m.startswith('epolab.')))\n"
              "from epolab import *; print(csf_e.__module__, theorem_decide.__module__)")
-    done = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": src, "PATH": ""},
+    done = subprocess.run([sys.executable, "-c", probe], env=support.CHILD_ENV,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\nepolab.symfunc epolab.obstructions\n"
