@@ -9,9 +9,8 @@ points are csf_e / is_e_positive.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import cache, reduce
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import GuardError
 from .graphs import FrozenRecord, Graph, _component_masks, _mask_vertices, _tree_type_tally
@@ -76,12 +75,14 @@ class StateBudgetError(GuardError):
     """The frontier DP needed more than STATE_BUDGET live states."""
 
 
-def _merge(A: Dict[int, int], B: Dict[int, int]) -> Dict[int, int]:
-    """Product of two tallies keyed by packed multisets."""
-    out: Dict[int, int] = {}
-    for ka, ca in A.items():
-        for kb, cb in B.items():
-            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+def _merge(A: Dict[int, int], B: Dict[int, int], out: Optional[Dict[int, int]] = None) -> Dict[int, int]:
+    """Product of two tallies keyed by packed multisets, added into out if given."""
+    out = {} if out is None else out
+    get = out.get
+    for kb, cb in B.items():
+        for ka, ca in A.items():
+            key = ka + kb
+            out[key] = get(key, 0) + ca * cb
     return out
 
 
@@ -93,11 +94,15 @@ def _waring(k: int) -> Dict[int, int]:
     """
     if not 1 <= k <= 25:
         raise ValueError(f"_waring guard: need 1 <= k <= 25, got {k}")
+    # (k left to fill, packed key, length, prod m_i!) after choosing m_k, ..., m_part
+    states = [(k, 0, 0, 1)]
+    for part in range(k, 1, -1):
+        states = [(rest - m * part, key + (m << 5 * (part - 1)), length + m, den * math.factorial(m))
+                  for rest, key, length, den in states for m in range(rest // part + 1)]
     coeffs = {}
-    for mu, key in packed_partitions(k):
-        coeff = k * math.factorial(len(mu) - 1)
-        coeff //= math.prod(math.factorial(m) for m in Counter(mu).values())
-        coeffs[key] = -coeff if (k - len(mu)) & 1 else coeff
+    for m, key, length, den in states:  # the rest is m_1 ones
+        coeff = k * math.factorial(length + m - 1) // (den * math.factorial(m))
+        coeffs[key + m] = -coeff if (k - length - m) & 1 else coeff
     return coeffs
 
 
@@ -191,19 +196,21 @@ def csf_e(G: Graph) -> ESymExpansion:
     the e-basis through Waring's formula by one walk over the tally's types,
     each read smallest part first and the types in lexicographic order.  A
     stack holds the products of the current type's leading parts, so types
-    sharing leading parts share their products, and memory stays within the
-    stack and the result: nothing is kept between calls.
+    sharing leading parts share their products.  Each type adds its count times
+    that product into one sum per largest part k, and each sum meets _waring(k)
+    once at the end: at most n such products, however many types.  Memory stays
+    within the stack, those sums and the result: nothing is kept between calls.
     """
     if G.n > CSF_MAX_N:
         raise ValueError(f"csf_e guard: n={G.n} > {CSF_MAX_N}")
     names = {key: lam for lam, key in packed_partitions(G.n)}
-    acc: Dict[int, int] = {}
     # stack[d] is the packed e-expansion of p_{path[0]} ... p_{path[d-1]}.  Smallest
     # part first makes each node _waring(its largest part) times its parent, so
     # big partials never meet the many small _waring(k).  Every type sums to G.n,
-    # so none extends another: each is a leaf, merged straight into acc.
+    # so none extends another: each is a leaf, added into by_last[its last part].
     path: List[int] = []
     stack: List[Dict[int, int]] = [{0: 1}]
+    by_last: Dict[int, Dict[int, int]] = {}
     for parts, cnt in sorted((names[lam][::-1], cnt) for lam, cnt in _type_tally(G).items() if cnt):
         *head, last = parts
         d = 0
@@ -213,11 +220,12 @@ def csf_e(G: Graph) -> ESymExpansion:
         for part in head[d:]:
             stack.append(_merge(_waring(part), stack[-1]))
             path.append(part)
-        for kw, cw in _waring(last).items():
-            cw *= cnt
-            for kp, cp in stack[-1].items():
-                key = kw + kp
-                acc[key] = acc.get(key, 0) + cw * cp
+        q = by_last.setdefault(last, {})
+        for kp, cp in stack[-1].items():
+            q[kp] = q.get(kp, 0) + cnt * cp
+    acc: Dict[int, int] = {}
+    for last, q in by_last.items():
+        _merge(_waring(last), q, acc)
     return ESymExpansion(G.n, {lam: acc[key] for lam, key in packed_partitions(G.n) if key in acc})
 
 

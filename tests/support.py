@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
@@ -645,9 +645,9 @@ def _subset_type_tally(n: int, edges: List[tuple]) -> Counter:
     return tally
 
 
-@lru_cache(maxsize=None)
+@cache
 def p_in_e_recurrence(k: int) -> Dict[tuple, int]:
-    """p_k in the e-basis by Newton's recurrence.
+    """p_k in the e-basis by Newton's recurrence, memoised: callers only read it.
 
     p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^(k-1) k e_k.
     """

@@ -24,6 +24,7 @@ COMMANDS = [
     "epos spider:5,3,2",
     "epos spider:4,1,1",
     "epos spider:4,1,1 --json",
+    "epos spider:6,4,1,1 --json",
     "connparts spider:1,1,1",
     "connparts spider:1,1,1 --json",
     "connparts spider:6,4,1,1",

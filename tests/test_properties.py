@@ -3,10 +3,9 @@
 The frontier DP is checked against the 2^|E| subset tally, the expansion
 against the deletion-contraction chromatic polynomial and (on every free tree
 up to 10 vertices too) against products of Newton's recurrence summed over the
-subset tally, Waring's formula against Newton's recurrence, the
-connected-partition search against a blind set-partition enumeration,
-missing_types against one search per type, the
-cut profiles against one component count per deleted vertex (and so on every
+subset tally, the connected-partition search against a blind set-partition
+enumeration, missing_types against one search per type, the cut profiles
+against one component count per deleted vertex (and so on every
 free tree up to 11 vertices), the tree DP's keys and signs against that
 search, and missing-type certificates on random trees against that search
 and a scan of every ordering.  On random trees up to 20 vertices a missing
@@ -33,7 +32,7 @@ from epolab.graphs import (
 )
 from epolab.obstructions import _uncovered, strategy_check, theorem_decide
 from epolab.partitions import partitions_of
-from epolab.symfunc import _type_tally, _waring, csf_e, is_e_positive
+from epolab.symfunc import _type_tally, csf_e, is_e_positive
 from support import chromatic_polynomial, specialize_e
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -110,12 +109,6 @@ def test_csf_e_of_every_free_tree_and_a_spider_matches_p_to_e_by_type():
     for G in [G for n in range(1, 11) for G in enumerate_free_trees(n)] + [spider((6, 4, 1, 1))]:
         tally = support._subset_type_tally(G.n, sorted(G.edges))
         assert csf_e(G) == support.p_to_e_by_type(tally), sorted(G.edges)
-
-
-@PROPERTY
-@given(st.integers(1, 14))
-def test_waring_matches_newton_recurrence(k):
-    assert support.unpack_tally(_waring(k)) == support.p_in_e_recurrence(k)
 
 
 @PROPERTY

@@ -8,7 +8,7 @@ import support
 from epolab.graphs import Graph, enumerate_free_trees, missing_types, spider, tree_canonical_key
 from epolab.obstructions import sixm_connected_partition, sixm_rearrangement
 from epolab.partitions import partial_sums, partitions_of
-from epolab.symfunc import is_e_positive
+from epolab.symfunc import csf_e, is_e_positive
 
 
 @pytest.mark.slow
@@ -20,6 +20,19 @@ def test_missing_type_implies_not_e_positive_nine_vertices():
         g = Graph(9, edges)
         if missing_types(g):
             assert not is_e_positive(g).positive, edges
+
+
+@pytest.mark.slow
+def test_csf_e_matches_p_to_e_by_type_on_every_free_tree_eleven_to_thirteen():
+    """csf_e against Newton products over the 2^|E| subset tally, on all 2,087
+    free trees with 11 <= n <= 13."""
+    checked = 0
+    for n in (11, 12, 13):
+        for G in enumerate_free_trees(n):
+            tally = support._subset_type_tally(G.n, sorted(G.edges))
+            assert csf_e(G) == support.p_to_e_by_type(tally), sorted(G.edges)
+            checked += 1
+    assert checked == 235 + 551 + 1301
 
 
 @pytest.mark.slow

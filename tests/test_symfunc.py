@@ -36,6 +36,12 @@ def test_p_in_e_small_degrees():
     assert unpack_tally(_waring(3)) == {(1, 1, 1): 1, (2, 1): -3, (3,): 3}
 
 
+def test_waring_matches_newton_recurrence():
+    # over _waring's whole guard, 1 <= k <= 25
+    for k in range(1, 26):
+        assert unpack_tally(_waring(k)) == support.p_in_e_recurrence(k), k
+
+
 def test_p_in_e_guard():
     with pytest.raises(ValueError):
         _waring(0)
@@ -100,10 +106,19 @@ def test_csf_k2_and_guard():
         csf_e(path_graph(21))
 
 
+def test_csf_e_matches_p_to_e_by_type_at_twenty_vertices():
+    # at the guard, p->e against Newton products summed over the tree DP's tally
+    rng = random.Random(20)
+    tree = Graph(20, [(rng.randrange(v), v) for v in range(1, 20)])
+    for G in (spider((8, 7, 4)), tree):
+        assert csf_e(G) == support.p_to_e_by_type(unpack_tally(_type_tally(G))), sorted(G.edges)
+
+
 def test_csf_memory_is_bounded_by_the_call():
     # with _waring and the packed table warm, the p->e walk allocates only its
-    # stack and the result and keeps nothing past the call; a product kept
-    # per type would hold about 10 MB here
+    # stack of prefix products, one sum per largest part and the result, and
+    # keeps nothing past the call; a product kept per type would hold about
+    # 10 MB here
     for k in range(1, 21):
         _waring(k)
     packed_partitions(20)
