@@ -201,16 +201,17 @@ class ResultCache:
 
 
 def cmd_csf(args) -> int:
-    from .symfunc import CSF_MAX_N, csf_e
-    X = csf_e(parse_graph_spec(args.graph, CSF_MAX_N))
+    from .partitions import PACKED_MAX_N
+    from .symfunc import csf_e
+    X = csf_e(parse_graph_spec(args.graph, PACKED_MAX_N))
     print(json.dumps(X.to_json_dict()) if args.json else X.to_text())
     return EXIT_OK
 
 
 def cmd_epos(args) -> int:
-    from .partitions import format_parts
-    from .symfunc import CSF_MAX_N, is_e_positive
-    verdict = is_e_positive(parse_graph_spec(args.graph, CSF_MAX_N))
+    from .partitions import PACKED_MAX_N, format_parts
+    from .symfunc import is_e_positive
+    verdict = is_e_positive(parse_graph_spec(args.graph, PACKED_MAX_N))
     if args.json:
         negatives = [{"lambda": list(lam), "coeff": str(c)} for lam, c in verdict.negatives]
         print(json.dumps({"e_positive": verdict.positive, "negatives": negatives}))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .partitions import packed_partitions
+from .partitions import PART_UNIT, packed_partitions
 
 
 class Record:
@@ -363,7 +363,7 @@ def _tree_type_tally(adj, root_mask: int) -> Dict[int, int]:
     it merges and flips the sign.  A forest of type lam keeps n - l(lam) edges, so all
     terms of lam have sign (-1)^(n - l(lam)) and the keys are exactly the realizable types.
     """
-    root = (root_mask & -root_mask).bit_length() - 1
+    root, unit = (root_mask & -root_mask).bit_length() - 1, PART_UNIT
 
     def dfs(v: int, parent_v: int) -> Dict[tuple, int]:
         state = {(0, 1): 1}
@@ -378,7 +378,7 @@ def _tree_type_tally(adj, root_mask: int) -> Dict[int, int]:
             new: Dict[tuple, int] = {}
             for (d1, o1), c1 in state.items():
                 for (d2, o2), c2 in sub.items():
-                    cut = (d1 + d2 + (1 << 5 * (o2 - 1)), o1)
+                    cut = (d1 + d2 + unit[o2], o1)
                     new[cut] = new.get(cut, 0) + c1 * c2
                     join = (d1 + d2, o1 + o2)
                     new[join] = new.get(join, 0) - c1 * c2
@@ -387,7 +387,7 @@ def _tree_type_tally(adj, root_mask: int) -> Dict[int, int]:
 
     tally: Dict[int, int] = {}
     for (done, open_size), c in dfs(root, -1).items():
-        key = done + (1 << 5 * (open_size - 1))
+        key = done + unit[open_size]
         tally[key] = tally.get(key, 0) + c
     return tally
 

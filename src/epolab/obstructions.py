@@ -243,7 +243,7 @@ def describe_inapplicability(profile: CutProfile) -> str:
     elif c < c1 + 1:
         reasons.append(f"b = 2c-1 but c = {c} < c1+1 = {c1 + 1}")
     if not (2 * c <= b and 2 * b <= c * c):
-        reasons.append(f"b = {b} outside [2c, c^2/2] = [{2 * c}, {c * c / 2:g}]")
+        reasons.append(f"b = {b} outside [2c, c^2/2] = [{2 * c}, {c * c // 2}{'.5' if c & 1 else ''}]")
     if 2 * b < c * c:
         reasons.append(f"2b = {2 * b} < c^2 = {c * c}")
     elif c < c1 + 2:

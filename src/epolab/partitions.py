@@ -11,6 +11,13 @@ from functools import cache
 from itertools import accumulate
 from typing import Iterator, Optional, Tuple
 
+# A multiset of part sizes (a partition, a component-size type, an e-monomial) is also
+# packed into one int, PART_BITS bits per multiplicity: part p adds PART_UNIT[p], so
+# multisets merge by one addition, and every multiset of total n <= PACKED_MAX_N fits.
+PART_BITS = 5
+PACKED_MAX_N = (1 << PART_BITS) - 1  # the one ceiling on n for csf/epos
+PART_UNIT = (0,) + tuple(1 << PART_BITS * i for i in range(PACKED_MAX_N))
+
 
 def format_parts(parts) -> str:
     """Render parts as "(4,4,3,2)"."""
@@ -67,14 +74,12 @@ def partitions_of(n: int) -> Iterator[tuple]:
         yield tuple(parts[:m])
 
 
-# A multiset of part sizes, whether a partition, a component-size type or an
-# e-monomial, is also packed into one int: part p adds 1 << 5*(p-1), so two
-# multisets merge by one addition.  Each multiplicity must stay below 32,
-# which holds for every multiset of total n <= 31.
 @cache
 def packed_partitions(n: int) -> Tuple[Tuple[tuple, int], ...]:
-    """(lam, packed key) for every partition of n, in stream order."""
-    return tuple((lam, sum(1 << 5 * (p - 1) for p in lam)) for lam in partitions_of(n))
+    """(lam, packed key) for every partition of n <= PACKED_MAX_N, in stream order."""
+    if n > PACKED_MAX_N:
+        raise ValueError(f"packed keys hold n <= {PACKED_MAX_N}, got n={n}")
+    return tuple((lam, sum(PART_UNIT[p] for p in lam)) for lam in partitions_of(n))
 
 
 def interval_partition(n: int, x: int, y: int) -> Optional[tuple]:

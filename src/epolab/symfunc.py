@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import GuardError
 from .graphs import FrozenRecord, Graph, _component_masks, _mask_vertices, _tree_type_tally
-from .partitions import format_parts, packed_partitions
+from .partitions import PART_UNIT, format_parts, packed_partitions
 
 
 class ESymExpansion(FrozenRecord):
@@ -67,7 +67,6 @@ class EposVerdict(FrozenRecord):
         return not self.negatives
 
 
-CSF_MAX_N = 20  # csf_e's guard on the number of vertices
 STATE_BUDGET = 150_000  # live frontier-DP states; K10 peaks at Bell(10) = 115,975
 
 
@@ -90,14 +89,11 @@ def _merge(A: Dict[int, int], B: Dict[int, int], out: Optional[Dict[int, int]] =
 def _waring(k: int) -> Dict[int, int]:
     """p_k in the e-basis by Waring's formula, keyed by packed partitions.  The
     coefficient of e_mu is (-1)^(k - l(mu)) k (l(mu) - 1)! / prod m_i!, m_i =
-    #parts equal to i.
-    """
-    if not 1 <= k <= 25:
-        raise ValueError(f"_waring guard: need 1 <= k <= 25, got {k}")
+    #parts equal to i.  Its one caller, csf_e, keeps k <= n <= PACKED_MAX_N."""
     # (k left to fill, packed key, length, prod m_i!) after choosing m_k, ..., m_part
     states = [(k, 0, 0, 1)]
     for part in range(k, 1, -1):
-        states = [(rest - m * part, key + (m << 5 * (part - 1)), length + m, den * math.factorial(m))
+        states = [(rest - m * part, key + m * PART_UNIT[part], length + m, den * math.factorial(m))
                   for rest, key, length, den in states for m in range(rest // part + 1)]
     coeffs = {}
     for m, key, length, den in states:  # the rest is m_1 ones
@@ -167,7 +163,7 @@ def _frontier_type_tally(adj, comp: int) -> Dict[int, int]:
                     lab = lab[:i] + lab[i + 1 :]
                 order = bytes(dict.fromkeys(lab))  # open labels, by first occurrence
                 if len(order) < len(sz):
-                    done += sum(1 << 5 * (s - 1) for x, s in enumerate(sz) if x not in order)
+                    done += sum(PART_UNIT[s] for x, s in enumerate(sz) if x not in order)
                 if order != ident[: len(order)]:
                     lab, sz = lab.translate(bytes.maketrans(order, ident[: len(order)])), tuple(sz[x] for x in order)
                 key = (lab, sz[: len(order)], done)
@@ -190,19 +186,17 @@ def _type_tally(G: Graph) -> Dict[int, int]:
 def csf_e(G: Graph) -> ESymExpansion:
     """Elementary-basis expansion of the chromatic symmetric function of G.
 
-    Stanley's signed edge-subset sum over power sums, tallied by component-size
-    type with no subset visited (_type_tally; the frontier DP costs its live
-    states and raises StateBudgetError past STATE_BUDGET), then converted to
-    the e-basis through Waring's formula by one walk over the tally's types,
-    each read smallest part first and the types in lexicographic order.  A
-    stack holds the products of the current type's leading parts, so types
-    sharing leading parts share their products.  Each type adds its count times
-    that product into one sum per largest part k, and each sum meets _waring(k)
-    once at the end: at most n such products, however many types.  Memory stays
-    within the stack, those sums and the result: nothing is kept between calls.
+    Needs n <= PACKED_MAX_N: packed_partitions(n) raises ValueError past it,
+    before any tally.  Stanley's signed edge-subset sum over power sums is
+    tallied by component-size type with no subset visited (_type_tally; the
+    frontier DP raises StateBudgetError past STATE_BUDGET live states), then
+    converted to the e-basis through Waring's formula in one walk over the
+    types, each read smallest part first, in lexicographic order.  A stack
+    holds the products of the current type's leading parts, so types sharing
+    leading parts share them.  Each type adds its count times that product into
+    one sum per largest part k, and each sum meets _waring(k) once at the end:
+    at most n products, however many types.  Nothing is kept between calls.
     """
-    if G.n > CSF_MAX_N:
-        raise ValueError(f"csf_e guard: n={G.n} > {CSF_MAX_N}")
     names = {key: lam for lam, key in packed_partitions(G.n)}
     # stack[d] is the packed e-expansion of p_{path[0]} ... p_{path[d-1]}.  Smallest
     # part first makes each node _waring(its largest part) times its parent, so

@@ -38,7 +38,7 @@ from epolab.graphs import (
     is_connected,
     tree_canonical_key,
 )
-from epolab.partitions import format_parts, partitions_of
+from epolab.partitions import PART_BITS, format_parts, partitions_of
 from epolab.symfunc import ESymExpansion
 
 # the environment of every interpreter the tests start: this checkout's epolab, no PATH,
@@ -606,12 +606,13 @@ def c500_rows_bruteforce(c_lo: int, c_hi: int) -> List[tuple]:
 
 
 def unpack_tally(tally) -> Dict[tuple, int]:
-    """A tally keyed by packed multisets (part p adds 1 << 5*(p-1)) re-keyed by
+    """A tally keyed by packed multisets (part p adds 1 << PART_BITS*(p-1)) re-keyed by
     weakly decreasing tuples."""
+    field = (1 << PART_BITS) - 1
     out: Dict[tuple, int] = {}
     for key, c in tally.items():
-        top = (key.bit_length() + 4) // 5  # the highest non-empty 5-bit field
-        parts = tuple(p for p in range(top, 0, -1) for _ in range(key >> 5 * (p - 1) & 31))
+        top = -(-key.bit_length() // PART_BITS)  # the highest non-empty field
+        parts = tuple(p for p in range(top, 0, -1) for _ in range(key >> PART_BITS * (p - 1) & field))
         out[parts] = c
     return out
 
@@ -688,6 +689,60 @@ def multiply_e(A: ESymExpansion, B: ESymExpansion) -> ESymExpansion:
             key = tuple(sorted(ka + kb, reverse=True))
             out[key] = out.get(key, 0) + ca * cb
     return ESymExpansion(A.degree + B.degree, out)
+
+
+# ---------------------------------------------------------------------------
+# e-expansion facts with no tally and no p->e, cheap up to n = 31
+
+
+def tree_sink_counts(G: Graph) -> List[int]:
+    """counts[j] = number of orientations of the tree G with exactly j sinks, 0 <= j <= n.
+
+    Every orientation of a tree is acyclic, so by Stanley's sink theorem
+    (Adv. Math. 111 (1995), Thm 3.3) counts[j] is the sum of X_G's
+    e-coefficients over the partitions of length j.  A DP from vertex 0 keeps,
+    per vertex, the sink counts of its subtree in two states: the vertex has
+    an edge out to a child, or every child edge points into it so far.
+    """
+    nbrs: List[List[int]] = [[] for _ in range(G.n)]
+    for u, v in G.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+
+    def add(p: tuple, q: tuple) -> tuple:
+        p, q = p + (0,) * (len(q) - len(p)), q + (0,) * (len(p) - len(q))
+        return tuple(a + b for a, b in zip(p, q))
+
+    def dfs(v: int, parent: int) -> Tuple[tuple, tuple]:
+        out, sink = (0,), (1,)
+        for u in nbrs[v]:
+            if u == parent:
+                continue
+            u_out, u_sink = dfs(u, v)
+            up = add(u_out, u_sink)  # u -> v: u is no sink
+            down = add(u_out, (0,) + u_sink)  # v -> u: u's status is final
+            out, sink = add(_poly_mul(out, up), _poly_mul(add(out, sink), down)), _poly_mul(sink, up)
+        return out, sink
+
+    out, sink = dfs(0, -1)
+    return list(add(add(out, (0,) + sink), (0,) * (G.n + 1)))
+
+
+def path_e_expansion(n: int) -> Dict[tuple, int]:
+    """X_{P_n} in the e-basis by the closed form over compositions alpha of n,
+    sum alpha_1 * prod_{i>=2} (alpha_i - 1) * e_alpha, summed per partition: the
+    first part p runs over lam's distinct values, and the other parts take
+    count_rearrangements of them orders, each with the same product."""
+    out: Dict[tuple, int] = {}
+    for lam in partitions_recursive(n):
+        coeff = 0
+        for p in set(lam):
+            rest = list(lam)
+            rest.remove(p)
+            coeff += p * math.prod(q - 1 for q in rest) * count_rearrangements(rest)
+        if coeff:
+            out[lam] = coeff
+    return out
 
 
 # ---------------------------------------------------------------------------

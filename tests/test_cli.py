@@ -88,7 +88,7 @@ def test_csf_file_and_json(capsys, tmp_path):
 
 
 def test_csf_guard_and_usage(capsys):
-    code, _, err = run(capsys, "csf", "path:21")
+    code, _, err = run(capsys, "csf", "path:32")
     assert code == 3 and "guard" in err
     code, _, err = run(capsys, "csf", "blob:4")
     assert code == 2
@@ -140,6 +140,17 @@ def test_prove_not_applicable(capsys):
     assert code == 1 and out.startswith("NOT-APPLICABLE")
     code, out, _ = run(capsys, "prove", "path:6")
     assert code == 1 and "NOT-APPLICABLE" in out
+
+
+def test_prove_not_applicable_states_c_squared_over_2_exactly(capsys):
+    # c = 1001: c^2/2 = 501000.5, once printed as a rounded float
+    code, out, _ = run(capsys, "prove", "profile:a=600000,b=600000,cs=1001")
+    assert code == 1 and "[2002, 501000.5]" in out
+    # c = 10^200: c^2/2 overflows a float, and was once an internal error
+    big, c = str(10**400), 10**200
+    code, out, err = run(capsys, "prove", f"profile:a={big},b={big},cs={c}")
+    assert code == 1 and out.startswith("NOT-APPLICABLE") and err == ""
+    assert f"[{2 * c}, {c * c // 2}]" in out
 
 
 def test_prove_large_path_is_not_applicable(capsys):

@@ -156,9 +156,9 @@ def test_size_guard_fires_before_any_graph_is_built(capsys, tmp_path, monkeypatc
     huge = tmp_path / "huge.txt"
     huge.write_text("1000000000\n0 1\n")
     for argv, n, limit in [
-        (("csf", "path:1000000000"), 1000000000, 20),
+        (("csf", "path:1000000000"), 1000000000, 31),
         (("connparts", "spider:999999999,1"), 1000000001, 25),
-        (("csf", str(huge)), 1000000000, 20),
+        (("csf", str(huge)), 1000000000, 31),
         (("prove", "path:1000000000"), 1000000000, 50000),
     ]:
         code, out, err = run(capsys, *argv)

@@ -20,7 +20,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 COMMANDS = [
     "csf spider:4,1,1",
     "csf spider:1,1,1 --json",
-    "csf star:30",
+    "csf star:32",
     "epos spider:5,3,2",
     "epos spider:4,1,1",
     "epos spider:4,1,1 --json",

@@ -179,6 +179,12 @@ def test_analysis_q_examples():
     assert t.case == 3 and t.q == 112
 
 
+def test_analysis_q_case_4_keeps_q0_at_equality():
+    # 100*r0 == 38*q0 == 5700: the boundary keeps q0, one below would be q0 - 1
+    t = analysis_q(78806, 500)
+    assert t.case == 4 and (t.internals["q0"], t.internals["r0"]) == (150, 57) and t.q == 150
+
+
 def test_analysis_q_preconditions():
     with pytest.raises(ValueError):
         analysis_q(1000, 499)
@@ -398,6 +404,14 @@ def test_spider4_examples():
     v = spider4_classify((1, 1, 1, 1))
     assert v.method == "obstruction-certificate"
     assert has_connected_partition(spider((1, 1, 1, 1)), v.certificate.lam) is None
+
+
+def test_spider4_certifies_at_2b_equal_to_c_squared():
+    # b = 8, c = 4: 2b = c^2 is still b <= c^2/2, so an arm certifies it and no citation is needed
+    v = spider4_classify((8, 8, 2, 2))
+    assert (v.profile.b, v.profile.c) == (8, 4)
+    assert v.method == "obstruction-certificate" and v.certificate.verified
+    assert has_connected_partition(spider((8, 8, 2, 2)), v.certificate.lam) is None
 
 
 def test_spider4_never_e_positive():

@@ -6,6 +6,8 @@ import pytest
 
 import support
 from epolab.partitions import (
+    PACKED_MAX_N,
+    PART_BITS,
     format_parts,
     interval_partition,
     packed_partitions,
@@ -103,12 +105,15 @@ def test_partitions_of_counts_and_order():
 
 
 def test_packed_partitions_decode_to_the_partitions_in_order():
-    # every n <= 31 packs (each multiplicity < 32); parts 26..31 use the top fields
-    for n in range(1, 32):
+    # every n <= PACKED_MAX_N = 31 packs (each multiplicity < 32); parts 26..31 use the top fields
+    assert PACKED_MAX_N == (1 << PART_BITS) - 1 == 31
+    for n in range(1, PACKED_MAX_N + 1):
         table = packed_partitions(n)
         assert [lam for lam, _ in table] == list(partitions_of(n)), n
         # distinct keys, each decoding to its own partition
         assert list(support.unpack_tally({key: 1 for _, key in table})) == list(partitions_of(n)), n
+    with pytest.raises(ValueError):
+        packed_partitions(PACKED_MAX_N + 1)
 
 
 def test_interval_partition_examples():

@@ -14,8 +14,8 @@ from support import (
     specialize_e,
     unpack_tally,
 )
-from epolab.graphs import Graph, path_graph, spider
-from epolab.partitions import packed_partitions
+from epolab.graphs import Graph, path_graph, spider, star_graph
+from epolab.partitions import PACKED_MAX_N, packed_partitions
 from epolab.symfunc import (
     ESymExpansion,
     _type_tally,
@@ -37,16 +37,17 @@ def test_p_in_e_small_degrees():
 
 
 def test_waring_matches_newton_recurrence():
-    # over _waring's whole guard, 1 <= k <= 25
-    for k in range(1, 26):
+    # over the packed keys' whole range, 1 <= k <= PACKED_MAX_N = 31
+    for k in range(1, PACKED_MAX_N + 1):
         assert unpack_tally(_waring(k)) == support.p_in_e_recurrence(k), k
 
 
 def test_p_in_e_guard():
+    # csf_e's parts, so _waring's k, are bounded by the packed keys' ceiling alone
     with pytest.raises(ValueError):
         _waring(0)
     with pytest.raises(ValueError):
-        _waring(26)
+        packed_partitions(PACKED_MAX_N + 1)
 
 
 def test_newton_correctness_by_evaluation():
@@ -103,11 +104,11 @@ def test_figure_expansions_exact():
 def test_csf_k2_and_guard():
     assert csf_e(Graph(2, [(0, 1)])).coeffs == {(2,): 2}
     with pytest.raises(ValueError):
-        csf_e(path_graph(21))
+        csf_e(path_graph(PACKED_MAX_N + 1))
 
 
 def test_csf_e_matches_p_to_e_by_type_at_twenty_vertices():
-    # at the guard, p->e against Newton products summed over the tree DP's tally
+    # p->e against Newton products summed over the tree DP's tally
     rng = random.Random(20)
     tree = Graph(20, [(rng.randrange(v), v) for v in range(1, 20)])
     for G in (spider((8, 7, 4)), tree):
@@ -130,6 +131,23 @@ def test_csf_memory_is_bounded_by_the_call():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert left < 500_000
+
+
+def test_csf_e_length_sums_count_sinks_up_to_the_ceiling():
+    # Stanley's sink theorem, by a DP that neither tallies types nor converts p->e
+    rng = random.Random(31)
+    trees = [Graph(n, [(rng.randrange(v), v) for v in range(1, n)]) for n in range(21, PACKED_MAX_N + 1)]
+    trees += [spider((16, 12, 1, 1)), spider((12, 10, 1, 1)), star_graph(PACKED_MAX_N)]
+    for G in trees:
+        by_length = [0] * (G.n + 1)
+        for lam, c in csf_e(G).coeffs.items():
+            by_length[len(lam)] += c
+        assert by_length == support.tree_sink_counts(G), sorted(G.edges)
+
+
+def test_csf_e_of_paths_matches_the_composition_formula():
+    for n in list(range(1, 12)) + [21, 25, PACKED_MAX_N]:
+        assert csf_e(path_graph(n)).coeffs == support.path_e_expansion(n), n
 
 
 def test_csf_homogeneous():
