@@ -28,7 +28,7 @@ def main():
     print(f"profile (a={profile.a}, b={profile.b}, cs={profile.cs}):")
     print(json.dumps(cert.to_json_dict(), indent=2))
     g = spider((2, 2, 2, 2, 2))
-    print(f"prefix-sum re-check: {check_partsums_obstruction(cert.lam, profile)}")
+    print(f"prefix-sum re-check: {check_partsums_obstruction(cert.runs, profile)}")
     print(f"brute-force search finds no partition: {has_connected_partition(g, cert.lam) is None}")
     print()
 

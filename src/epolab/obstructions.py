@@ -35,35 +35,43 @@ class PartBudgetError(GuardError):
     """A certificate's type would have more than PART_BUDGET parts."""
 
 
-def _check_part_count(parts: int) -> None:
-    """Raise PartBudgetError before a type of this many parts is built."""
-    if parts > PART_BUDGET:
-        raise PartBudgetError(f"size guard, a type of {parts} parts > {PART_BUDGET}")
-
-
 class MissingTypeCertificate(FrozenRecord):
-    """Machine-checkable witness that `lam` has no connected partition.
-
-    Valid for every connected graph whose cut-vertex profile is `profile`.
-    The constructor checks the parts against `window` (interval kinds) and the
-    prefix-sum criterion, so every certificate that exists is verified.
+    """Machine-checkable witness, for every connected graph whose cut-vertex profile is
+    `profile`, that a type has no connected partition.  The type is `runs`, (value, count)
+    int pairs, largest value first, each count >= 1.  The constructor checks their shape,
+    their number of parts against PART_BUDGET, their values against `window` (interval
+    kinds) and the prefix-sum criterion, so every certificate that exists is verified.
+    Only `lam` and printing expand the parts.
     """
 
     verified = True  # a class constant, not a field: construction verifies
-    __slots__ = _fields = ("profile", "lam", "kind", "q")
+    __slots__ = _fields = ("profile", "runs", "kind", "q")
 
-    def __init__(self, profile: CutProfile, lam: Tuple[int, ...], kind: str, q: Optional[int] = None):
-        self._set(profile, lam, kind, q)
-        if self.kind not in CERT_KINDS:
-            raise ValueError(f"unknown certificate kind {self.kind!r}")
-        if (self.kind == "q-interval") != (self.q is not None):
-            raise ValueError(f"q-interval needs q and no other kind takes one, got {self.kind} with q={self.q}")
-        if self.kind in ("explicit-interval", "q-interval"):
-            window = self.window
-            if window is None or not (window[0] <= min(self.lam) and max(self.lam) <= window[1]):
-                raise ValueError(f"{self.kind} certificate has a part outside its window {window}")
-        if not check_partsums_obstruction(self.lam, self.profile):
-            raise ValueError(f"type {self.lam} fails the prefix-sum criterion for {self.profile}")
+    def __init__(self, profile: CutProfile, runs: Tuple[Tuple[int, int], ...], kind: str, q: Optional[int] = None):
+        self._set(profile, runs, kind, q)
+        if kind not in CERT_KINDS:
+            raise ValueError(f"unknown certificate kind {kind!r}")
+        if (kind == "q-interval") != (q is not None):
+            raise ValueError(f"q-interval needs q and no other kind takes one, got {kind} with q={q}")
+        parts, last = 0, math.inf  # the parts so far, and the value of the run before
+        for run in runs if type(runs) is tuple and runs else ((0, 0),):
+            if not (type(run) is tuple and len(run) == 2 and type(run[0]) is type(run[1]) is int
+                    and 0 < run[0] < last and run[1] > 0):
+                raise ValueError(f"runs need (value, count) int pairs, values falling, counts >= 1: {runs!r}")
+            parts, last = parts + run[1], run[0]
+        if parts > PART_BUDGET:
+            raise PartBudgetError(f"size guard, a type of {parts} parts > {PART_BUDGET}")
+        window = self.window
+        if kind in ("explicit-interval", "q-interval") and not (
+                window and window[0] <= last and runs[0][0] <= window[1]):
+            raise ValueError(f"{kind} certificate has a part outside its window {window}")
+        if not check_partsums_obstruction(runs, profile):
+            raise ValueError(f"type {runs} fails the prefix-sum criterion for {profile}")
+
+    @property
+    def lam(self) -> Tuple[int, ...]:
+        """The type part by part, largest first."""
+        return tuple(p for v, m in self.runs for p in repeat(v, m))
 
     @property
     def window(self) -> Optional[Tuple[int, int]]:
@@ -76,7 +84,7 @@ class MissingTypeCertificate(FrozenRecord):
     def to_json_dict(self) -> dict:
         out = {
             "profile": {"a": self.profile.a, "b": self.profile.b, "cs": list(self.profile.cs)},
-            "lambda": list(self.lam),
+            "lambda": [p for v, m in self.runs for p in repeat(v, m)],
             "kind": self.kind,
         }
         if self.q is not None:
@@ -96,33 +104,30 @@ class QSelectionTrace(FrozenRecord):
         self._set(b, c, case, q, x, y, internals)
 
 
-def check_partsums_obstruction(lam, profile: CutProfile) -> bool:
+def check_partsums_obstruction(runs, profile: CutProfile) -> bool:
     """True iff all parts exceed c1 and every ordering hits [b+1, b+c].
 
-    An ordering avoids the window iff some part p follows a sub-multiset S of
-    the other parts with sum(S) <= b and sum(S) + p > b+c: put S first, then
-    p, then the rest.  A largest part serves as p whenever any part does, so
-    this needs only the largest subset sum <= b of the other parts.  One pass
-    counts the parts of each value, so the type is never copied.  The sums <= b
-    are built as a set, one run of equal parts at a time, largest first, but the
-    last run only extends each sum as far as it stays <= b: with two part values
-    v1 > v2, the set holds at most b/v1 + 1 sums.
+    The type is given as runs (value, count), in any order.  An ordering avoids
+    the window iff some part p follows a sub-multiset S of the other parts with
+    sum(S) <= b and sum(S) + p > b+c: put S first, then p, then the rest.  A
+    largest part serves as p whenever any part does, so this needs only the
+    largest subset sum <= b of the other parts.  The sums <= b are built as a set,
+    one run at a time, largest first, but the last run only extends each sum as
+    far as it stays <= b: with two part values v1 > v2, the set holds at most
+    b/v1 + 1 sums.
     """
-    counts: Dict[int, int] = {}
-    for p in lam:
-        counts[p] = counts.get(p, 0) + 1
-    runs = sorted(counts.items(), reverse=True)
     if sum(v * m for v, m in runs) != profile.n:
-        raise ValueError(f"type {tuple(sorted(lam, reverse=True))} does not sum to profile size {profile.n}")
-    if runs[-1][0] < profile.c1 + 1:  # runs is not empty: n >= 1
+        raise ValueError(f"type {runs} does not sum to profile size {profile.n}")
+    others = sorted(runs, reverse=True)  # a caller's order must not move the smallest or largest part
+    if others[-1][0] < profile.c1 + 1:
         return False
     lo, hi = profile.b + 1, profile.b + profile.c
-    top, m = runs[0]
-    runs[0] = (top, m - 1)  # the other parts; a run of count 0 adds no sum
+    top, m = others[0]
+    others[0] = (top, m - 1)  # the other parts; a run of count 0 adds no sum
     reach = {0}  # the sums < lo of sub-multisets of every run but the last
-    for v, m in runs[:-1]:
+    for v, m in others[:-1]:
         reach = {s + t for s in reach for t in range(0, min(v * m, lo - 1 - s) + 1, v)}
-    v, m = runs[-1]
+    v, m = others[-1]
     return max(s + v * min(m, (lo - 1 - s) // v) for s in reach) + top <= hi
 
 
@@ -187,8 +192,8 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     (2) b = 2c-1 with c > c1 uses all 2s (c=2) or halving (q=2);
     (3) 2c <= b <= c^2/2 scans q down from b // c1 (closed-form selection once c >= 500);
     (4) b >= c^2/2 with c >= c1+2 uses parts from {c-1, c}.
-    Every certificate is verified against the prefix-sum criterion when built.
-    Raises PartBudgetError, before building it, for a type of more than PART_BUDGET parts.
+    Each arm builds its type as runs; the certificate's constructor raises
+    PartBudgetError for a type of more than PART_BUDGET parts, and verifies the rest.
     """
     b, c, c1, n = profile.b, profile.c, profile.c1, profile.n
     if c < 2:
@@ -198,10 +203,9 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
         kind, qs = "explicit-interval", (1,)  # the window [b+1, b+c] itself
     elif c >= c1 + 1 and b == 2 * c - 1:
         if c == 2:
-            # b = 3: all 2s when n is even, a single leading 3 otherwise
-            _check_part_count(n // 2)
-            lam = (2,) * (n // 2) if n % 2 == 0 else (3,) + (2,) * ((n - 3) // 2)
-            return MissingTypeCertificate(profile, lam, "special-b-2c-1")
+            # b = 3: all 2s when n is even, a single leading 3 otherwise (n >= 9)
+            runs = ((2, n // 2),) if n % 2 == 0 else ((3, 1), (2, (n - 3) // 2))
+            return MissingTypeCertificate(profile, runs, "special-b-2c-1")
         kind, qs = "q-interval", (2,)
     elif 2 * c <= b and 2 * b <= c * c:
         kind, qs = "q-interval", range(b // c1, 0, -1) if c < 500 else (analysis_q(b, c).q,)
@@ -209,9 +213,8 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
         two_coin = two_coin_representation(n, c)
         if two_coin is None:
             raise RuntimeError(f"two-coin witness unexpectedly absent for {profile}")
-        a1, a2 = two_coin
-        _check_part_count(a1 + a2)
-        return MissingTypeCertificate(profile, (c,) * a1 + (c - 1,) * a2, "parts-c-c1")
+        runs = tuple(run for run in zip((c, c - 1), two_coin) if run[1])
+        return MissingTypeCertificate(profile, runs, "parts-c-c1")
     else:
         return None
 
@@ -220,13 +223,9 @@ def theorem_decide(profile: CutProfile) -> Optional[MissingTypeCertificate]:
     # and x > c when analysis_q picks q.  The certificate's prefix-sum check still tests that.
     for q in qs:
         window = q_interval(b, c, q)
-        if window is None:
-            continue
-        t = -(-n // window[1])  # the fewest parts <= y; the window holds a partition iff t*x <= n
-        if t * window[0] <= n:
-            _check_part_count(t)
-            lam = interval_partition(n, *window)
-            return MissingTypeCertificate(profile, lam, kind, q=q if kind == "q-interval" else None)
+        runs = window and interval_partition(n, *window)
+        if runs:
+            return MissingTypeCertificate(profile, runs, kind, q=q if kind == "q-interval" else None)
     raise RuntimeError(f"interval witness unexpectedly absent for {profile}")
 
 
@@ -404,8 +403,9 @@ def sweep_c500(c_lo: int = SWEEP_C_BOUNDS["c500"][0], c_hi: int = SWEEP_C_BOUNDS
 
 
 def worker_count(jobs: int, items: int) -> int:
-    """Processes worth starting: at most one per item and one per core."""
-    return max(1, min(jobs, items, os.cpu_count() or 1))
+    """Processes worth starting: at most one per item and one per core this process may use."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(jobs, items, cores or 1))
 
 
 def _map_chunk(fn, chunk: list) -> list:

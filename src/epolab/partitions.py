@@ -83,12 +83,11 @@ def packed_partitions(n: int) -> Tuple[Tuple[tuple, int], ...]:
 
 
 def interval_partition(n: int, x: int, y: int) -> Optional[tuple]:
-    """A partition of n with every part in [x, y], or None; needs 1 <= x <= y.
-
-    With t parts from the interval the reachable totals are exactly
-    [t*x, t*y], so existence is decided exactly by scanning t.  The witness
-    uses the smallest feasible t (maximal parts first): write n = t*q + r and
-    take r parts (q+1) followed by (t-r) parts q.
+    """A partition of n with every part in [x, y], as runs (value, count), or None;
+    needs 1 <= x <= y.  With t parts from the interval the reachable totals are
+    exactly [t*x, t*y], so one exists iff the fewest parts that reach n, t = ceil(n/y),
+    have t*x <= n.  The witness takes those t parts as equal as can be: with
+    n = t*q + r, the runs ((q+1, r), (q, t-r)), less the first when r = 0.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -99,7 +98,7 @@ def interval_partition(n: int, x: int, y: int) -> Optional[tuple]:
         return None
     q, r = divmod(n, t)
     # t*x <= n <= t*y guarantees x <= q and (q < y or r == 0)
-    return (q + 1,) * r + (q,) * (t - r)
+    return ((q + 1, r), (q, t - r)) if r else ((q, t),)
 
 
 def two_coin_representation(n: int, c: int) -> Optional[tuple]:

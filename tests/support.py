@@ -15,6 +15,8 @@ Compositions and their rearrangements live here too: only the tests need
 ordered parts.  So do the disjoint union of two graphs, which only the
 multiplicativity check of csf_e uses, and the product of two e-expansions,
 which that check and the power-sum to e-basis conversion by type share.
+The prefix-sum check on a plain type, part by part, checks the library's
+check on runs.
 """
 
 from __future__ import annotations
@@ -385,6 +387,39 @@ def all_rearrangements_hit(parts: tuple, lo: int, hi: int) -> bool:
         if not hit:
             return False
     return True
+
+
+def runs_of(lam) -> Tuple[Tuple[int, int], ...]:
+    """A plain type, in any order, as runs (value, count), largest value first."""
+    return tuple(sorted(Counter(lam).items(), reverse=True))
+
+
+def parts_of(runs) -> tuple:
+    """The runs of a type expanded part by part, in their order."""
+    return tuple(itertools.chain.from_iterable(itertools.repeat(v, m) for v, m in runs))
+
+
+def check_partsums_by_parts(lam, profile: CutProfile) -> bool:
+    """The prefix-sum check on a plain type in any order, part by part: one pass
+    counts the parts of each value, and check_partsums_obstruction's fold runs
+    over the sorted counts.  The oracle for that check on runs.
+    """
+    counts: Dict[int, int] = {}
+    for p in lam:
+        counts[p] = counts.get(p, 0) + 1
+    runs = sorted(counts.items(), reverse=True)
+    if sum(v * m for v, m in runs) != profile.n:
+        raise ValueError(f"type {tuple(sorted(lam, reverse=True))} does not sum to profile size {profile.n}")
+    if runs[-1][0] < profile.c1 + 1:  # runs is not empty: n >= 1
+        return False
+    lo, hi = profile.b + 1, profile.b + profile.c
+    top, m = runs[0]
+    runs[0] = (top, m - 1)  # the other parts; a run of count 0 adds no sum
+    reach = {0}  # the sums < lo of sub-multisets of every run but the last
+    for v, m in runs[:-1]:
+        reach = {s + t for s in reach for t in range(0, min(v * m, lo - 1 - s) + 1, v)}
+    v, m = runs[-1]
+    return max(s + v * min(m, (lo - 1 - s) // v) for s in reach) + top <= hi
 
 
 def connected_partition_exists_bruteforce(G: Graph, lam) -> bool:

@@ -1,0 +1,124 @@
+"""Mutation check of the certificate code (pytest -m slow).
+
+Each mutant moves one decision boundary of `obstructions` or `partitions` by one
+token.  It is applied to a fresh copy of src/, and the certificate tests run on
+that copy: a mutant they fail on is killed.  A mutant that no test can kill,
+because it changes no verdict, is listed as equivalent with the argument why,
+and must then pass them.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TEST_FILES = ("tests/test_obstructions.py", "tests/test_partitions.py", "tests/test_records.py")
+OBS, PARTS = "obstructions.py", "partitions.py"
+EQUIVALENT = "equivalent: "
+
+# (name, file under src/epolab, old text, new text, reason); the old text occurs once
+MUTANTS = [
+    ("arm1-le", OBS, "    if b <= 2 * c - 2:", "    if b < 2 * c - 2:",
+     "b = 2c-2 loses arm 1 and falls to no arm"),
+    ("arm1-bound", OBS, "    if b <= 2 * c - 2:", "    if b <= 2 * c - 1:",
+     "b = 2c-1 takes the window itself, which misses c1-sized parts"),
+    ("arm2-c1", OBS, "    elif c >= c1 + 1 and b == 2 * c - 1:", "    elif c > c1 + 1 and b == 2 * c - 1:",
+     "c = c1+1 at b = 2c-1 loses arm 2"),
+    ("arm2-b", OBS, "    elif c >= c1 + 1 and b == 2 * c - 1:", "    elif c >= c1 + 1 and b == 2 * c:",
+     "arm 2 moves off b = 2c-1"),
+    ("arm2-special", OBS, "        if c == 2:", "        if c <= 3:",
+     "c = 3 takes the all-2s type, which has parts <= c1 or fails the check"),
+    ("arm2-parity", OBS, "if n % 2 == 0 else", "if n % 2 == 1 else",
+     "odd n gets all 2s, which do not sum to n"),
+    ("arm3-low", OBS, "    elif 2 * c <= b and 2 * b <= c * c:", "    elif 2 * c < b and 2 * b <= c * c:",
+     "b = 2c loses arm 3"),
+    ("arm3-high", OBS, "    elif 2 * c <= b and 2 * b <= c * c:", "    elif 2 * c <= b and 2 * b < c * c:",
+     "2b = c^2 with c = c1+1 loses every arm (spider S(8,8,2,2) has c = c1+2, so the test uses that)"),
+    ("arm3-scan", OBS, "range(b // c1, 0, -1) if c < 500", "range(b // c1 - 1, 0, -1) if c < 500",
+     "the first q = b // c1 is never tried"),
+    ("arm3-closed-form", OBS, "range(b // c1, 0, -1) if c < 500", "range(b // c1, 0, -1) if c < 50",
+     "c in [50, 500) goes to analysis_q, which refuses c < 500"),
+    ("arm4-c1", OBS, "    elif c >= c1 + 2 and 2 * b >= c * c:", "    elif c >= c1 + 1 and 2 * b >= c * c:",
+     "c = c1+1 takes parts c-1 = c1, which fail the check"),
+    ("arm4-b", OBS, "    elif c >= c1 + 2 and 2 * b >= c * c:", "    elif c >= c1 + 2 and 2 * b > c * c:",
+     EQUIVALENT + "arm 4 never sees 2b = c^2: c = 2 gives b = 2 <= 2c-2 (arm 1), c >= 4 gives "
+     "2c <= c^2/2 = b (arm 3), and an odd c has no such b"),
+    ("q-interval-x", OBS, "    x, y = b // q + 1, (b + c) // q", "    x, y = b // q, (b + c) // q",
+     "x = ceil((b+1)/q) drops by one"),
+    ("q-interval-y", OBS, "    x, y = b // q + 1, (b + c) // q", "    x, y = b // q + 1, (b + c - 1) // q",
+     "y = floor((b+c)/q) drops when q divides b+c"),
+    ("q-interval-empty", OBS, "    return (x, y) if x <= y else None", "    return (x, y) if x < y else None",
+     "a one-value window becomes None"),
+    ("interval-t", PARTS, "    t = -(-n // y)", "    t = n // y + 1",
+     "t overshoots ceil(n/y) when y divides n"),
+    ("interval-exists", PARTS, "    if t * x > n:", "    if t * x >= n:",
+     "n = t*x is refused"),
+    ("interval-split", PARTS, "((q + 1, r), (q, t - r)) if r", "((q + 1, r), (q, t - r + 1)) if r",
+     "the runs hold one part too many"),
+    ("interval-split-zero", PARTS, "((q + 1, r), (q, t - r)) if r else ((q, t),)",
+     "((q + 1, r), (q, t - r))", "r = 0 leaves a run of count 0"),
+    ("check-c1", OBS, "    if others[-1][0] < profile.c1 + 1:", "    if others[-1][0] < profile.c1:",
+     "a part equal to c1 passes"),
+    ("check-order", OBS, "    others = sorted(runs, reverse=True)", "    others = list(runs)",
+     "runs smallest first take the largest part for the smallest"),
+    ("check-hi", OBS, "for s in reach) + top <= hi", "for s in reach) + top < hi",
+     "a largest part that ends exactly at b+c counts as avoiding"),
+    ("budget", OBS, "        if parts > PART_BUDGET:", "        if parts >= PART_BUDGET:",
+     "a type of exactly PART_BUDGET parts is refused"),
+    ("window-low", OBS, "window and window[0] <= last and", "window and window[0] < last and",
+     "a smallest part equal to x is refused"),
+    ("window-high", OBS, "and runs[0][0] <= window[1])", "and runs[0][0] < window[1])",
+     "a largest part equal to y is refused"),
+    ("strategy-c", OBS, "    return c < x < y and (y - 2)", "    return c <= x < y and (y - 2)",
+     "x = c passes"),
+    ("strategy-xy", OBS, "    return c < x < y and (y - 2)", "    return c < x <= y and (y - 2)",
+     "x = y divides by zero"),
+    ("strategy-reach", OBS, "(y - x) * x <= 2 * b + c + 1", "(y - x) * x <= 2 * b + c + 2",
+     EQUIVALENT + "no (b, c) with c <= 200 changes verdict, and no (b, c, q) with c < 60 has a tail "
+     "that starts at exactly 2b + c + 2 (ROADMAP item 12)"),
+    ("c500-reach", OBS, "bc, reach, q = b + c, 2 * b + c + 1, b // c", "bc, reach, q = b + c, 2 * b + c + 2, b // c",
+     EQUIVALENT + "strategy_check's test inline, with the same argument as strategy-reach"),
+    ("analysis-case1", OBS, "    if 20 * b <= c * c:", "    if 20 * b < c * c:",
+     "20b = c^2 reports case 2 (both pick q = b // c)"),
+    ("analysis-case2", OBS, "    elif 21 * b <= 5 * c * c:", "    elif 21 * b < 5 * c * c:",
+     "21b = 5c^2 reports case 3"),
+    ("analysis-case3", OBS, "    elif 17 * b <= 5 * c * c:", "    elif 17 * b < 5 * c * c:",
+     "17b = 5c^2 reports case 4"),
+    ("analysis-case4", OBS, "q = q0 if 100 * r0 >= 38 * q0 else q0 - 1", "q = q0 if 100 * r0 > 38 * q0 else q0 - 1",
+     "the tie 100*r0 = 38*q0 at (b, c) = (78806, 500) picks q0 - 1"),
+]
+
+
+def _mutated_src(tmp_path: Path, filename: str, old: str, new: str) -> Path:
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    target = src / "epolab" / filename
+    text = target.read_text()
+    assert text.count(old) == 1, (filename, old)
+    target.write_text(text.replace(old, new))
+    return src
+
+
+def test_mutants_are_distinct_and_each_old_text_occurs_once():
+    assert len({name for name, *_ in MUTANTS}) == len(MUTANTS)
+    assert len({(f, old, new) for _, f, old, new, _ in MUTANTS}) == len(MUTANTS)
+    for name, filename, old, new, reason in MUTANTS:
+        assert old != new and reason, name
+        assert (ROOT / "src" / "epolab" / filename).read_text().count(old) == 1, name
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, filename, old, new, reason", MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_mutant_is_killed_or_listed_as_equivalent(name, filename, old, new, reason, tmp_path):
+    src = _mutated_src(tmp_path, filename, old, new)
+    env = {"PYTHONPATH": str(src), "PATH": os.environ.get("PATH", ""), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TEST_FILES],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    if reason.startswith(EQUIVALENT):
+        assert done.returncode == 0, f"{name} is listed as equivalent but was killed:\n{done.stdout[-2000:]}"
+    else:
+        assert done.returncode != 0, f"{name} survived ({reason})"

@@ -42,26 +42,31 @@ def test_obstruction_interval_examples():
 
 
 def test_check_partsums_examples():
-    assert check_partsums_obstruction((2, 2, 2), CutProfile(1, 1, (1, 1, 1)))
-    assert check_partsums_obstruction((2, 2), CutProfile(1, 1, (1,)))
-    assert not check_partsums_obstruction((13,), CutProfile(6, 4, (1, 1)))
+    assert check_partsums_obstruction(((2, 3),), CutProfile(1, 1, (1, 1, 1)))
+    assert check_partsums_obstruction(((2, 2),), CutProfile(1, 1, (1,)))
+    assert not check_partsums_obstruction(((13, 1),), CutProfile(6, 4, (1, 1)))
 
 
 def test_check_partsums_size_mismatch():
+    with pytest.raises(ValueError, match=r"^type \(\(3, 2\), \(1, 1\)\) does not sum to profile size 6$"):
+        check_partsums_obstruction(((3, 2), (1, 1)), CutProfile(2, 2, (1,)))
     with pytest.raises(ValueError, match=r"^type \(3, 3, 1\) does not sum to profile size 6$"):
-        check_partsums_obstruction((1, 3, 3), CutProfile(2, 2, (1,)))
+        support.check_partsums_by_parts((1, 3, 3), CutProfile(2, 2, (1,)))
 
 
 def test_check_partsums_vs_full_enumeration():
-    """The prefix-sum check agrees with a blind scan over all orderings, for each
-    type as generated and as a shuffled tuple."""
+    """The prefix-sum check on runs agrees with a blind scan over all orderings, in
+    either order of the runs, and the part-by-part oracle agrees with it on each
+    type as a shuffled tuple."""
     rng = random.Random(13)
 
     def check(lam, profile):
         shuffled = list(lam)
         rng.shuffle(shuffled)
-        got = check_partsums_obstruction(lam, profile)
-        assert check_partsums_obstruction(tuple(shuffled), profile) == got, (profile, lam, shuffled)
+        runs = support.runs_of(lam)
+        got = check_partsums_obstruction(runs, profile)
+        assert check_partsums_obstruction(runs[::-1], profile) == got, (profile, runs)
+        assert support.check_partsums_by_parts(tuple(shuffled), profile) == got, (profile, lam, shuffled)
         return got
 
     profiles = [
@@ -136,10 +141,11 @@ def test_compressed_interval_types_are_obstructed():
         window = q_interval(b, profile.c, q)
         if window is None or window[0] < profile.c1 + 1:
             continue
-        lam = interval_partition(profile.n, *window)
-        if lam is None:
+        runs = interval_partition(profile.n, *window)
+        if runs is None:
             continue
-        assert check_partsums_obstruction(lam, profile), (profile, q, lam)
+        lam = support.parts_of(runs)
+        assert check_partsums_obstruction(runs, profile), (profile, q, lam)
         from support import count_rearrangements
 
         if count_rearrangements(lam) <= 20000:
@@ -170,6 +176,21 @@ def test_strategy_check_examples():
         strategy_check(5, 3, 0)
 
 
+def test_one_value_windows_are_windows():
+    # x = y: q_interval keeps the window, and strategy_check refuses it (its tail test
+    # divides by y - x) instead of failing
+    assert q_interval(4, 2, 3) == (2, 2)
+    assert q_interval(10, 2, 4) == (3, 3) and not strategy_check(10, 2, 4)
+
+
+def test_arm_3_scans_q_below_c_500_and_selects_in_closed_form_from_it():
+    for c in (50, 499, 500):
+        b = 2 * c + 1
+        cert = theorem_decide(CutProfile(b, b, (c,)))
+        assert (cert.kind, cert.q) == ("q-interval", 2), c  # the scan's first q = b // c1
+    assert analysis_q(1001, 500).q == 2
+
+
 def test_analysis_q_examples():
     t = analysis_q(125000, 500)
     assert t.case == 4 and t.internals["q0"] == 188 and t.q in (188, 187)
@@ -183,6 +204,12 @@ def test_analysis_q_case_4_keeps_q0_at_equality():
     # 100*r0 == 38*q0 == 5700: the boundary keeps q0, one below would be q0 - 1
     t = analysis_q(78806, 500)
     assert t.case == 4 and (t.internals["q0"], t.internals["r0"]) == (150, 57) and t.q == 150
+
+
+def test_analysis_q_case_3_holds_at_its_threshold():
+    # 17b == 5c^2 == 1300500 is still b <= c^2/3.4: case 3's q, where case 4 would pick 147
+    t = analysis_q(76500, 510)
+    assert (t.case, t.q) == (3, 127)
 
 
 def test_analysis_q_preconditions():
@@ -301,28 +328,28 @@ def test_theorem_decide_guards_each_arms_part_count(monkeypatch):
 def test_certificate_validation():
     prof = CutProfile(2, 2, (2, 2, 2))
     with pytest.raises(ValueError):
-        MissingTypeCertificate(profile=prof, lam=(6, 5), kind="nonsense")
+        MissingTypeCertificate(profile=prof, runs=((6, 1), (5, 1)), kind="nonsense")
     with pytest.raises(ValueError):
-        MissingTypeCertificate(profile=prof, lam=(6, 4), kind="explicit-interval")
+        MissingTypeCertificate(profile=prof, runs=((6, 1), (4, 1)), kind="explicit-interval")
     # (6, 5) lies in the q = 1 window [3, 8] but not in the q = 2 window [2, 4]
-    assert MissingTypeCertificate(profile=prof, lam=(6, 5), kind="q-interval", q=1).window == (3, 8)
+    assert MissingTypeCertificate(profile=prof, runs=((6, 1), (5, 1)), kind="q-interval", q=1).window == (3, 8)
     with pytest.raises(ValueError):
-        MissingTypeCertificate(profile=prof, lam=(6, 5), kind="q-interval", q=2)
+        MissingTypeCertificate(profile=prof, runs=((6, 1), (5, 1)), kind="q-interval", q=2)
     # only a q-interval certificate carries q, and it needs one
     for kind, q in (("q-interval", None), ("q-interval", 0), ("explicit-interval", 1)):
         with pytest.raises(ValueError):
-            MissingTypeCertificate(profile=prof, lam=(6, 5), kind=kind, q=q)
+            MissingTypeCertificate(profile=prof, runs=((6, 1), (5, 1)), kind=kind, q=q)
     # an explicit-interval part outside [b+1, b+c] = [3, 8] is refused before the prefix-sum check
     with pytest.raises(ValueError, match="outside its window"):
-        MissingTypeCertificate(profile=prof, lam=(9, 2), kind="explicit-interval")
+        MissingTypeCertificate(profile=prof, runs=((9, 1), (2, 1)), kind="explicit-interval")
 
 
 def test_certificate_constructor_checks_the_window():
     # (13,) sums to n and its part exceeds c1, but its one ordering has no
     # prefix sum in [5, 6], so it certifies nothing
     with pytest.raises(ValueError):
-        MissingTypeCertificate(CutProfile(6, 4, (1, 1)), (13,), "explicit-interval")
-    cert = MissingTypeCertificate(CutProfile(2, 2, (2, 2, 2)), (6, 5), "explicit-interval")
+        MissingTypeCertificate(CutProfile(6, 4, (1, 1)), ((13, 1),), "explicit-interval")
+    cert = MissingTypeCertificate(CutProfile(2, 2, (2, 2, 2)), ((6, 1), (5, 1)), "explicit-interval")
     assert cert.verified is True and cert.to_json_dict()["verified"] is True
 
 
@@ -339,20 +366,95 @@ def test_certificate_check_makes_no_copy_of_the_type():
     # 10^6 parts of 7 and 6 in the window [5, 7]: counting the parts per value
     # allocates a few small objects, where a sorted copy of the type alone is 8 MB
     profile = CutProfile(7 * 10**6 - 10, 4, (2, 1))
-    lam = interval_partition(profile.n, 5, 7)
-    assert len(lam) == 10**6
+    runs = interval_partition(profile.n, 5, 7)
+    assert sum(m for _, m in runs) == 10**6
     tracemalloc.start()
     try:
-        MissingTypeCertificate(profile, lam, "explicit-interval")
+        MissingTypeCertificate(profile, runs, "explicit-interval")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
+def test_certificate_constructor_counts_the_parts_before_the_window_and_the_check(monkeypatch):
+    # 10^7 + 1 parts of 4 neither fit the window [3, 4]'s profile nor sum to its n,
+    # yet the part budget refuses them first, from the runs alone
+    with pytest.raises(PartBudgetError, match=r"^size guard, a type of 10000001 parts > 10000000$"):
+        MissingTypeCertificate(CutProfile(6, 2, (1, 1)), ((4, 10**7 + 1),), "explicit-interval")
+    # a malformed type is refused before the budget is read
+    monkeypatch.setattr(obstructions, "PART_BUDGET", 0)
+    with pytest.raises(ValueError, match="runs need"):
+        MissingTypeCertificate(CutProfile(6, 2, (1, 1)), ((4, 2), (3, 0)), "explicit-interval")
+    with pytest.raises(PartBudgetError, match="3 parts > 0"):
+        MissingTypeCertificate(CutProfile(6, 2, (1, 1)), ((4, 2), (3, 1)), "explicit-interval")
+
+
+def test_each_arm_builds_a_huge_type_as_runs(monkeypatch):
+    # with the budget lifted, each arm certifies 10^11 or more parts in runs alone:
+    # no per-part tuple is built, by the arms or by the certificate's checks
+    monkeypatch.setattr(obstructions, "PART_BUDGET", 10**13)
+    a = 10**12
+    for profile, kind in ((CutProfile(a, 2, (1, 1)), "explicit-interval"),
+                          (CutProfile(a, 3, (1, 1)), "special-b-2c-1"),
+                          (CutProfile(a, 8, (2, 1, 1)), "q-interval"),
+                          (CutProfile(a, 6, (1, 1, 1)), "parts-c-c1")):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            cert = theorem_decide(profile)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.kind == kind and elapsed < 1 and peak < 1 << 20, (profile, elapsed, peak)
+        assert sum(v * m for v, m in cert.runs) == profile.n and sum(m for _, m in cert.runs) > 10**11
+        assert len(cert.runs) <= 2 and cert.runs[-1][0] > profile.c1
+
+
+def test_check_on_runs_matches_the_part_by_part_oracle_on_random_types():
+    # one to three part values and up to about 10^5 parts, each type shuffled for the oracle
+    rng = random.Random(28)
+    verdicts = set()
+    for _ in range(400):
+        values = sorted(rng.sample(range(1, 60), rng.randint(1, 3)), reverse=True)
+        runs = tuple((v, rng.randint(1, 10 ** rng.randint(0, 5) // len(values) or 1)) for v in values)
+        n = sum(v * m for v, m in runs)
+        if n < 4:
+            continue
+        c1 = rng.randint(1, min(values[-1] + 1, (n - 1) // 3))
+        c = rng.randint(c1, min(3 * c1, n - 1 - 2 * c1))
+        b = rng.randint(c1, min(3000, (n - 1 - c) // 2))
+        profile = CutProfile(n - 1 - c - b, b, (c1,) * (c // c1) + ((c % c1,) if c % c1 else ()))
+        lam = list(support.parts_of(runs))
+        rng.shuffle(lam)
+        got = check_partsums_obstruction(runs, profile)
+        assert got == support.check_partsums_by_parts(lam, profile), (runs, profile)
+        verdicts.add(got)
+    assert verdicts == {False, True}
+
+
+def test_check_on_runs_matches_the_part_by_part_oracle_on_every_certificate_to_n_60():
+    # theorem_decide reads a profile through b, c, c1 and n only, so one cs per (c1, c)
+    certs = 0
+    for n in range(4, 61):
+        for c in range(1, n - 2):
+            for c1 in range(1, c + 1):
+                cs = (c1,) * (c // c1) + ((c % c1,) if c % c1 else ())
+                for b in range(c1, (n - 1 - c) // 2 + 1):
+                    profile = CutProfile(n - 1 - c - b, b, cs)
+                    cert = theorem_decide(profile)
+                    if cert is not None:
+                        assert check_partsums_obstruction(cert.runs, profile)
+                        assert support.check_partsums_by_parts(cert.lam[::-1], profile), (profile, cert)
+                        certs += 1
+    assert certs == 84942
+
+
 def test_certificate_json():
-    cert = MissingTypeCertificate(CutProfile(1, 1, (1, 1, 1)), (3, 3), "q-interval", q=1)
+    cert = MissingTypeCertificate(CutProfile(1, 1, (1, 1, 1)), ((3, 2),), "q-interval", q=1)
     d = cert.to_json_dict()
+    assert d["lambda"] == [3, 3] and cert.lam == (3, 3)
     assert d["profile"] == {"a": 1, "b": 1, "cs": [1, 1, 1]}
     assert d["kind"] == "q-interval"
     assert d["verified"] is True
@@ -387,7 +489,7 @@ def test_obstructed_types_are_absent_in_spiders():
             G = spider(legs)
             (_, profile), = cut_profiles(G)
             for lam in partitions_of(n):
-                if check_partsums_obstruction(lam, profile):
+                if check_partsums_obstruction(support.runs_of(lam), profile):
                     assert has_connected_partition(G, lam) is None, (legs, lam)
 
 
@@ -601,14 +703,29 @@ def test_uncovered_lists_the_gaps_a_window_leaves():
     assert missed > 0
 
 
-def test_worker_count_is_clamped():
+def test_worker_count_is_clamped(monkeypatch):
     import os
 
     from epolab.obstructions import worker_count
 
-    cores = os.cpu_count() or 1
+    # the cores this process may run on: its affinity mask, where the OS has one
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    cores = 3
     assert worker_count(1, 100) == 1
     assert worker_count(10**6, 3) == min(3, cores)
     assert worker_count(10**6, 10**6) == cores
     assert worker_count(4, 0) == 1
     assert worker_count(2, 1) == 1
+
+
+def test_worker_count_falls_back_to_the_hosts_cores(monkeypatch):
+    import os
+
+    from epolab.obstructions import worker_count
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert worker_count(10**6, 10**6) == 5 and worker_count(3, 10) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+    assert worker_count(10**6, 10**6) == 1

@@ -117,9 +117,10 @@ def test_packed_partitions_decode_to_the_partitions_in_order():
 
 
 def test_interval_partition_examples():
-    assert interval_partition(17, 7, 9) == (9, 8)
+    assert interval_partition(17, 7, 9) == ((9, 1), (8, 1))
     assert interval_partition(13, 7, 9) is None
-    assert interval_partition(7, 7, 9) == (7,)
+    assert interval_partition(7, 7, 9) == ((7, 1),)
+    assert interval_partition(30, 7, 9) == ((8, 2), (7, 2))
     for x, y in ((0, 3), (4, 3)):
         with pytest.raises(ValueError):
             interval_partition(7, x, y)
@@ -133,8 +134,12 @@ def test_interval_partition_against_dp_oracle():
                 expected = support.interval_sum_exists_dp(n, lo, hi)
                 assert (got is not None) == expected, (n, lo, hi)
                 if got is not None:
-                    assert sum(got) == n
-                    assert all(lo <= p <= hi for p in got)
+                    parts = support.parts_of(got)
+                    assert sum(parts) == n
+                    assert all(lo <= p <= hi for p in parts)
+                    # the fewest parts, as equal as can be: one run, or two of adjacent values
+                    assert len(parts) == -(-n // hi) and all(m >= 1 for _, m in got), (n, lo, hi, got)
+                    assert len(got) == 1 or (len(got) == 2 and got[0][0] == got[1][0] + 1), (n, lo, hi, got)
 
 
 def test_frobenius_interval_bound_examples():

@@ -34,9 +34,9 @@ FROZEN = [
     (EposVerdict((((2, 1), -1),)), EposVerdict(negatives=(((2, 1), -1),)), EposVerdict(()),
      "EposVerdict(negatives=(((2, 1), -1),))"),
     (theorem_decide(CutProfile(6, 2, (1, 1))),
-     MissingTypeCertificate(CutProfile(6, 2, (1, 1)), (4, 4, 3), "explicit-interval", q=None),
-     MissingTypeCertificate(CutProfile(5, 3, (2, 1)), (6, 6), "explicit-interval"),
-     "MissingTypeCertificate(profile=CutProfile(a=6, b=2, cs=(1, 1)), lam=(4, 4, 3), "
+     MissingTypeCertificate(CutProfile(6, 2, (1, 1)), ((4, 2), (3, 1)), "explicit-interval", q=None),
+     MissingTypeCertificate(CutProfile(5, 3, (2, 1)), ((6, 2),), "explicit-interval"),
+     "MissingTypeCertificate(profile=CutProfile(a=6, b=2, cs=(1, 1)), runs=((4, 2), (3, 1)), "
      "kind='explicit-interval', q=None)"),
     (analysis_q(1200, 600), QSelectionTrace(1200, 600, 1, 2, 601, 900), QSelectionTrace(1200, 600, 1, 3, 601, 900),
      "QSelectionTrace(b=1200, c=600, case=1, q=2, x=601, y=900, internals=None)"),
@@ -104,14 +104,19 @@ def test_reports_compare_show_and_pickle_by_their_fields_and_stay_assignable():
     (lambda: CutProfile(1, 2, (1,)), "sizes must satisfy a >= b >= c1 >= ... >= ck >= 1, got (1, 2, 1)"),
     (lambda: ESymExpansion(3, {(1, 1): 1}), "key (1, 1) is not a partition of 3"),
     (lambda: ESymExpansion(3, {(1, 2): 1}), "key (1, 2) is not weakly decreasing"),
-    (lambda: MissingTypeCertificate(CutProfile(6, 2, (1, 1)), (4, 4, 3), "nope"), "unknown certificate kind 'nope'"),
-    (lambda: MissingTypeCertificate(CutProfile(6, 2, (1, 1)), (4, 4, 3), "q-interval"),
+    (lambda: MissingTypeCertificate(CutProfile(6, 2, (1, 1)), ((4, 2), (3, 1)), "nope"),
+     "unknown certificate kind 'nope'"),
+    (lambda: MissingTypeCertificate(CutProfile(6, 2, (1, 1)), ((4, 2), (3, 1)), "q-interval"),
      "q-interval needs q and no other kind takes one, got q-interval with q=None"),
-    (lambda: MissingTypeCertificate(CutProfile(6, 2, (1, 1)), (11,), "explicit-interval"),
+    (lambda: MissingTypeCertificate(CutProfile(6, 2, (1, 1)), ((11, 1),), "explicit-interval"),
      "explicit-interval certificate has a part outside its window (3, 4)"),
-    (lambda: MissingTypeCertificate(CutProfile(6, 2, (1, 1)), (2,) * 5 + (1,), "special-b-2c-1"),
-     "type (2, 2, 2, 2, 2, 1) fails the prefix-sum criterion for CutProfile(a=6, b=2, cs=(1, 1))"),
-], ids=range(11))
+    (lambda: MissingTypeCertificate(CutProfile(6, 2, (1, 1)), ((2, 5), (1, 1)), "special-b-2c-1"),
+     "type ((2, 5), (1, 1)) fails the prefix-sum criterion for CutProfile(a=6, b=2, cs=(1, 1))"),
+    *((lambda runs=runs: MissingTypeCertificate(CutProfile(6, 2, (1, 1)), runs, "explicit-interval"),
+       f"runs need (value, count) int pairs, values falling, counts >= 1: {runs!r}")
+      for runs in ((), [(4, 2), (3, 1)], ((4, 2), [3, 1]), ((4, 2, 0), (3, 1)), ((3, 1), (4, 2)), ((4, 2), (4, 1)),
+                   ((4, 3), (3, 0)), ((11, True),), ((5.5, 2),), ((11, 1), (0, 5)), (4, 4, 3))),
+], ids=range(22))
 def test_constructor_checks_keep_their_error_text(build, message):
     with pytest.raises(ValueError) as exc:
         build()
