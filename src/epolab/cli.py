@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional
 
 from . import GuardError, __version__
@@ -42,12 +42,19 @@ class SpecError(ValueError):
     """Malformed input (graph/profile shorthand, file, type, range): exit 2."""
 
 
+@contextmanager
+def _user_file(path: str, verb: str):
+    """An OSError inside is a usage error: the file the user named at path cannot be opened or written."""
+    try:
+        yield
+    except OSError as exc:
+        raise SpecError(f"cannot {verb} {path}: {exc.strerror}") from None
+
+
 def _open_user_file(path: str, mode: str):
     """open(path, mode) for a file the user named; failing to open it is a usage error."""
-    try:
+    with _user_file(path, "open"):
         return open(path, mode)
-    except OSError as exc:
-        raise SpecError(f"cannot open {path}: {exc.strerror}") from None
 
 
 def parse_graph_spec(spec: str, limit: Optional[int] = None, connected: bool = False) -> Graph:
@@ -182,18 +189,16 @@ class ResultCache:
         lines = [json.dumps({"command": "trees-scan", "n": n, "version": __version__,
                              "route": SCAN_ROUTE, "row": row}, sort_keys=True) + "\n"
                  for n, row in sorted(self._rows.items())]
-        try:
+        with _user_file(self.path, "write"):
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)))
-        except OSError as exc:
-            raise SpecError(f"cannot write {self.path}: {exc.strerror}") from None
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.writelines(lines)
-            os.chmod(tmp, os.stat(self.path).st_mode & 0o7777)
-            os.replace(tmp, self.path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.writelines(lines)
+                os.chmod(tmp, os.stat(self.path).st_mode & 0o7777)
+                os.replace(tmp, self.path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +301,18 @@ def _settle_tree(G: Graph) -> dict:
     return {"e_positive": is_e_positive(G).positive, "settled_by": "csf"}
 
 
-def _scan_size(n: int, jobs: int) -> dict:
-    """The row of size n: how many trees have a degree-4 vertex, the edge lists of
-    the e-positive ones among them, in enumeration order, and how many each step settled."""
+def _scan_size(n: int) -> dict:
+    """The row of size n, each tree settled as it is enumerated: how many have a degree-4
+    vertex, the e-positive ones' edge lists in enumeration order, and each step's count."""
     from .graphs import enumerate_free_trees, max_degree
-    from .obstructions import parallel_map
-    qualifying = [G for G in enumerate_free_trees(n) if max_degree(G) >= 4]
-    verdicts = list(parallel_map(_settle_tree, qualifying, jobs))
-    settled = Counter(verdict["settled_by"] for verdict in verdicts)
-    return {"degree4_trees": len(qualifying),
-            "counterexamples": [sorted(G.edges) for G, verdict in zip(qualifying, verdicts)
-                                if verdict["e_positive"]],
-            "settled": {step: settled[step] for step in SETTLE_STEPS}}
+    counterexamples, settled = [], dict.fromkeys(SETTLE_STEPS, 0)
+    for G in enumerate_free_trees(n):
+        if max_degree(G) >= 4:
+            verdict = _settle_tree(G)
+            settled[verdict["settled_by"]] += 1
+            if verdict["e_positive"]:
+                counterexamples.append(sorted(G.edges))
+    return {"degree4_trees": sum(settled.values()), "counterexamples": counterexamples, "settled": settled}
 
 
 def cmd_trees_scan(args) -> int:
@@ -318,22 +323,22 @@ def cmd_trees_scan(args) -> int:
     if n_max > FREE_TREES_MAX_N:
         raise GuardError(f"size guard, n_max={n_max} > {FREE_TREES_MAX_N}")
     cache = ResultCache(args.cache)
-    rows = []
-    for n in range(1, n_max + 1):
-        row = cache.get(n)
-        if row is None:
-            row = _scan_size(n, args.jobs)
+    rows = {n: cache.get(n) for n in range(1, n_max + 1)}
+    missing = [n for n, row in rows.items() if row is None]
+    if missing:  # one whole size per task; a warm scan imports no obstructions
+        from .obstructions import parallel_map
+        for n, row in zip(missing, parallel_map(_scan_size, missing, args.jobs)):
             cache.put(n, row)
-        rows.append((n, row))
-    counterexamples = [edges for _, row in rows for edges in row["counterexamples"]]
+            rows[n] = row
+    counterexamples = [edges for row in rows.values() for edges in row["counterexamples"]]
     if args.json:
         table = [{"n": n, "degree4_trees": row["degree4_trees"],
                   "counterexamples": len(row["counterexamples"]), "settled": row["settled"]}
-                 for n, row in rows]
+                 for n, row in rows.items()]
         print(json.dumps({"n_max": n_max, "rows": table, "counterexamples": counterexamples}))
     else:
         print(f"{'n':>3} {'deg>=4 trees':>13} {'e-positive (unexpected)':>24}")
-        for n, row in rows:
+        for n, row in rows.items():
             print(f"{n:>3} {row['degree4_trees']:>13} {len(row['counterexamples']):>24}")
         if counterexamples:
             print("counterexamples found:")
@@ -374,22 +379,24 @@ def cmd_sweep(args) -> int:
 
     def write_rows(rows) -> None:
         """Append one c's rows to --csv, as that c completes."""
-        csv.writelines(row_format % row for row in rows)
+        with _user_file(args.csv, "write"):
+            csv.writelines(row_format % row for row in rows)
 
     sink = write_rows if csv else None
     try:
         if csv is not None:
-            csv.write(header)
+            csv.write(header)  # into the buffer: too short to reach the file here
         if args.kind == "c40":
             report = sweep_c40(lo, hi, jobs=args.jobs, rows=sink)
         else:
             report = sweep_c500(lo, hi, mode=args.mode or "full", jobs=args.jobs, rows=sink)
     finally:
         if csv is not None:
-            csv.close()
+            with _user_file(args.csv, "write"):
+                csv.close()  # closed even when its flush fails
     payload = json.dumps(report.to_json_dict(), sort_keys=True)
     if args.out:
-        with _open_user_file(args.out, "w") as fh:
+        with _user_file(args.out, "write"), _open_user_file(args.out, "w") as fh:
             fh.write(payload + "\n")
     print(payload)
     return EXIT_OK if report.ok else EXIT_NEGATIVE

@@ -408,20 +408,13 @@ def worker_count(jobs: int, items: int) -> int:
     return max(1, min(jobs, items, cores or 1))
 
 
-def _map_chunk(fn, chunk: list) -> list:
-    """fn over one chunk of items, in a worker process."""
-    return [fn(item) for item in chunk]
-
-
 def parallel_map(fn, items: list, jobs: int) -> Iterator:
-    """Map fn over independent work items, across processes when jobs > 1.
-
-    The pool starts every worker at once, so its size is clamped by
-    worker_count.  Items go out in chunks of about 1/64 of each worker's
-    share, so that thousands of small items do not each pay a round trip.
-    Results are yielded in item order, so output is identical for any job
-    count.  At most two chunks per worker are in flight or waiting to be
-    yielded, so a slow consumer holds back the workers, not their results.
+    """Map fn over independent work items, one task per item, across processes
+    when jobs > 1.  Every caller hands it coarse items: one c of a sweep, one n
+    of trees-scan.  The pool, clamped by worker_count, starts every worker at
+    once.  Results are yielded in item order, so output is identical for any job
+    count; at most two items per worker are in flight or waiting to be yielded,
+    so a slow consumer holds back the workers, not their results.
     """
     workers = worker_count(jobs, len(items))
     if workers == 1:
@@ -429,15 +422,14 @@ def parallel_map(fn, items: list, jobs: int) -> Iterator:
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    size = max(1, len(items) // (64 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         ahead = deque()
-        for i in range(0, len(items), size):
-            ahead.append(pool.submit(_map_chunk, fn, items[i : i + size]))
+        for item in items:
+            ahead.append(pool.submit(fn, item))
             if len(ahead) == 2 * workers:
-                yield from ahead.popleft().result()
+                yield ahead.popleft().result()
         while ahead:
-            yield from ahead.popleft().result()
+            yield ahead.popleft().result()
 
 
 # ---------------------------------------------------------------------------

@@ -208,11 +208,23 @@ def test_trees_scan_guard(capsys):
     assert code == 2 and "need n_max >= 1" in err
 
 
-def test_trees_scan_eight_and_jobs_determinism(capsys):
+def test_trees_scan_eight_and_jobs_determinism(capsys, tmp_path):
     code, out1, _ = run(capsys, "trees-scan", "8")
     assert code == 0 and "no counterexamples" in out1
     code, out2, _ = run(capsys, "trees-scan", "8", "--jobs", "2")
     assert code == 0 and out2 == out1
+    expected = run(capsys, "trees-scan", "8", "--json")
+    assert expected[0] == 0 and [row["n"] for row in json.loads(expected[1])["rows"]] == list(range(1, 9))
+    full = tmp_path / "full.jsonl"
+    assert run(capsys, "trees-scan", "8", "--json", "--jobs", "2", "--cache", str(full)) == expected
+    lines = full.read_text().splitlines(keepends=True)
+    for jobs in ("1", "2"):
+        assert run(capsys, "trees-scan", "8", "--json", "--jobs", jobs) == expected, jobs
+        # sizes 2, 5 and 7 from the cache, the rest from the scan: rows still come in n order
+        partial = tmp_path / f"partial{jobs}.jsonl"
+        partial.write_text(lines[1] + lines[4] + lines[6])
+        assert run(capsys, "trees-scan", "8", "--json", "--jobs", jobs, "--cache", str(partial)) == expected, jobs
+        assert partial.read_text() == "".join(lines), jobs
 
 
 def test_trees_scan_cache(capsys, tmp_path):
@@ -312,21 +324,36 @@ def test_sweep_c500_csv_matches_oracle_at_any_job_count(capsys, tmp_path):
         assert csv_file.read_text() == expected, jobs
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_sweep_c500_memory_stays_bounded():
-    # each c's rows are dropped once folded in; 41..200 has 1,293,840 of them in all.
-    # A child's ru_maxrss starts from its parent's peak on Linux, so a fresh
-    # interpreter, not this test process, starts the sweep and reads its peak.
+def _epolab_peak_kib(*argv):
+    """Exit code, stdout lines and peak RSS in KiB of one `epolab` call.
+
+    A child's ru_maxrss starts from its parent's peak on Linux, so a fresh
+    interpreter, not this test process, starts the call and reads its peak.
+    """
     launcher = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
                 "_, status, usage = os.wait4(p.pid, 0); "
                 "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-    sweep = [sys.executable, "-m", "epolab", "sweep", "c500", "41..200"]
-    done = subprocess.run([sys.executable, "-c", launcher] + sweep, capture_output=True, text=True,
-                          env=support.CHILD_ENV, timeout=300)
-    report, peak = done.stdout.splitlines()
+    done = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m", "epolab", *argv],
+                          capture_output=True, text=True, env=support.CHILD_ENV, timeout=300)
+    *out, peak = done.stdout.splitlines()
     code, kib = map(int, peak.split())
+    return code, out, kib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_sweep_c500_memory_stays_bounded():
+    # each c's rows are dropped once folded in; 41..200 has 1,293,840 of them in all
+    code, (report,), kib = _epolab_peak_kib("sweep", "c500", "41..200")
     assert code == 0 and json.loads(report)["failures"] == []
     assert kib < 50 * 1024, f"peak RSS {kib} KiB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_trees_scan_memory_stays_bounded():
+    # each tree is settled as it is enumerated, so no size's trees are held at once
+    code, table, kib = _epolab_peak_kib("trees-scan", "15")
+    assert code == 0 and table[-1].startswith("no counterexamples")
+    assert kib < 24 * 1024, f"peak RSS {kib} KiB"
 
 
 def test_sweep_bad_range(capsys, tmp_path):

@@ -1,7 +1,8 @@
 """CLI failure modes: state budget, stale cache records, crashes, `-m` entry,
-size guards ahead of graph building, user-named files that cannot be opened or rewritten,
-and a stdout whose reader has gone."""
+size guards ahead of graph building, user-named files that cannot be opened, written or
+rewritten, and a stdout whose reader has gone."""
 
+import errno
 import json
 import os
 import subprocess
@@ -85,6 +86,42 @@ def test_trees_scan_cache_that_cannot_be_rewritten_exits_2(capsys, tmp_path, mon
     code, out, err = run(capsys, "trees-scan", "5", "--cache", str(cache))
     assert (code, out, err) == (2, "", f"error: cannot write {cache}: Permission denied\n")
     assert cache.read_text() == "not a row\n" and os.listdir(tmp_path) == ["cache.jsonl"]
+
+
+def test_trees_scan_cache_write_that_fails_exits_2_and_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    fdopen = os.fdopen
+
+    class FullFile:  # the temp file, on a disk that fills up
+        def __init__(self, fd, mode):
+            self.fh = fdopen(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        writelines = no_space
+
+    cache = tmp_path / "cache.jsonl"
+    for name, failing in [("fdopen", FullFile), ("chmod", no_space), ("replace", no_space)]:
+        cache.write_text("not a row\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(os, name, failing)
+            code, out, err = run(capsys, "trees-scan", "5", "--cache", str(cache))
+        assert (code, out, err) == (2, "", f"error: cannot write {cache}: No space left on device\n"), name
+        assert cache.read_text() == "not a row\n" and os.listdir(tmp_path) == ["cache.jsonl"], name
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_user_files_that_cannot_be_written_exit_2(capsys):
+    # c500 41..60 writes more --csv rows than one buffer holds, so a write fails before the close
+    for argv in [("c40", "2..5", "--out"), ("c40", "2..5", "--csv"), ("c500", "41..60", "--csv")]:
+        code, out, err = run(capsys, "sweep", *argv, "/dev/full")
+        assert (code, out, err) == (2, "", "error: cannot write /dev/full: No space left on device\n"), argv
 
 
 def test_crash_exits_internal_error(capsys, monkeypatch):

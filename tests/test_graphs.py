@@ -145,6 +145,15 @@ def test_missing_types_examples():
     assert missing_types(G) == [(3, 2, 2), (2, 2, 2, 1)]
 
 
+def test_missing_types_searches_no_tree(monkeypatch):
+    def search(G, lam):
+        raise AssertionError("a tree's tally already decides its types")
+
+    monkeypatch.setattr(graphs, "has_connected_partition", search)
+    assert (2, 2) in missing_types(spider((1, 1, 1)))
+    assert missing_types(spider((4, 1, 1))) == []
+
+
 def test_missing_types_guard():
     with pytest.raises(ValueError):
         missing_types(path_graph(26))

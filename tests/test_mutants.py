@@ -1,10 +1,12 @@
-"""Mutation check of the certificate code (pytest -m slow).
+"""Mutation check of the verdict code (pytest -m slow).
 
-Each mutant moves one decision boundary of `obstructions` or `partitions` by one
-token.  It is applied to a fresh copy of src/, and the certificate tests run on
-that copy: a mutant they fail on is killed.  A mutant that no test can kill,
-because it changes no verdict, is listed as equivalent with the argument why,
-and must then pass them.
+Each mutant moves one decision boundary of `src/epolab` by one token: a
+certificate arm or check, a sweep, a sign of the p->e conversion or of a tally
+DP, the tree-scan's filter, its cache's field check or the bound on work in
+flight.  It is applied to a fresh copy of src/, and the test files the mutant
+names run on that copy: a mutant they fail on is killed.  A mutant that no test
+can kill, because it changes no verdict, is listed as equivalent with the
+argument why, and must then pass them.
 """
 
 import os
@@ -16,80 +18,111 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TEST_FILES = ("tests/test_obstructions.py", "tests/test_partitions.py", "tests/test_records.py")
-OBS, PARTS = "obstructions.py", "partitions.py"
+OBS, PARTS, SYM, GRAPHS, CLI = "obstructions.py", "partitions.py", "symfunc.py", "graphs.py", "cli.py"
+# the test files a mutant runs
+CERT = ("tests/test_obstructions.py", "tests/test_partitions.py", "tests/test_records.py")
+OBS_TESTS, SYM_TESTS = ("tests/test_obstructions.py",), ("tests/test_symfunc.py",)
+GRAPHS_TESTS, CLI_TESTS = ("tests/test_graphs.py",), ("tests/test_cli.py",)
 EQUIVALENT = "equivalent: "
 
-# (name, file under src/epolab, old text, new text, reason); the old text occurs once
+# (name, file under src/epolab, old text, new text, reason, test files); the old text occurs once
 MUTANTS = [
     ("arm1-le", OBS, "    if b <= 2 * c - 2:", "    if b < 2 * c - 2:",
-     "b = 2c-2 loses arm 1 and falls to no arm"),
+     "b = 2c-2 loses arm 1 and falls to no arm", CERT),
     ("arm1-bound", OBS, "    if b <= 2 * c - 2:", "    if b <= 2 * c - 1:",
-     "b = 2c-1 takes the window itself, which misses c1-sized parts"),
+     "b = 2c-1 takes the window itself, which misses c1-sized parts", CERT),
     ("arm2-c1", OBS, "    elif c >= c1 + 1 and b == 2 * c - 1:", "    elif c > c1 + 1 and b == 2 * c - 1:",
-     "c = c1+1 at b = 2c-1 loses arm 2"),
+     "c = c1+1 at b = 2c-1 loses arm 2", CERT),
     ("arm2-b", OBS, "    elif c >= c1 + 1 and b == 2 * c - 1:", "    elif c >= c1 + 1 and b == 2 * c:",
-     "arm 2 moves off b = 2c-1"),
+     "arm 2 moves off b = 2c-1", CERT),
     ("arm2-special", OBS, "        if c == 2:", "        if c <= 3:",
-     "c = 3 takes the all-2s type, which has parts <= c1 or fails the check"),
+     "c = 3 takes the all-2s type, which has parts <= c1 or fails the check", CERT),
     ("arm2-parity", OBS, "if n % 2 == 0 else", "if n % 2 == 1 else",
-     "odd n gets all 2s, which do not sum to n"),
+     "odd n gets all 2s, which do not sum to n", CERT),
     ("arm3-low", OBS, "    elif 2 * c <= b and 2 * b <= c * c:", "    elif 2 * c < b and 2 * b <= c * c:",
-     "b = 2c loses arm 3"),
+     "b = 2c loses arm 3", CERT),
     ("arm3-high", OBS, "    elif 2 * c <= b and 2 * b <= c * c:", "    elif 2 * c <= b and 2 * b < c * c:",
-     "2b = c^2 with c = c1+1 loses every arm (spider S(8,8,2,2) has c = c1+2, so the test uses that)"),
+     "2b = c^2 with c = c1+1 loses every arm (spider S(8,8,2,2) has c = c1+2, so the test uses that)", CERT),
     ("arm3-scan", OBS, "range(b // c1, 0, -1) if c < 500", "range(b // c1 - 1, 0, -1) if c < 500",
-     "the first q = b // c1 is never tried"),
+     "the first q = b // c1 is never tried", CERT),
     ("arm3-closed-form", OBS, "range(b // c1, 0, -1) if c < 500", "range(b // c1, 0, -1) if c < 50",
-     "c in [50, 500) goes to analysis_q, which refuses c < 500"),
+     "c in [50, 500) goes to analysis_q, which refuses c < 500", CERT),
     ("arm4-c1", OBS, "    elif c >= c1 + 2 and 2 * b >= c * c:", "    elif c >= c1 + 1 and 2 * b >= c * c:",
-     "c = c1+1 takes parts c-1 = c1, which fail the check"),
+     "c = c1+1 takes parts c-1 = c1, which fail the check", CERT),
     ("arm4-b", OBS, "    elif c >= c1 + 2 and 2 * b >= c * c:", "    elif c >= c1 + 2 and 2 * b > c * c:",
      EQUIVALENT + "arm 4 never sees 2b = c^2: c = 2 gives b = 2 <= 2c-2 (arm 1), c >= 4 gives "
-     "2c <= c^2/2 = b (arm 3), and an odd c has no such b"),
+     "2c <= c^2/2 = b (arm 3), and an odd c has no such b", CERT),
     ("q-interval-x", OBS, "    x, y = b // q + 1, (b + c) // q", "    x, y = b // q, (b + c) // q",
-     "x = ceil((b+1)/q) drops by one"),
+     "x = ceil((b+1)/q) drops by one", CERT),
     ("q-interval-y", OBS, "    x, y = b // q + 1, (b + c) // q", "    x, y = b // q + 1, (b + c - 1) // q",
-     "y = floor((b+c)/q) drops when q divides b+c"),
+     "y = floor((b+c)/q) drops when q divides b+c", CERT),
     ("q-interval-empty", OBS, "    return (x, y) if x <= y else None", "    return (x, y) if x < y else None",
-     "a one-value window becomes None"),
+     "a one-value window becomes None", CERT),
     ("interval-t", PARTS, "    t = -(-n // y)", "    t = n // y + 1",
-     "t overshoots ceil(n/y) when y divides n"),
+     "t overshoots ceil(n/y) when y divides n", CERT),
     ("interval-exists", PARTS, "    if t * x > n:", "    if t * x >= n:",
-     "n = t*x is refused"),
+     "n = t*x is refused", CERT),
     ("interval-split", PARTS, "((q + 1, r), (q, t - r)) if r", "((q + 1, r), (q, t - r + 1)) if r",
-     "the runs hold one part too many"),
+     "the runs hold one part too many", CERT),
     ("interval-split-zero", PARTS, "((q + 1, r), (q, t - r)) if r else ((q, t),)",
-     "((q + 1, r), (q, t - r))", "r = 0 leaves a run of count 0"),
+     "((q + 1, r), (q, t - r))", "r = 0 leaves a run of count 0", CERT),
     ("check-c1", OBS, "    if others[-1][0] < profile.c1 + 1:", "    if others[-1][0] < profile.c1:",
-     "a part equal to c1 passes"),
+     "a part equal to c1 passes", CERT),
     ("check-order", OBS, "    others = sorted(runs, reverse=True)", "    others = list(runs)",
-     "runs smallest first take the largest part for the smallest"),
+     "runs smallest first take the largest part for the smallest", CERT),
     ("check-hi", OBS, "for s in reach) + top <= hi", "for s in reach) + top < hi",
-     "a largest part that ends exactly at b+c counts as avoiding"),
+     "a largest part that ends exactly at b+c counts as avoiding", CERT),
     ("budget", OBS, "        if parts > PART_BUDGET:", "        if parts >= PART_BUDGET:",
-     "a type of exactly PART_BUDGET parts is refused"),
+     "a type of exactly PART_BUDGET parts is refused", CERT),
     ("window-low", OBS, "window and window[0] <= last and", "window and window[0] < last and",
-     "a smallest part equal to x is refused"),
+     "a smallest part equal to x is refused", CERT),
     ("window-high", OBS, "and runs[0][0] <= window[1])", "and runs[0][0] < window[1])",
-     "a largest part equal to y is refused"),
+     "a largest part equal to y is refused", CERT),
     ("strategy-c", OBS, "    return c < x < y and (y - 2)", "    return c <= x < y and (y - 2)",
-     "x = c passes"),
+     "x = c passes", CERT),
     ("strategy-xy", OBS, "    return c < x < y and (y - 2)", "    return c < x <= y and (y - 2)",
-     "x = y divides by zero"),
+     "x = y divides by zero", CERT),
     ("strategy-reach", OBS, "(y - x) * x <= 2 * b + c + 1", "(y - x) * x <= 2 * b + c + 2",
      EQUIVALENT + "no (b, c) with c <= 200 changes verdict, and no (b, c, q) with c < 60 has a tail "
-     "that starts at exactly 2b + c + 2 (ROADMAP item 12)"),
+     "that starts at exactly 2b + c + 2 (ROADMAP item 12)", CERT),
     ("c500-reach", OBS, "bc, reach, q = b + c, 2 * b + c + 1, b // c", "bc, reach, q = b + c, 2 * b + c + 2, b // c",
-     EQUIVALENT + "strategy_check's test inline, with the same argument as strategy-reach"),
+     EQUIVALENT + "strategy_check's test inline, with the same argument as strategy-reach", CERT),
     ("analysis-case1", OBS, "    if 20 * b <= c * c:", "    if 20 * b < c * c:",
-     "20b = c^2 reports case 2 (both pick q = b // c)"),
+     "20b = c^2 reports case 2 (both pick q = b // c)", CERT),
     ("analysis-case2", OBS, "    elif 21 * b <= 5 * c * c:", "    elif 21 * b < 5 * c * c:",
-     "21b = 5c^2 reports case 3"),
+     "21b = 5c^2 reports case 3", CERT),
     ("analysis-case3", OBS, "    elif 17 * b <= 5 * c * c:", "    elif 17 * b < 5 * c * c:",
-     "17b = 5c^2 reports case 4"),
+     "17b = 5c^2 reports case 4", CERT),
     ("analysis-case4", OBS, "q = q0 if 100 * r0 >= 38 * q0 else q0 - 1", "q = q0 if 100 * r0 > 38 * q0 else q0 - 1",
-     "the tie 100*r0 = 38*q0 at (b, c) = (78806, 500) picks q0 - 1"),
+     "the tie 100*r0 = 38*q0 at (b, c) = (78806, 500) picks q0 - 1", CERT),
+    ("uncovered-tail", OBS, "            t0 = (y - 2) // (y - x)", "            t0 = (y - 3) // (y - x)",
+     "a tail claimed one t early skips the gap between (t0-1)*y and t0*x", OBS_TESTS),
+    ("uncovered-gap", OBS, "        lo = max(lo, end + 1)", "        lo = max(lo, end)",
+     "the last n of each covered range is listed as a gap", OBS_TESTS),
+    ("c40-b-range", OBS, "    for b in range(2 * c, c * c // 2 + 1):", "    for b in range(2 * c, c * c // 2):",
+     "b = c^2/2 leaves the c40 grid", OBS_TESTS),
+    ("c40-n-hi", OBS, "n_hi = (-(-b // (c - 1))) * (b + 1)", "n_hi = (b // (c - 1)) * (b + 1)",
+     "the n-window ends at floor(b/(c-1))*(b+1), not the ceiling", OBS_TESTS),
+    ("spider4-zheng", OBS, "    if 2 * b > c * c:", "    if 2 * b >= c * c:",
+     "2b = c^2 cites Zheng where arm 3 or 4 certifies", OBS_TESTS),
+    ("sixm-identity", OBS, "    if not {w - 1, w} & sums:", "    if not {w - 1} & sums:",
+     "a type with prefix sum 6m keeps its order and fails the final check", OBS_TESTS),
+    ("sixm-reversal", OBS, "    elif not {w + 1, w + 2} & sums:", "    elif not {w + 1} & sums:",
+     "a type with prefix sum 6m+2 is reversed onto 6m-1", OBS_TESTS),
+    ("parallel-in-flight", OBS, "if len(ahead) == 2 * workers:", "if len(ahead) == 3 * workers:",
+     "three items per worker wait in flight, not two", OBS_TESTS),
+    ("waring-sign", SYM, "-coeff if (k - length - m) & 1 else coeff", "coeff if (k - length - m) & 1 else -coeff",
+     "every Waring coefficient flips sign", SYM_TESTS),
+    ("frontier-join-sign", SYM, "new[key] = new.get(key, 0) - c\n", "new[key] = new.get(key, 0) + c\n",
+     "a joining edge keeps the sign, so cycles stop cancelling", SYM_TESTS),
+    ("tree-join-sign", GRAPHS, "new[join] = new.get(join, 0) - c1 * c2", "new[join] = new.get(join, 0) + c1 * c2",
+     "a kept tree edge keeps the sign, so X_T has no negative term", SYM_TESTS),
+    ("missing-types-tree", GRAPHS, "(len(G.edges) == G.n - 1 or", "(len(G.edges) == G.n or",
+     "a tree's absent types are searched for again", GRAPHS_TESTS),
+    ("cache-int-check", CLI, "if all(type(v) is int for v in", "if all(isinstance(v, int) for v in",
+     "a cached count of true is served as 1", CLI_TESTS),
+    ("scan-degree", CLI, "        if max_degree(G) >= 4:", "        if max_degree(G) > 4:",
+     "trees whose largest degree is exactly 4 go unscanned", CLI_TESTS),
 ]
 
 
@@ -105,18 +138,19 @@ def _mutated_src(tmp_path: Path, filename: str, old: str, new: str) -> Path:
 
 def test_mutants_are_distinct_and_each_old_text_occurs_once():
     assert len({name for name, *_ in MUTANTS}) == len(MUTANTS)
-    assert len({(f, old, new) for _, f, old, new, _ in MUTANTS}) == len(MUTANTS)
-    for name, filename, old, new, reason in MUTANTS:
-        assert old != new and reason, name
+    assert len({(f, old, new) for _, f, old, new, *_ in MUTANTS}) == len(MUTANTS)
+    for name, filename, old, new, reason, tests in MUTANTS:
+        assert old != new and reason and tests, name
         assert (ROOT / "src" / "epolab" / filename).read_text().count(old) == 1, name
+        assert all((ROOT / test).is_file() for test in tests), name
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name, filename, old, new, reason", MUTANTS, ids=[m[0] for m in MUTANTS])
-def test_mutant_is_killed_or_listed_as_equivalent(name, filename, old, new, reason, tmp_path):
+@pytest.mark.parametrize("name, filename, old, new, reason, tests", MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_mutant_is_killed_or_listed_as_equivalent(name, filename, old, new, reason, tests, tmp_path):
     src = _mutated_src(tmp_path, filename, old, new)
     env = {"PYTHONPATH": str(src), "PATH": os.environ.get("PATH", ""), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TEST_FILES],
+    done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     if reason.startswith(EQUIVALENT):
         assert done.returncode == 0, f"{name} is listed as equivalent but was killed:\n{done.stdout[-2000:]}"

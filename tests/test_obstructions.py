@@ -729,3 +729,40 @@ def test_worker_count_falls_back_to_the_hosts_cores(monkeypatch):
     assert worker_count(10**6, 10**6) == 5 and worker_count(3, 10) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
     assert worker_count(10**6, 10**6) == 1
+
+
+def test_parallel_map_submits_one_item_per_task_and_keeps_two_per_worker_in_flight(monkeypatch):
+    import concurrent.futures
+
+    events = []
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            events.append(("taken", self.value))
+            return self.value
+
+    class Pool:  # runs each task at submit, and records when its result is taken
+        def __init__(self, max_workers):
+            events.append(("workers", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, item):
+            events.append(("submitted", item))
+            return Done(fn(item))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(obstructions, "worker_count", lambda jobs, items: 3)
+    assert list(obstructions.parallel_map(lambda x: -x, list(range(20)), 3)) == [-x for x in range(20)]
+    assert events[0] == ("workers", 3)
+    assert [item for kind, item in events if kind == "submitted"] == list(range(20))
+    in_flight = [sum(1 if kind == "submitted" else -1 for kind, _ in events[1 : i + 1])
+                 for i in range(1, len(events))]
+    assert max(in_flight) == 6  # two items per worker
