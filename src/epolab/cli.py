@@ -6,16 +6,16 @@ missing type, sweep failure, theorem not applicable), 2 usage or parse error,
 error, 141 (128 + SIGPIPE) when the reader of stdout has closed it.
 
 Each command imports the library modules it runs when it is called, so
-`--version` loads none of them.
+`--version` loads none of them, and only output or a cache in JSON loads `json`.
+The command line is read from one table, COMMANDS, without argparse.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
 from . import GuardError, __version__
@@ -33,6 +33,8 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 # tags trees-scan's cached rows: the settle route, then csf_e's tally and p->e algorithms
 SCAN_ROUTE = "settle=certificate,missing-type,csf;tally=tree-dp+frontier-dp;p2e=waring"
 SETTLE_STEPS = ("certificate", "missing_type", "csf")  # a verdict's settled_by, in route order
+# trees-scan's guard on n_max: the largest n whose cold `trees-scan n --jobs 2` ends within 120 s
+SCAN_MAX_N = 22
 # prove's guard on n: Graph.adj holds about n^2/16 bytes on a path, and
 # prove path:50000 peaks at 206 MB and answers in 1.6 s on a 2-core host.
 PROVE_MAX_N = 50_000
@@ -155,6 +157,7 @@ class ResultCache:
         self._rows = {}
         if not path:
             return
+        import json
         with _open_user_file(path, "a+b") as fh:  # a path that cannot be written fails here
             fh.seek(0)
             lines = fh.read().splitlines()
@@ -186,8 +189,8 @@ class ResultCache:
             return
         import tempfile  # only a miss writes, so a warm scan never imports it
 
-        lines = [json.dumps({"command": "trees-scan", "n": n, "version": __version__,
-                             "route": SCAN_ROUTE, "row": row}, sort_keys=True) + "\n"
+        lines = [_json({"command": "trees-scan", "n": n, "version": __version__,
+                        "route": SCAN_ROUTE, "row": row}, sort_keys=True) + "\n"
                  for n, row in sorted(self._rows.items())]
         with _user_file(self.path, "write"):
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)))
@@ -205,11 +208,16 @@ class ResultCache:
 # Subcommands
 
 
+def _json(value, **kwargs) -> str:
+    import json  # only the paths that write JSON load it
+    return json.dumps(value, **kwargs)
+
+
 def cmd_csf(args) -> int:
     from .partitions import PACKED_MAX_N
     from .symfunc import csf_e
     X = csf_e(parse_graph_spec(args.graph, PACKED_MAX_N))
-    print(json.dumps(X.to_json_dict()) if args.json else X.to_text())
+    print(_json(X.to_json_dict()) if args.json else X.to_text())
     return EXIT_OK
 
 
@@ -219,7 +227,7 @@ def cmd_epos(args) -> int:
     verdict = is_e_positive(parse_graph_spec(args.graph, PACKED_MAX_N))
     if args.json:
         negatives = [{"lambda": list(lam), "coeff": str(c)} for lam, c in verdict.negatives]
-        print(json.dumps({"e_positive": verdict.positive, "negatives": negatives}))
+        print(_json({"e_positive": verdict.positive, "negatives": negatives}))
     elif verdict.positive:
         print("e-positive")
     else:
@@ -243,7 +251,7 @@ def cmd_connparts(args) -> int:
         witness = has_connected_partition(G, lam)
         if args.json:
             blocks = [sorted(b) for b in witness.blocks] if witness else None
-            print(json.dumps({"type": list(lam), "present": witness is not None, "blocks": blocks}))
+            print(_json({"type": list(lam), "present": witness is not None, "blocks": blocks}))
         elif witness is None:
             print(f"absent: no connected partition of type {format_parts(lam)}")
         else:
@@ -251,7 +259,7 @@ def cmd_connparts(args) -> int:
         return EXIT_OK if witness is not None else EXIT_NEGATIVE
     missing = missing_types(G)
     if args.json:
-        print(json.dumps({"n": G.n, "missing": [list(lam) for lam in missing]}))
+        print(_json({"n": G.n, "missing": [list(lam) for lam in missing]}))
     elif missing:
         print(f"{len(missing)} missing type(s):")
         for lam in missing:
@@ -275,7 +283,7 @@ def cmd_prove(args) -> int:
     for profile in profiles:
         cert = theorem_decide(profile)
         if cert is not None:
-            print(json.dumps(cert.to_json_dict()))
+            print(_json(cert.to_json_dict()))
             return EXIT_OK
     reasons = "; ".join(
         f"(a={p.a},b={p.b},cs={list(p.cs)}): {describe_inapplicability(p)}" for p in profiles
@@ -284,44 +292,42 @@ def cmd_prove(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _settle_tree(G: Graph) -> dict:
-    """A tree's verdict and the first step of the route that settles it.
+def _settle_open_tree(G: Graph) -> dict:
+    """An open tree's verdict, and the first step of the route that settles it.
 
-    An e-positive graph has a connected partition of every type, so a
-    certificate on a cut profile, or else a type the tree DP misses, settles
-    "not e-positive"; csf_e runs only on a tree that has every type.
+    An e-positive graph has a connected partition of every type, so a type that greedy leaf
+    matching, or else the tree DP, finds missing settles "not e-positive"; csf_e runs only on
+    an open tree that has every type.
     """
-    from .graphs import cut_profiles, missing_types
-    from .obstructions import theorem_decide
+    from .graphs import matching_witness, missing_types
     from .symfunc import is_e_positive
-    if any(theorem_decide(profile) is not None for _, profile in cut_profiles(G)):
-        return {"e_positive": False, "settled_by": "certificate"}
-    if missing_types(G):
+    if matching_witness(G) or missing_types(G):
         return {"e_positive": False, "settled_by": "missing_type"}
     return {"e_positive": is_e_positive(G).positive, "settled_by": "csf"}
 
 
 def _scan_size(n: int) -> dict:
-    """The row of size n, each tree settled as it is enumerated: how many have a degree-4
-    vertex, the e-positive ones' edge lists in enumeration order, and each step's count."""
-    from .graphs import enumerate_free_trees, max_degree
+    """The row of size n: how many trees have a degree-4 vertex, by count; the e-positive open
+    trees' edge lists, in the order they are generated; and each step's count.  Every tree
+    with a degree-4 vertex that is not open has a vertex whose profile a certificate settles."""
+    from .graphs import degree4_trees, open_trees
     counterexamples, settled = [], dict.fromkeys(SETTLE_STEPS, 0)
-    for G in enumerate_free_trees(n):
-        if max_degree(G) >= 4:
-            verdict = _settle_tree(G)
-            settled[verdict["settled_by"]] += 1
-            if verdict["e_positive"]:
-                counterexamples.append(sorted(G.edges))
-    return {"degree4_trees": sum(settled.values()), "counterexamples": counterexamples, "settled": settled}
+    for G in open_trees(n):
+        verdict = _settle_open_tree(G)
+        settled[verdict["settled_by"]] += 1
+        if verdict["e_positive"]:
+            counterexamples.append(sorted(G.edges))
+    total = degree4_trees(n)
+    settled["certificate"] = total - settled["missing_type"] - settled["csf"]
+    return {"degree4_trees": total, "counterexamples": counterexamples, "settled": settled}
 
 
 def cmd_trees_scan(args) -> int:
-    from .graphs import FREE_TREES_MAX_N
     n_max = args.n_max
     if n_max < 1:
         raise SpecError("need n_max >= 1")
-    if n_max > FREE_TREES_MAX_N:
-        raise GuardError(f"size guard, n_max={n_max} > {FREE_TREES_MAX_N}")
+    if n_max > SCAN_MAX_N:
+        raise GuardError(f"size guard, n_max={n_max} > {SCAN_MAX_N}")
     cache = ResultCache(args.cache)
     rows = {n: cache.get(n) for n in range(1, n_max + 1)}
     missing = [n for n, row in rows.items() if row is None]
@@ -335,7 +341,7 @@ def cmd_trees_scan(args) -> int:
         table = [{"n": n, "degree4_trees": row["degree4_trees"],
                   "counterexamples": len(row["counterexamples"]), "settled": row["settled"]}
                  for n, row in rows.items()]
-        print(json.dumps({"n_max": n_max, "rows": table, "counterexamples": counterexamples}))
+        print(_json({"n_max": n_max, "rows": table, "counterexamples": counterexamples}))
     else:
         print(f"{'n':>3} {'deg>=4 trees':>13} {'e-positive (unexpected)':>24}")
         for n, row in rows.items():
@@ -394,7 +400,7 @@ def cmd_sweep(args) -> int:
         if csv is not None:
             with _user_file(args.csv, "write"):
                 csv.close()  # closed even when its flush fails
-    payload = json.dumps(report.to_json_dict(), sort_keys=True)
+    payload = _json(report.to_json_dict(), sort_keys=True)
     if args.out:
         with _user_file(args.out, "write"), _open_user_file(args.out, "w") as fh:
             fh.write(payload + "\n")
@@ -419,7 +425,7 @@ def cmd_sixm(args) -> int:
         out = report.to_json_dict()
         if agree is not None:
             out["brute_force_agrees"] = agree
-        print(json.dumps(out))
+        print(_json(out))
     else:
         print(f"m={args.m}: {report.total - len(report.failures)}/{report.total} types realized")
         for case, count in sorted(report.case_tallies.items()):
@@ -433,60 +439,138 @@ def cmd_sixm(args) -> int:
     return EXIT_NEGATIVE if report.failures or agree is False else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="epolab",
-        description="Chromatic symmetric functions, connected partitions, and missing-type certificates.",
-    )
-    parser.add_argument("--version", action="version", version=f"epolab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# The command line
 
-    p = sub.add_parser("csf", help="print the e-basis expansion of X_G")
-    p.add_argument("graph", help="spider:6,4,1,1 | path:7 | star:5 | FILE")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_csf)
+# Each command's arguments: (name, converter, default, help).  A name that starts with "--" is
+# an option and any other a positional, which may be left out when it ends in "?".  The
+# converter is str, int or a tuple of the allowed values; None makes an option a switch.
+GRAPH = ("graph", str, None, "spider:6,4,1,1 | path:7 | star:5 | FILE")
+JSON = ("--json", None, False, "print JSON")
+JOBS = ("--jobs", int, 1, "worker processes (default 1)")
+COMMANDS = {
+    "csf": (cmd_csf, "print the e-basis expansion of X_G", [GRAPH, JSON]),
+    "epos": (cmd_epos, "decide e-positivity (exit 0 yes, 1 no)", [GRAPH, JSON]),
+    "connparts": (cmd_connparts, "missing types, or a witness for --type",
+                  [GRAPH, ("--type", str, None, 'partition such as "(3,2,2)"'), JSON]),
+    "prove": (cmd_prove, "missing-type certificate for a graph or profile",
+              [("spec", str, None, "graph spec or profile:a=6,b=4,cs=1,1")]),
+    "sweep": (cmd_sweep, "exhaustive certificate sweeps",
+              [("kind", ("c40", "c500"), None, "which sweep"),
+               ("range?", str, None, "LO..HI (defaults: 2..40 / 41..500)"),
+               ("--mode", ("full", "sampled"), None, "c500 only (default: full)"), JOBS,
+               ("--out", str, None, "write the JSON report to this file"),
+               ("--csv", str, None, "write per-cell rows to this CSV file")]),
+    "trees-scan": (cmd_trees_scan, "degree>=4 trees are never e-positive",
+                   [("n_max", int, None, f"scan n = 1..n_max (at most {SCAN_MAX_N})"), JOBS,
+                    ("--cache", str, None, "JSONL result cache, one row per n"), JSON]),
+    "sixm": (cmd_sixm, "every type of 12m+1 embeds in S(6m,6m-2,1,1)",
+             [("m", int, None, "1, 2 or 3"), ("--cross-check", None, False, "also search type by type (m = 1)"),
+              JSON]),
+}
+USAGE = "usage: epolab [-h] [--version] COMMAND ..."
 
-    p = sub.add_parser("epos", help="decide e-positivity (exit 0 yes, 1 no)")
-    p.add_argument("graph")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_epos)
 
-    p = sub.add_parser("connparts", help="missing types, or a witness for --type")
-    p.add_argument("graph")
-    p.add_argument("--type", help='partition such as "(3,2,2)"')
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_connparts)
+def _word(arg: tuple) -> str:
+    """How the usage line shows an argument: KIND, [RANGE], [--json] or [--jobs JOBS]."""
+    name, conv = arg[0].rstrip("?"), arg[1]
+    if name[0] != "-":
+        return name.upper() if name == arg[0] else f"[{name.upper()}]"
+    return f"[{name}]" if conv is None else f"[{name} {name[2:].upper()}]"
 
-    p = sub.add_parser("prove", help="missing-type certificate for a graph or profile")
-    p.add_argument("spec", help="graph spec or profile:a=6,b=4,cs=1,1")
-    p.set_defaults(fn=cmd_prove)
 
-    p = sub.add_parser("sweep", help="exhaustive certificate sweeps")
-    p.add_argument("kind", choices=["c40", "c500"])
-    p.add_argument("range", nargs="?", help="LO..HI (defaults: 2..40 / 41..500)")
-    p.add_argument("--mode", choices=["full", "sampled"], help="c500 only (default: full)")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.add_argument("--csv", help="write per-cell rows to this CSV file")
-    p.set_defaults(fn=cmd_sweep)
+def _help(name: Optional[str]) -> str:
+    """The help of a command, or with no name that of every command."""
+    if name is None:
+        lines = [USAGE, "", "Chromatic symmetric functions, connected partitions, and missing-type certificates.",
+                 "", "commands:"]
+        for cmd, (_, text, spec) in COMMANDS.items():
+            lines += [f"  {cmd} {' '.join(map(_word, spec))}", f"      {text}"]
+        return "\n".join(lines + ["", "`epolab COMMAND --help` describes each argument."])
+    _, text, spec = COMMANDS[name]
+    lines = [f"usage: epolab {name} {' '.join(map(_word, spec))}", "", text, ""]
+    for arg in spec:
+        choices = f" (one of {', '.join(arg[1])})" if type(arg[1]) is tuple else ""
+        lines.append(f"  {_word(arg)}  {arg[3]}{choices}")
+    return "\n".join(lines)
 
-    p = sub.add_parser("trees-scan", help="degree>=4 trees are never e-positive")
-    p.add_argument("n_max", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cache", help="JSONL result cache, one row per n")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_trees_scan)
 
-    p = sub.add_parser("sixm", help="every type of 12m+1 embeds in S(6m,6m-2,1,1)")
-    p.add_argument("m", type=int)
-    p.add_argument("--cross-check", action="store_true", dest="cross_check")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_sixm)
-    return parser
+def _dest(name: str) -> str:
+    """The attribute an argument is parsed into: --cross-check into cross_check, range? into range."""
+    return name.strip("-?").replace("-", "_")
+
+
+def _exit(text: str, code: int):
+    print(text, file=sys.stderr if code else sys.stdout)
+    raise SystemExit(code)
+
+
+def _is_option(word: str) -> bool:
+    """Whether a word names an option: it starts with "-" and is neither "-" nor a number."""
+    return word[:1] == "-" and word != "-" and not word[1:].replace(".", "", 1).isdigit()
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """argv read against COMMANDS: fn, the command's handler, and one attribute per argument.
+    Help and --version print and exit 0; an argument that does not fit prints the usage and
+    the error on stderr and exits 2."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help", "--version"):
+        _exit(_help(None) if name != "--version" else f"epolab {__version__}", EXIT_OK)
+    if name not in COMMANDS:
+        problem = f"unknown command {name!r}" if name else "missing command"
+        _exit(f"{USAGE}\nepolab: error: {problem} (choose from {', '.join(COMMANDS)})", EXIT_USAGE)
+    fn, _, spec = COMMANDS[name]
+    options = {arg[0]: arg for arg in spec if arg[0][0] == "-"}
+    positionals = [arg for arg in spec if arg[0][0] != "-"]
+    args = SimpleNamespace(fn=fn, **{_dest(arg[0]): arg[2] for arg in spec})
+
+    def fail(message: str):
+        _exit(f"usage: epolab {name} {' '.join(map(_word, spec))}\nepolab {name}: error: {message}", EXIT_USAGE)
+
+    def convert(arg: tuple, text: str):
+        conv, shown = arg[1], arg[0].rstrip("?")
+        if type(conv) is tuple:
+            return text if text in conv else fail(f"argument {shown}: invalid choice {text!r} "
+                                                   f"(choose from {', '.join(conv)})")
+        try:
+            return conv(text)
+        except ValueError:
+            fail(f"argument {shown}: invalid {conv.__name__} value {text!r}")
+
+    words, given = iter(argv[1:]), []
+    for word in words:
+        if word in ("-h", "--help"):
+            _exit(_help(name), EXIT_OK)
+        if not _is_option(word):
+            given.append(word)
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in options:
+            fail(f"unrecognized option {flag}")
+        if options[flag][1] is None:
+            if eq:
+                fail(f"option {flag} takes no value")
+            value = True
+        else:
+            if not eq:
+                value = next(words, None)
+                if value is None or _is_option(value):
+                    fail(f"option {flag} expects a value")
+            value = convert(options[flag], value)
+        setattr(args, _dest(flag), value)
+    required = [arg[0] for arg in positionals if arg[0][-1] != "?"]
+    if len(given) < len(required):
+        fail(f"missing argument {required[len(given)]}")
+    if len(given) > len(positionals):
+        fail(f"unrecognized arguments: {' '.join(given[len(positionals):])}")
+    for arg, word in zip(positionals, given):
+        setattr(args, _dest(arg[0]), convert(arg, word))
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if getattr(args, "jobs", 1) < 1:
             raise SpecError("parallelism must be >= 1")

@@ -219,6 +219,18 @@ def max_degree(G: Graph) -> int:
     return max(m.bit_count() for m in G.adj)
 
 
+def _tree_order(adj) -> Tuple[List[int], List[int]]:
+    """Each vertex's parent, and the vertices reached from 0 parents first (breadth first)."""
+    parent, order, seen = [-1] * len(adj), [0], 1
+    for v in order:
+        below = adj[v] & ~seen
+        seen |= below
+        for u in _mask_vertices(below):
+            parent[u] = v
+            order.append(u)
+    return parent, order
+
+
 def cut_profiles(G: Graph) -> List[Tuple[int, CutProfile]]:
     """Vertices whose deletion leaves >= 3 components, with sorted sizes.
 
@@ -233,13 +245,7 @@ def cut_profiles(G: Graph) -> List[Tuple[int, CutProfile]]:
     split: List[List[int]] = [[] for _ in range(n)]  # sizes of the components below v
     size = [1] * n
     if len(G.edges) == n - 1:
-        parent, order, seen = [-1] * n, [0], 1
-        for v in order:
-            below = G.adj[v] & ~seen
-            seen |= below
-            for u in _mask_vertices(below):
-                parent[u] = v
-                order.append(u)
+        parent, order = _tree_order(G.adj)
         if len(order) != n:
             raise ValueError("graph must be connected")
         for v in reversed(order[1:]):
@@ -423,6 +429,20 @@ def missing_types(G: Graph) -> List[tuple]:
             and (len(G.edges) == G.n - 1 or has_connected_partition(G, lam) is None)]
 
 
+def matching_witness(G: Graph) -> Optional[tuple]:
+    """The type (2, ..., 2) or (2, ..., 2, 1) of n when the tree G has no connected partition of
+    it, else None.  Such a partition is a matching that leaves at most one vertex out, and
+    greedy leaf matching finds a largest one: from the leaves inward, pair a vertex with its
+    parent while both are free."""
+    parent, order = _tree_order(G.adj)
+    free, left = [True] * G.n, G.n
+    for v in reversed(order[1:]):
+        if free[v] and free[parent[v]]:
+            free[v] = free[parent[v]] = False
+            left -= 2
+    return (2,) * (G.n // 2) + (1,) * (G.n % 2) if left > 1 else None
+
+
 # ---------------------------------------------------------------------------
 # Free trees
 
@@ -507,3 +527,108 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
         if reset:
             height = max(L[1 : p + 1])
             L[n - height :] = range(1, height + 1)
+
+
+# ---------------------------------------------------------------------------
+# Trees with a degree-4 vertex: counted, and the open ones generated
+
+
+def _otter_count(n: int, d: int) -> int:
+    """Free trees on n vertices with every degree <= d, by Otter's dissimilarity formula (Ann.
+    Math. 49, 1948): the vertex-rooted trees less the edge-rooted ones that are not symmetric.
+    What hangs below a vertex or from one end of an edge is a root with at most d - 1 hanging
+    trees; M[k][w] counts the multisets of k hanging trees on w vertices, one size folded in at
+    a time."""
+    from math import comb
+    d = min(d, n - 1)  # k hanging trees have at least k vertices
+    hang = [0] * n
+    M = [[1] + [0] * (n - 1)] + [[0] * n for _ in range(d)]
+    for s in range(1, n):
+        hang[s] = sum(M[k][s - 1] for k in range(d))
+        multisets = [comb(hang[s] + j - 1, j) for j in range(n // s + 1)]  # of j trees of size s
+        for k in range(d, 0, -1):  # rows k - j, j >= 1, still count sizes below s
+            for w in range(n - 1, max(s, k) - 1, -1):
+                M[k][w] += sum(M[k - j][w - j * s] * multisets[j] for j in range(1, min(k, w // s) + 1))
+    edge_rooted = sum(hang[i] * hang[n - i] for i in range(1, n))
+    symmetric = hang[n // 2] if n % 2 == 0 else 0
+    return sum(M[k][n - 1] for k in range(d + 1)) - (edge_rooted - symmetric) // 2
+
+
+def degree4_trees(n: int) -> int:
+    """The number of free trees on n >= 1 vertices with a vertex of degree >= 4."""
+    return _otter_count(n, n) - _otter_count(n, 3)
+
+
+def open_profiles(n: int) -> List[Tuple[int, int, int]]:
+    """(a, b, c1) of each profile (a, b, c1, 1) of n that no arm of theorem_decide settles: with
+    c = c1 + 1, those with b >= 2c and 2b > c^2.  Any other profile with k >= 2 has c >= c1 + 2,
+    and then an arm applies: b <= 2c-2, b = 2c-1, 2c <= b <= c^2/2 or b >= c^2/2."""
+    return [(n - 1 - c - b, b, c - 1) for c in range(2, n) for b in range(c, (n - 1 - c) // 2 + 1)
+            if b >= 2 * c and 2 * b > c * c]
+
+
+def _least_rooted(G: Graph, sizes: tuple) -> bool:
+    """Whether G rooted at 0 has the least rooted encoding among its vertices with the component
+    sizes `sizes`, largest first."""
+    adjsets = [_mask_vertices(m) for m in G.adj]
+    here = _rooted_encoding(0, adjsets)
+    return all(here <= _rooted_encoding(v, adjsets) for v, p in cut_profiles(G) if (p.a, p.b, *p.cs) == sizes)
+
+
+def open_trees(n: int) -> Iterator[Graph]:
+    """Each open tree on n vertices once: a tree with a degree-4 vertex in which theorem_decide
+    settles the profile of no vertex of degree >= 3.
+
+    Every vertex of an open tree has degree <= 4, and one of degree 4 has a leaf neighbour and
+    a profile (a, b, c1, 1) of open_profiles.  So the tree is that vertex v (vertex 0), the leaf
+    (vertex 1), and branches A, B, C of sizes a >= b >= c1.  A branch of size s is a root with at
+    most three branches below it, a leaf among three, kept when the root's profile, with n - s
+    vertices above it, is open: one memoised verdict per profile.  A tree is kept at its
+    degree-4 vertex whose component sizes, smallest first, and then rooted encoding are least.
+    """
+    from .obstructions import theorem_decide
+
+    verdicts = {}
+
+    def is_open(sizes: tuple) -> bool:
+        if sizes not in verdicts:
+            verdicts[sizes] = theorem_decide(CutProfile(sizes[0], sizes[1], sizes[2:])) is None
+        return verdicts[sizes]
+
+    none = (n,)  # above the key of every degree-4 vertex, which starts with its leaf's 1
+    leaf = (none, 1, ())  # a branch: (least key of a degree-4 vertex in it, size, branches below)
+    grown = [[], [leaf]]
+
+    def branches(s: int) -> list:
+        while len(grown) <= s:
+            t = len(grown)
+            out = [(X[0], t, (X,)) for X in grown[t - 1]]
+            for leaves in (0, 1):  # two branches below, or two and a leaf
+                for s2 in range(1, (t - 1 - leaves) // 2 + 1):
+                    s1 = t - 1 - leaves - s2
+                    key = tuple(sorted((n - t, s1, s2) + (1,) * leaves))
+                    if is_open(key[::-1]):
+                        own = key if leaves else none
+                        for i, X in enumerate(grown[s1]):
+                            for Y in grown[s2][: i + 1] if s1 == s2 else grown[s2]:
+                                out.append((min(own, X[0], Y[0]), t, (X, Y) + (leaf,) * leaves))
+            grown.append(out)
+        return grown[s]
+
+    for a, b, c1 in open_profiles(n):
+        key = (1, c1, b, a)
+        As, Bs, Cs = branches(a), branches(b), branches(c1)
+        for i, A in enumerate(As):
+            for j, B in enumerate(Bs[: i + 1] if a == b else Bs):
+                for C in Cs[: j + 1] if b == c1 else Cs:
+                    least = min(A[0], B[0], C[0])
+                    if least < key:
+                        continue  # kept at another vertex
+                    edges, todo = [(0, 1)], [(0, C), (0, B), (0, A)]
+                    while todo:  # labels in preorder: A's vertices, then B's, then C's
+                        up, (_, _, below) = todo.pop()
+                        edges.append((up, len(edges) + 1))
+                        todo += [(len(edges), X) for X in reversed(below)]
+                    G = Graph(n, edges)
+                    if least > key or _least_rooted(G, key[::-1]):
+                        yield G

@@ -9,7 +9,8 @@ individualization-refinement canonical form, a deletion-contraction
 chromatic polynomial with the evaluation of an e-expansion at k ones that
 it is compared with, the missing types by one search per type, the cut
 profiles by one component count per deleted vertex, and the free trees by
-deduplicating every rooted tree on its canonical key.  The partitions come
+deduplicating every rooted tree on its canonical key; trees-scan's rows by
+enumerating every free tree, with the open trees among them.  The partitions come
 by recursion on the first part, and the c500 window test in exact rationals.
 Compositions and their rearrangements live here too: only the tests need
 ordered parts.  So do the disjoint union of two graphs, which only the
@@ -31,17 +32,23 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
 import epolab
+from epolab import cli
 from epolab.graphs import (
     CutProfile,
     Graph,
     _component_masks,
     _mask_vertices,
+    cut_profiles,
+    enumerate_free_trees,
     has_connected_partition,
     is_connected,
+    max_degree,
+    missing_types,
     tree_canonical_key,
 )
+from epolab.obstructions import theorem_decide
 from epolab.partitions import PART_BITS, format_parts, partitions_of
-from epolab.symfunc import ESymExpansion
+from epolab.symfunc import ESymExpansion, is_e_positive
 
 # the environment of every interpreter the tests start: this checkout's epolab, no PATH,
 # and no bytecode written into the source tree
@@ -537,6 +544,41 @@ def free_trees_by_dedup(n: int) -> Iterator[Graph]:
         if key not in seen:
             seen.add(key)
             yield g
+
+
+# ---------------------------------------------------------------------------
+# trees-scan by enumerating every free tree: the route that generating the open trees replaced
+
+def settled_vertex(G: Graph) -> bool:
+    """Whether a certificate settles the profile of some vertex of G."""
+    return any(theorem_decide(profile) is not None for _, profile in cut_profiles(G))
+
+
+def open_trees_by_enumeration(n: int) -> Iterator[Graph]:
+    """The free trees on n vertices with a degree-4 vertex and no settled vertex."""
+    return (G for G in enumerate_free_trees(n) if max_degree(G) >= 4 and not settled_vertex(G))
+
+
+def settle_tree(G: Graph) -> dict:
+    """A tree's verdict and the first step that settles it: a certificate on a cut profile,
+    else a type the tree DP misses, else csf_e."""
+    if settled_vertex(G):
+        return {"e_positive": False, "settled_by": "certificate"}
+    if missing_types(G):
+        return {"e_positive": False, "settled_by": "missing_type"}
+    return {"e_positive": is_e_positive(G).positive, "settled_by": "csf"}
+
+
+def scan_size_by_enumeration(n: int) -> dict:
+    """trees-scan's row of size n, every tree with a degree-4 vertex settled as it is enumerated."""
+    counterexamples, settled = [], dict.fromkeys(cli.SETTLE_STEPS, 0)
+    for G in enumerate_free_trees(n):
+        if max_degree(G) >= 4:
+            verdict = settle_tree(G)
+            settled[verdict["settled_by"]] += 1
+            if verdict["e_positive"]:
+                counterexamples.append(sorted(G.edges))
+    return {"degree4_trees": sum(settled.values()), "counterexamples": counterexamples, "settled": settled}
 
 
 def partitions_recursive(n: int) -> Iterator[tuple]:

@@ -201,9 +201,13 @@ def test_trees_scan_small(capsys):
     assert any(line.split() == ["5", "1", "0"] for line in out.splitlines())
 
 
-def test_trees_scan_guard(capsys):
-    code, _, err = run(capsys, "trees-scan", "17")
-    assert code == 3
+def test_trees_scan_guard(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("a size past the guard was scanned")
+
+    monkeypatch.setattr(cli, "_scan_size", refuse)
+    code, out, err = run(capsys, "trees-scan", str(cli.SCAN_MAX_N + 1))
+    assert (code, out, err) == (3, "", f"error: size guard, n_max={cli.SCAN_MAX_N + 1} > {cli.SCAN_MAX_N}\n")
     code, _, err = run(capsys, "trees-scan", "0")
     assert code == 2 and "need n_max >= 1" in err
 
@@ -249,32 +253,33 @@ def test_trees_scan_cache(capsys, tmp_path):
 
 def test_trees_scan_cache_hit_enumerates_and_settles_nothing(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache.jsonl"
-    cold = [run(capsys, "trees-scan", "9", *flag, "--cache", str(cache)) for flag in ([], ["--json"])]
+    cold = [run(capsys, "trees-scan", "12", *flag, "--cache", str(cache)) for flag in ([], ["--json"])]
     assert [code for code, _, _ in cold] == [0, 0]
     bounded = tmp_path / "bounded.jsonl"
-    assert run(capsys, "trees-scan", "8", "--cache", str(bounded))[0] == 0
+    assert run(capsys, "trees-scan", "10", "--cache", str(bounded))[0] == 0
 
     def refuse(*args):
-        raise AssertionError("a cache hit enumerated or settled a tree")
+        raise AssertionError("a cache hit generated, counted or settled a tree")
 
-    enumerate_trees = graphs.enumerate_free_trees
-    monkeypatch.setattr(graphs, "enumerate_free_trees", refuse)
-    monkeypatch.setattr(cli, "_settle_tree", refuse)
-    warm = [run(capsys, "trees-scan", "9", *flag, "--cache", str(cache)) for flag in ([], ["--json"])]
+    generate = graphs.open_trees
+    for name in ("enumerate_free_trees", "open_trees", "degree4_trees"):
+        monkeypatch.setattr(graphs, name, refuse)
+    monkeypatch.setattr(cli, "_settle_open_tree", refuse)
+    warm = [run(capsys, "trees-scan", "12", *flag, "--cache", str(cache)) for flag in ([], ["--json"])]
     assert warm == cold
 
-    # with rows for n <= 8 held, trees-scan 10 enumerates only n = 9 and 10
+    # with rows for n <= 10 held, trees-scan 12 generates only n = 11 and 12
     monkeypatch.undo()
-    expected = run(capsys, "trees-scan", "10")
-    enumerated = []
+    expected = run(capsys, "trees-scan", "12")
+    generated = []
 
     def recording(n):
-        enumerated.append(n)
-        return enumerate_trees(n)
+        generated.append(n)
+        return generate(n)
 
-    monkeypatch.setattr(graphs, "enumerate_free_trees", recording)
-    assert run(capsys, "trees-scan", "10", "--cache", str(bounded)) == expected
-    assert enumerated == [9, 10]
+    monkeypatch.setattr(graphs, "open_trees", recording)
+    assert run(capsys, "trees-scan", "12", "--cache", str(bounded)) == expected
+    assert generated == [11, 12]
 
 
 def test_sweep_c40_cli(capsys, tmp_path):
@@ -556,29 +561,29 @@ def test_trees_scan_cache_skips_lines_that_are_not_utf8(capsys, tmp_path, monkey
 
 def test_trees_scan_counterexamples_print_in_tree_order_whatever_the_cache_holds(
         capsys, tmp_path, monkeypatch):
-    sixes, sevens = ([G for G in enumerate_free_trees(n) if max_degree(G) >= 4] for n in (6, 7))
-    forged = {sixes[0].edges, sevens[0].edges, sevens[-1].edges}
-    settle = cli._settle_tree
+    elevens, twelves = (list(graphs.open_trees(n)) for n in (11, 12))
+    forged = {elevens[0].edges, twelves[0].edges, twelves[-1].edges}
+    settle = cli._settle_open_tree
     settled_sizes = []
 
     def forging(G):
         settled_sizes.append(G.n)
         return {"e_positive": True, "settled_by": "csf"} if G.edges in forged else settle(G)
 
-    monkeypatch.setattr(cli, "_settle_tree", forging)
-    expected = [run(capsys, "trees-scan", "7", *flag) for flag in ([], ["--json"])]
-    positions = [expected[0][1].index(str(sorted(G.edges))) for G in (sixes[0], sevens[0], sevens[-1])]
+    monkeypatch.setattr(cli, "_settle_open_tree", forging)
+    expected = [run(capsys, "trees-scan", "12", *flag) for flag in ([], ["--json"])]
+    positions = [expected[0][1].index(str(sorted(G.edges))) for G in (elevens[0], twelves[0], twelves[-1])]
     assert expected[0][0] == 1 and positions == sorted(positions)
     cold = tmp_path / "cold.jsonl"
-    assert run(capsys, "trees-scan", "7", "--cache", str(cold)) == expected[0]
-    seven = cold.read_text().splitlines()[6]
-    assert len(json.loads(seven)["row"]["counterexamples"]) == 2
+    assert run(capsys, "trees-scan", "12", "--cache", str(cold)) == expected[0]
+    twelve = cold.read_text().splitlines()[11]
+    assert len(json.loads(twelve)["row"]["counterexamples"]) == 2
     for flag, want in zip(([], ["--json"]), expected):
         cache = tmp_path / "later-size-only.jsonl"
-        cache.write_text(seven + "\n")  # n = 7 is a hit, n = 6 a miss
+        cache.write_text(twelve + "\n")  # n = 12 is a hit, n = 11 a miss
         settled_sizes.clear()
-        assert run(capsys, "trees-scan", "7", *flag, "--cache", str(cache)) == want
-        assert sorted(set(settled_sizes)) == [5, 6]
+        assert run(capsys, "trees-scan", "12", *flag, "--cache", str(cache)) == want
+        assert sorted(set(settled_sizes)) == [11]  # no smaller size has an open tree
 
 
 def test_trees_scan_cache_write_leaves_one_servable_row_per_n(capsys, tmp_path):
@@ -603,12 +608,46 @@ def test_settle_route_agrees_with_csf_and_every_reported_type_is_absent():
         for G in enumerate_free_trees(n):
             if max_degree(G) < 4:
                 continue
-            assert cli._settle_tree(G)["e_positive"] == is_e_positive(G).positive
+            assert support.settle_tree(G)["e_positive"] == is_e_positive(G).positive
             certs = [theorem_decide(profile) for _, profile in cut_profiles(G)]
             for lam in [cert.lam for cert in certs if cert] + missing_types(G):
                 assert has_connected_partition(G, lam) is None, (sorted(G.edges), lam)
+    # the open trees take the scan's route: the matching type, the tree DP, then csf_e
+    for n in range(11, 14):
+        for G in graphs.open_trees(n):
+            verdict = cli._settle_open_tree(G)
+            assert verdict == support.settle_tree(G) and not verdict["e_positive"], sorted(G.edges)
+            witness = graphs.matching_witness(G)
+            if witness:
+                assert has_connected_partition(G, witness) is None, sorted(G.edges)
     # S(6,4,1,1) has every type, so only csf_e settles it
-    assert cli._settle_tree(spider((6, 4, 1, 1))) == {"e_positive": False, "settled_by": "csf"}
+    assert cli._settle_open_tree(spider((6, 4, 1, 1))) == {"e_positive": False, "settled_by": "csf"}
+    assert support.settle_tree(spider((6, 4, 1, 1))) == {"e_positive": False, "settled_by": "csf"}
+
+
+def test_trees_scan_matches_the_enumeration_route(capsys, monkeypatch):
+    want = {n: support.scan_size_by_enumeration(n) for n in range(1, 14)}
+    assert {n: cli._scan_size(n) for n in want} == want
+    expected = [run(capsys, "trees-scan", "13", *flag) for flag in ([], ["--json"])]
+    monkeypatch.setattr(cli, "_scan_size", want.__getitem__)
+    assert [run(capsys, "trees-scan", "13", *flag) for flag in ([], ["--json"])] == expected
+
+
+def test_trees_scan_serves_the_enumeration_routes_rows_from_the_cache(capsys, tmp_path, monkeypatch):
+    # a cache written by the enumeration route, under the same SCAN_ROUTE, is read as is
+    expected = [run(capsys, "trees-scan", "12", *flag) for flag in ([], ["--json"])]
+    monkeypatch.setattr(cli, "_scan_size", support.scan_size_by_enumeration)
+    cache = tmp_path / "oracle.jsonl"
+    assert run(capsys, "trees-scan", "12", "--cache", str(cache)) == expected[0]
+    written = cache.read_text()
+
+    def refuse(n):
+        raise AssertionError("a row the oracle wrote was not served")
+
+    monkeypatch.setattr(cli, "_scan_size", refuse)
+    for flag, want in zip(([], ["--json"]), expected):
+        assert run(capsys, "trees-scan", "12", *flag, "--cache", str(cache)) == want
+    assert cache.read_text() == written
 
 
 def test_sweep_checks_its_output_paths_before_it_runs(capsys, tmp_path, monkeypatch):
@@ -633,21 +672,84 @@ def test_cli_import_leaves_numpy_out():
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
-    # each command loads only the library modules it runs, and none loads dataclasses or inspect
+    # each command loads only the library modules it runs; none loads dataclasses, inspect or
+    # argparse, and only JSON output or a cache loads json
     probe = ("import atexit, sys; atexit.register(lambda: print(*sys.modules, file=sys.stderr)); "
              "from epolab.cli import main; main()")
     for argv, left_out in [
-        (["--version"], ["epolab.graphs", "epolab.partitions", "epolab.symfunc", "epolab.obstructions"]),
-        (["csf", "path:4"], ["epolab.obstructions"]),
-        (["epos", "path:4"], ["epolab.obstructions"]),
-        (["connparts", "path:4"], ["epolab.symfunc", "epolab.obstructions"]),
+        (["--version"], ["epolab.graphs", "epolab.partitions", "epolab.symfunc", "epolab.obstructions", "json"]),
+        (["csf", "path:4"], ["epolab.obstructions", "json"]),
+        (["csf", "path:4", "--json"], ["epolab.obstructions"]),
+        (["epos", "path:4"], ["epolab.obstructions", "json"]),
+        (["connparts", "path:4"], ["epolab.symfunc", "epolab.obstructions", "json"]),
         (["prove", "profile:a=6,b=2,cs=1,1"], ["epolab.symfunc"]),
         (["sweep", "c40", "2..3"], ["epolab.symfunc"]),
-        (["sixm", "1"], ["epolab.symfunc"]),
-        (["trees-scan", "6"], []),
+        (["sixm", "1"], ["epolab.symfunc", "json"]),
+        (["trees-scan", "6"], ["epolab.symfunc", "json"]),
+        (["trees-scan", "13"], []),
     ]:
         done = subprocess.run([sys.executable, "-c", probe, *argv], env=support.CHILD_ENV,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, (argv, done.stderr)
         loaded = done.stderr.split()
-        assert "epolab.cli" in loaded and not {"dataclasses", "inspect", *left_out} & set(loaded), argv
+        assert "epolab.cli" in loaded, argv
+        assert not {"dataclasses", "inspect", "argparse", *left_out} & set(loaded), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "missing command"),
+    (["no-such-command"], "unknown command 'no-such-command'"),
+    (["--json"], "unknown command '--json'"),
+    (["csf", "path:4", "--jsn"], "unrecognized option --jsn"),
+    (["csf", "path:4", "--js"], "unrecognized option --js"),  # no prefixes of long options
+    (["csf", "path:4", "--json=1"], "option --json takes no value"),
+    (["csf"], "missing argument graph"),
+    (["csf", "path:4", "path:5"], "unrecognized arguments: path:5"),
+    (["connparts", "path:4", "--type"], "option --type expects a value"),
+    (["connparts", "path:4", "--type", "--json"], "option --type expects a value"),
+    (["trees-scan", "5", "--jobs", "two"], "argument --jobs: invalid int value 'two'"),
+    (["trees-scan", "5", "--jobs=1.5"], "argument --jobs: invalid int value '1.5'"),
+    (["trees-scan", "five"], "argument n_max: invalid int value 'five'"),
+    (["trees-scan"], "missing argument n_max"),
+    (["sixm", "x"], "argument m: invalid int value 'x'"),
+    (["sweep", "c41"], "argument kind: invalid choice 'c41' (choose from c40, c500)"),
+    (["sweep", "c40", "2..5", "--mode", "fast"], "argument --mode: invalid choice 'fast' (choose from full, sampled)"),
+    (["sweep", "c40", "2..5", "extra"], "unrecognized arguments: extra"),
+    (["prove", "-x"], "unrecognized option -x"),
+])
+def test_usage_errors_exit_2_with_the_usage_on_stderr(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: epolab") and f": error: {message}" in err and err.count("\n") == 2, err
+
+
+def test_help_lists_every_command_and_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == "" and out.startswith("usage: epolab")
+    for name, (_, _, spec) in cli.COMMANDS.items():
+        assert f"\n  {name} " in out, name
+        with pytest.raises(SystemExit) as exc:
+            main([name, "-h"])
+        text, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == "" and text.startswith(f"usage: epolab {name} "), name
+        for arg, *_ in spec:
+            shown = arg if arg.startswith("--") else arg.rstrip("?").upper()
+            assert f"[{shown}" in out or f" {shown}" in out, (name, arg)
+            assert f"\n  {shown}" in text or f"\n  [{shown}" in text, (name, arg)
+
+
+def test_arguments_in_any_order_and_negative_numbers(capsys, tmp_path):
+    cache = str(tmp_path / "scan.jsonl")
+    expected = run(capsys, "trees-scan", "6", "--jobs", "1", "--cache", cache, "--json")
+    assert expected[0] == 0
+    assert run(capsys, "trees-scan", "--json", "--cache=" + cache, "6", "--jobs=2") == expected
+    assert run(capsys, "trees-scan", "6", "--json", "--json", "--jobs", "3", "--jobs", "1") == expected
+    # a negative number is an argument, not an option: the commands refuse it themselves
+    code, out, err = run(capsys, "trees-scan", "-1")
+    assert (code, out, err) == (2, "", "error: need n_max >= 1\n")
+    code, out, err = run(capsys, "sweep", "c40", "2..5", "--jobs", "-1")
+    assert (code, out, err) == (2, "", "error: parallelism must be >= 1\n")

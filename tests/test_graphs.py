@@ -14,17 +14,22 @@ from epolab.graphs import (
     _dfs_tree,
     _tree_type_tally,
     cut_profiles,
+    degree4_trees,
     enumerate_free_trees,
     has_connected_partition,
     is_connected,
+    matching_witness,
     max_degree,
     missing_types,
+    open_profiles,
+    open_trees,
     path_graph,
     spider,
     star_graph,
     tree_canonical_key,
 )
-from epolab.partitions import partitions_of
+from epolab.obstructions import theorem_decide
+from epolab.partitions import PART_UNIT, partitions_of
 
 
 def test_graph_validation():
@@ -213,6 +218,56 @@ def test_free_trees_are_trees_and_distinct_to_nine():
 def test_free_tree_guard():
     with pytest.raises(ValueError):
         list(enumerate_free_trees(17))
+
+
+def test_otter_counts_match_the_enumeration():
+    for n in range(1, 17):
+        trees = list(enumerate_free_trees(n))
+        assert graphs._otter_count(n, n) == len(trees), n
+        assert degree4_trees(n) == sum(max_degree(G) >= 4 for G in trees), n
+    # past the enumeration's guard: OEIS A000055 less the maximum-degree-3 trees (A000672)
+    assert [graphs._otter_count(n, n) for n in range(17, 21)] == [48629, 123867, 317955, 823065]
+    assert [degree4_trees(n) for n in range(17, 21)] == [43531, 112847, 294109, 770832]
+
+
+def test_open_trees_are_the_trees_with_no_settled_vertex():
+    for n in range(1, 14):
+        generated = [tree_canonical_key(G) for G in open_trees(n)]
+        assert len(generated) == len(set(generated)), n
+        assert set(generated) == {tree_canonical_key(G) for G in support.open_trees_by_enumeration(n)}, n
+    # the first open trees with two degree-4 vertices have 14; the slow test checks these to 16
+    assert [sum(1 for _ in open_trees(n)) for n in range(11, 18)] == [6, 15, 45, 110, 265, 685, 1698]
+
+
+def test_open_trees_keep_a_tree_with_two_degree_four_vertices_once():
+    # two brooms, each a degree-4 vertex with two leaves and a path of 4, joined at their centres
+    broom = [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (0, 7)]
+    G = Graph(14, broom + [(u + 7, v + 7) for u, v in broom if (u, v) != (0, 7)])
+    key = tree_canonical_key(G)
+    assert [tree_canonical_key(H) for H in open_trees(14)].count(key) == 1
+
+
+def test_open_profiles_are_the_profiles_no_arm_settles():
+    for n in range(5, 61):
+        unsettled = [(a, b, c1) for c1 in range(1, n) for b in range(c1, n) for a in [n - 2 - b - c1]
+                     if a >= b and theorem_decide(CutProfile(a, b, (c1, 1))) is None]
+        assert sorted(open_profiles(n)) == sorted(unsettled), n
+
+
+def test_matching_witness_is_exactly_the_missing_matching_type():
+    # greedy leaf matching against the tree DP: the witness is missing, and any other tree has the type
+    for n in range(2, 12):
+        lam = (2,) * (n // 2) + (1,) * (n % 2)
+        key = sum(PART_UNIT[p] for p in lam)
+        for G in enumerate_free_trees(n):
+            tally = graphs._tree_type_tally(G.adj, 1)
+            assert matching_witness(G) == (lam if key not in tally else None), sorted(G.edges)
+    assert matching_witness(star_graph(5)) == (2, 2, 1) and matching_witness(path_graph(6)) is None
+    for n in (12, 13, 15, 16):
+        for G in open_trees(n):
+            witness = matching_witness(G)
+            if witness:
+                assert sum(PART_UNIT[p] for p in witness) not in graphs._tree_type_tally(G.adj, 1)
 
 
 def test_max_degree_examples():

@@ -2,8 +2,10 @@
 
 Each mutant moves one decision boundary of `src/epolab` by one token: a
 certificate arm or check, a sweep, a sign of the p->e conversion or of a tally
-DP, the tree-scan's filter, its cache's field check or the bound on work in
-flight.  It is applied to a fresh copy of src/, and the test files the mutant
+DP, the frontier DP's state budget, the open trees' profiles, matching,
+branches or deduplication, the tree pass of the cut profiles, the scan cache's
+field check, the bound on work in flight, or the parser's converters and
+choices.  It is applied to a fresh copy of src/, and the test files the mutant
 names run on that copy: a mutant they fail on is killed.  A mutant that no test
 can kill, because it changes no verdict, is listed as equivalent with the
 argument why, and must then pass them.
@@ -121,8 +123,37 @@ MUTANTS = [
      "a tree's absent types are searched for again", GRAPHS_TESTS),
     ("cache-int-check", CLI, "if all(type(v) is int for v in", "if all(isinstance(v, int) for v in",
      "a cached count of true is served as 1", CLI_TESTS),
-    ("scan-degree", CLI, "        if max_degree(G) >= 4:", "        if max_degree(G) > 4:",
-     "trees whose largest degree is exactly 4 go unscanned", CLI_TESTS),
+    ("open-profile-b", GRAPHS, "if b >= 2 * c and 2 * b > c * c]", "if b > 2 * c and 2 * b > c * c]",
+     "the open profiles with b = 2c, such as (4,4,1,1) at n = 11, are never anchors", GRAPHS_TESTS),
+    ("open-profile-c2", GRAPHS, "if b >= 2 * c and 2 * b > c * c]", "if b >= 2 * c and 2 * b >= c * c]",
+     "(a,8,3,1), which arm 3 settles at 2b = c^2, becomes an anchor", GRAPHS_TESTS),
+    ("matching-pair", GRAPHS, "        if free[v] and free[parent[v]]:", "        if free[v] or free[parent[v]]:",
+     "a vertex is paired with a parent already taken", GRAPHS_TESTS),
+    ("matching-left", GRAPHS, "+ (1,) * (G.n % 2) if left > 1 else None", "+ (1,) * (G.n % 2) if left > 2 else None",
+     "two vertices left unmatched no longer miss the type", GRAPHS_TESTS),
+    ("generator-children", GRAPHS, "            for leaves in (0, 1):", "            for leaves in (0,):",
+     "no branch vertex has degree 4, so trees with two degree-4 vertices (n >= 14) are lost", GRAPHS_TESTS),
+    ("generator-dedup", GRAPHS, "                    if least < key:", "                    if least <= key:",
+     "a tree whose least degree-4 key ties the anchor's is never kept", GRAPHS_TESTS),
+    ("generator-encoding", GRAPHS, "    return all(here <= _rooted_encoding(v, adjsets)",
+     "    return all(here < _rooted_encoding(v, adjsets)",
+     "a tree with two alike degree-4 vertices is kept at neither", GRAPHS_TESTS),
+    ("cut-profiles-tree-pass", GRAPHS, "            size[parent[v]] += size[v]", "            size[parent[v]] += 1",
+     "a tree's subtree sizes count children only", ("tests/test_graphs.py", "tests/test_properties.py")),
+    ("state-budget", SYM, "            if len(new) > STATE_BUDGET:", "            if len(new) >= STATE_BUDGET:",
+     "a DP that peaks at exactly the budget is stopped", SYM_TESTS),
+    ("parse-n-max", CLI, '[("n_max", int, None, f"scan', '[("n_max", str, None, f"scan',
+     "n_max is left a string, and comparing it with 1 is an internal error", CLI_TESTS),
+    ("parse-jobs", CLI, 'JOBS = ("--jobs", int, 1,', 'JOBS = ("--jobs", str, 1,',
+     "--jobs is left a string", CLI_TESTS),
+    ("parse-m", CLI, '[("m", int, None, "1, 2 or 3")', '[("m", str, None, "1, 2 or 3")',
+     "sixm's m is left a string", CLI_TESTS),
+    ("parse-kind", CLI, '[("kind", ("c40", "c500"), None,', '[("kind", str, None,',
+     "any sweep kind passes the parser", CLI_TESTS),
+    ("parse-mode", CLI, '("--mode", ("full", "sampled"), None,', '("--mode", str, None,',
+     "any --mode passes the parser", CLI_TESTS),
+    ("parse-choice", CLI, "            return text if text in conv else fail(", "            return text if text else fail(",
+     "a converter's choices are not checked", CLI_TESTS),
 ]
 
 

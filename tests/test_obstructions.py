@@ -451,6 +451,20 @@ def test_check_on_runs_matches_the_part_by_part_oracle_on_every_certificate_to_n
     assert certs == 84942
 
 
+def test_every_profile_with_c_at_least_c1_plus_2_gets_an_arm_certificate_to_n_60():
+    # the reduction behind trees-scan's open trees: a vertex of degree >= 5, or of degree 4 with
+    # no leaf neighbour, has k >= 3 or c2 >= 2, so c >= c1 + 2; one cs per (c1, c), as above
+    profiles = 0
+    for n in range(6, 61):
+        for c in range(3, n - 2):
+            for c1 in range(1, c - 1):
+                cs = (c1,) * (c // c1) + ((c % c1,) if c % c1 else ())
+                for b in range(c1, (n - 1 - c) // 2 + 1):
+                    assert theorem_decide(CutProfile(n - 1 - c - b, b, cs)) is not None, (n - 1 - c - b, b, cs)
+                    profiles += 1
+    assert profiles == 78400
+
+
 def test_certificate_json():
     cert = MissingTypeCertificate(CutProfile(1, 1, (1, 1, 1)), ((3, 2),), "q-interval", q=1)
     d = cert.to_json_dict()

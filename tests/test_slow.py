@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 import support
-from epolab.graphs import Graph, enumerate_free_trees, missing_types, spider, tree_canonical_key
+from epolab import cli
+from epolab.graphs import Graph, enumerate_free_trees, missing_types, open_trees, spider, tree_canonical_key
 from epolab.obstructions import sixm_connected_partition, sixm_rearrangement
 from epolab.partitions import partial_sums, partitions_of
 from epolab.symfunc import csf_e, is_e_positive
@@ -67,3 +68,14 @@ def test_sixm_rearrangement_every_type_m4():
         "two-ones",
         "all-twos-one",
     }
+
+
+@pytest.mark.slow
+def test_open_trees_and_scan_rows_match_the_enumeration_fourteen_to_sixteen():
+    """The generated open trees are the enumerated trees with no settled vertex, and each
+    row of trees-scan is the enumeration route's, for 14 <= n <= 16."""
+    for n in (14, 15, 16):
+        generated = [tree_canonical_key(G) for G in open_trees(n)]
+        assert len(generated) == len(set(generated)), n
+        assert set(generated) == {tree_canonical_key(G) for G in support.open_trees_by_enumeration(n)}, n
+        assert cli._scan_size(n) == support.scan_size_by_enumeration(n), n

@@ -16,8 +16,10 @@ from support import (
 )
 from epolab.graphs import Graph, path_graph, spider, star_graph
 from epolab.partitions import PACKED_MAX_N, packed_partitions
+from epolab import symfunc
 from epolab.symfunc import (
     ESymExpansion,
+    StateBudgetError,
     _type_tally,
     _waring,
     csf_e,
@@ -105,6 +107,16 @@ def test_csf_k2_and_guard():
     assert csf_e(Graph(2, [(0, 1)])).coeffs == {(2,): 2}
     with pytest.raises(ValueError):
         csf_e(path_graph(PACKED_MAX_N + 1))
+
+
+def test_state_budget_admits_exactly_the_peak(monkeypatch):
+    # K7's frontier DP peaks at 877 live states: a budget of 877 computes it, 876 stops it
+    K7 = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+    monkeypatch.setattr(symfunc, "STATE_BUDGET", 877)
+    assert csf_e(K7).coeffs == {(7,): 5040}
+    monkeypatch.setattr(symfunc, "STATE_BUDGET", 876)
+    with pytest.raises(StateBudgetError):
+        csf_e(K7)
 
 
 def test_csf_e_matches_p_to_e_by_type_at_twenty_vertices():
