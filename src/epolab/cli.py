@@ -515,8 +515,10 @@ def parse_args(argv: list) -> SimpleNamespace:
     Help and --version print and exit 0; an argument that does not fit prints the usage and
     the error on stderr and exits 2."""
     name = argv[0] if argv else None
-    if name in ("-h", "--help", "--version"):
-        _exit(_help(None) if name != "--version" else f"epolab {__version__}", EXIT_OK)
+    if name == "--version":
+        _exit(f"epolab {__version__}", EXIT_OK)
+    if name in ("-h", "--help"):
+        _exit(_help(None), EXIT_OK)
     if name not in COMMANDS:
         problem = f"unknown command {name!r}" if name else "missing command"
         _exit(f"{USAGE}\nepolab: error: {problem} (choose from {', '.join(COMMANDS)})", EXIT_USAGE)

@@ -1,6 +1,7 @@
 """Undirected simple graphs, cut-vertex profiles, connected partitions,
-the tree type DP, spider/path/star constructors, and free-tree enumeration,
-with the slotted record bases of the library's value classes.
+the tree type DP, greedy leaf matching, spider/path/star constructors,
+free-tree enumeration, and the trees with a degree-4 vertex: their count and
+the open ones, with the slotted record bases of the library's value classes.
 
 Vertices are labelled 0..n-1.  Graph values are immutable; adjacency is
 exposed as per-vertex bitmasks, which keeps the connected-partition search
@@ -446,7 +447,7 @@ def matching_witness(G: Graph) -> Optional[tuple]:
 # ---------------------------------------------------------------------------
 # Free trees
 
-FREE_TREES_MAX_N = 16  # enumerate_free_trees' guard on n, and so trees-scan's on n_max
+FREE_TREES_MAX_N = 16  # enumerate_free_trees' guard on n
 
 
 def tree_centroids(n: int, adjsets) -> List[int]:
@@ -595,8 +596,8 @@ def open_trees(n: int) -> Iterator[Graph]:
             verdicts[sizes] = theorem_decide(CutProfile(sizes[0], sizes[1], sizes[2:])) is None
         return verdicts[sizes]
 
-    none = (n,)  # above the key of every degree-4 vertex, which starts with its leaf's 1
-    leaf = (none, 1, ())  # a branch: (least key of a degree-4 vertex in it, size, branches below)
+    top = (n,)  # above the key of every degree-4 vertex, which starts with its leaf's 1
+    leaf = (top, 1, ())  # a branch: (least key of a degree-4 vertex in it, size, branches below)
     grown = [[], [leaf]]
 
     def branches(s: int) -> list:
@@ -608,7 +609,7 @@ def open_trees(n: int) -> Iterator[Graph]:
                     s1 = t - 1 - leaves - s2
                     key = tuple(sorted((n - t, s1, s2) + (1,) * leaves))
                     if is_open(key[::-1]):
-                        own = key if leaves else none
+                        own = key if leaves else top
                         for i, X in enumerate(grown[s1]):
                             for Y in grown[s2][: i + 1] if s1 == s2 else grown[s2]:
                                 out.append((min(own, X[0], Y[0]), t, (X, Y) + (leaf,) * leaves))

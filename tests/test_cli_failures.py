@@ -206,7 +206,7 @@ def test_user_files_that_cannot_be_opened_exit_2(capsys, tmp_path, monkeypatch):
     def scan(n):
         raise AssertionError("the scan started before the cache path was checked")
 
-    monkeypatch.setattr(graphs, "enumerate_free_trees", scan)
+    monkeypatch.setattr(graphs, "open_trees", scan)
     nowhere = tmp_path / "no-such-dir"
     for argv in [
         ("sweep", "c40", "2..3", "--out", str(nowhere / "x.json")),
