@@ -33,7 +33,7 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 # tags trees-scan's cached rows: the settle route, then csf_e's tally and p->e algorithms
 SCAN_ROUTE = "settle=certificate,missing-type,csf;tally=tree-dp+frontier-dp;p2e=waring"
 SETTLE_STEPS = ("certificate", "missing_type", "csf")  # a verdict's settled_by, in route order
-# trees-scan's guard on n_max: the largest n whose cold `trees-scan n --jobs 2` ends within 120 s
+# trees-scan's guard on n_max: a cold `trees-scan 22 --jobs 2` takes 7.5-14 s on a 2-core host
 SCAN_MAX_N = 22
 # prove's guard on n: Graph.adj holds about n^2/16 bytes on a path, and
 # prove path:50000 peaks at 206 MB and answers in 1.6 s on a 2-core host.
@@ -295,13 +295,12 @@ def cmd_prove(args) -> int:
 def _settle_open_tree(G: Graph) -> dict:
     """An open tree's verdict, and the first step of the route that settles it.
 
-    An e-positive graph has a connected partition of every type, so a type that greedy leaf
-    matching, or else the tree DP, finds missing settles "not e-positive"; csf_e runs only on
-    an open tree that has every type.
-    """
-    from .graphs import matching_witness, missing_types
+    An e-positive graph has a connected partition of every type, so a missing type settles "not
+    e-positive": a (k, ..., k, r) type, by one linear pass per k, or else one the tree DP finds on
+    the few trees left.  csf_e runs only on an open tree that has every type."""
+    from .graphs import block_witness, missing_types
     from .symfunc import is_e_positive
-    if matching_witness(G) or missing_types(G):
+    if block_witness(G) or missing_types(G):
         return {"e_positive": False, "settled_by": "missing_type"}
     return {"e_positive": is_e_positive(G).positive, "settled_by": "csf"}
 

@@ -1,5 +1,5 @@
 """Undirected simple graphs, cut-vertex profiles, connected partitions,
-the tree type DP, greedy leaf matching, spider/path/star constructors,
+the tree type DP, the (k, ..., k, r) block check, spider/path/star constructors,
 free-tree enumeration, and the trees with a degree-4 vertex: their count and
 the open ones, with the slotted record bases of the library's value classes.
 
@@ -10,6 +10,7 @@ and component computations cheap at the sizes this library targets.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .partitions import PART_UNIT, packed_partitions
@@ -220,8 +221,8 @@ def max_degree(G: Graph) -> int:
     return max(m.bit_count() for m in G.adj)
 
 
-def _tree_order(adj) -> Tuple[List[int], List[int]]:
-    """Each vertex's parent, and the vertices reached from 0 parents first (breadth first)."""
+def _tree_order(adj) -> Tuple[List[int], List[int], List[int]]:
+    """Each vertex's parent, the vertices from 0 parents first (breadth first), and their subtree sizes."""
     parent, order, seen = [-1] * len(adj), [0], 1
     for v in order:
         below = adj[v] & ~seen
@@ -229,7 +230,10 @@ def _tree_order(adj) -> Tuple[List[int], List[int]]:
         for u in _mask_vertices(below):
             parent[u] = v
             order.append(u)
-    return parent, order
+    size = [1] * len(adj)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return parent, order, size
 
 
 def cut_profiles(G: Graph) -> List[Tuple[int, CutProfile]]:
@@ -240,19 +244,18 @@ def cut_profiles(G: Graph) -> List[Tuple[int, CutProfile]]:
     One iterative low-link DFS finds every vertex's components: a DFS child u
     of v with low[u] >= disc[v] roots one, and the n - 1 - (their sizes)
     vertices left over, when there are any, form one more.  On a tree every
-    child roots one, so a subtree-size pass in BFS order takes its place.
+    child roots one, and the subtree sizes of the BFS order take its place.
     """
     n = G.n
     split: List[List[int]] = [[] for _ in range(n)]  # sizes of the components below v
-    size = [1] * n
     if len(G.edges) == n - 1:
-        parent, order = _tree_order(G.adj)
+        parent, order, size = _tree_order(G.adj)
         if len(order) != n:
             raise ValueError("graph must be connected")
-        for v in reversed(order[1:]):
-            size[parent[v]] += size[v]
+        for v in order[1:]:
             split[parent[v]].append(size[v])
     else:
+        size = [1] * n
         nbrs = [_mask_vertices(m) for m in G.adj]
         disc, low = [0] + [-1] * (n - 1), [0] * n
         seen = 1
@@ -430,18 +433,27 @@ def missing_types(G: Graph) -> List[tuple]:
             and (len(G.edges) == G.n - 1 or has_connected_partition(G, lam) is None)]
 
 
-def matching_witness(G: Graph) -> Optional[tuple]:
-    """The type (2, ..., 2) or (2, ..., 2, 1) of n when the tree G has no connected partition of
-    it, else None.  Such a partition is a matching that leaves at most one vertex out, and
-    greedy leaf matching finds a largest one: from the leaves inward, pair a vertex with its
-    parent while both are free."""
-    parent, order = _tree_order(G.adj)
-    free, left = [True] * G.n, G.n
-    for v in reversed(order[1:]):
-        if free[v] and free[parent[v]]:
-            free[v] = free[parent[v]] = False
-            left -= 2
-    return (2,) * (G.n // 2) + (1,) * (G.n % 2) if left > 1 else None
+def _has_blocks(tree: tuple, k: int) -> bool:
+    """Whether a tree on n = mk + r vertices, 0 <= r < k, has a connected partition of type (k, ..., k, r):
+    rooted in its r-block (anywhere when r = 0), one cuts exactly above the m - [r = 0] vertices u != root
+    whose subtree size is 0 mod k, and cutting above that many gives one.  tree is _tree_order's (parent,
+    order, size); moving the root from p to its child v adds [s_v = r] - [s_v = 0] mod k to the count."""
+    parent, order, size = tree
+    (m, r), rest = divmod(len(size), k), [s % k for s in size]
+    count = [rest[1:].count(0)] * len(size)
+    for v in order[1:]:
+        count[v] = count[parent[v]] + (rest[v] == r) - (rest[v] == 0)
+    return m - (r == 0) in count
+
+
+def block_witness(G: Graph) -> Optional[tuple]:
+    """The first type (k, ..., k, r) of n = mk + r, 2 <= k < n and 0 <= r < k, that the tree G has no
+    connected partition of, else None: one linear pass per k."""
+    tree = _tree_order(G.adj)
+    for k in range(2, G.n):
+        if not _has_blocks(tree, k):
+            return (k,) * (G.n // k) + (G.n % k,) * (G.n % k > 0)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -450,23 +462,14 @@ def matching_witness(G: Graph) -> Optional[tuple]:
 FREE_TREES_MAX_N = 16  # enumerate_free_trees' guard on n
 
 
-def tree_centroids(n: int, adjsets) -> List[int]:
-    """The one or two vertices minimizing the largest remaining component."""
-    parent = [-1] * n
-    order = [0]  # breadth-first from 0: parents before children
-    for v in order:
-        for u in adjsets[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    size = [1] * n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    heaviest = [
-        max([n - size[v]] + [size[u] for u in adjsets[v] if u != parent[v]]) for v in range(n)
-    ]
+def tree_centroids(G: Graph) -> List[int]:
+    """The one or two vertices of the tree G minimizing the largest remaining component."""
+    parent, order, size = _tree_order(G.adj)
+    heaviest = [G.n - s for s in size]  # the component above each vertex, then its children's
+    for v in order[1:]:
+        heaviest[parent[v]] = max(heaviest[parent[v]], size[v])
     best = min(heaviest)
-    return [v for v in range(n) if heaviest[v] == best]
+    return [v for v in range(G.n) if heaviest[v] == best]
 
 
 def _rooted_encoding(root: int, adjsets) -> tuple:
@@ -481,7 +484,7 @@ def tree_canonical_key(G: Graph) -> tuple:
     if len(G.edges) != G.n - 1 or not is_connected(G):
         raise ValueError("not a tree")
     adjsets = [_mask_vertices(m) for m in G.adj]
-    return min(_rooted_encoding(r, adjsets) for r in tree_centroids(G.n, adjsets))
+    return min(_rooted_encoding(r, adjsets) for r in tree_centroids(G))
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
@@ -560,12 +563,16 @@ def degree4_trees(n: int) -> int:
     return _otter_count(n, n) - _otter_count(n, 3)
 
 
+def _is_open(sizes: tuple) -> bool:
+    """Whether theorem_decide leaves open the profile of the component sizes `sizes`, largest first."""
+    from .obstructions import theorem_decide
+    return theorem_decide(CutProfile(sizes[0], sizes[1], sizes[2:])) is None
+
+
 def open_profiles(n: int) -> List[Tuple[int, int, int]]:
-    """(a, b, c1) of each profile (a, b, c1, 1) of n that no arm of theorem_decide settles: with
-    c = c1 + 1, those with b >= 2c and 2b > c^2.  Any other profile with k >= 2 has c >= c1 + 2,
-    and then an arm applies: b <= 2c-2, b = 2c-1, 2c <= b <= c^2/2 or b >= c^2/2."""
-    return [(n - 1 - c - b, b, c - 1) for c in range(2, n) for b in range(c, (n - 1 - c) // 2 + 1)
-            if b >= 2 * c and 2 * b > c * c]
+    """(a, b, c1) of each profile (a, b, c1, 1) of n that theorem_decide leaves open, by c1 and then b."""
+    return [(a, b, c1) for c1 in range(1, n) for b in range(c1, (n - 2 - c1) // 2 + 1)
+            for a in [n - 2 - c1 - b] if _is_open((a, b, c1, 1))]
 
 
 def _least_rooted(G: Graph, sizes: tuple) -> bool:
@@ -580,22 +587,15 @@ def open_trees(n: int) -> Iterator[Graph]:
     """Each open tree on n vertices once: a tree with a degree-4 vertex in which theorem_decide
     settles the profile of no vertex of degree >= 3.
 
-    Every vertex of an open tree has degree <= 4, and one of degree 4 has a leaf neighbour and
-    a profile (a, b, c1, 1) of open_profiles.  So the tree is that vertex v (vertex 0), the leaf
-    (vertex 1), and branches A, B, C of sizes a >= b >= c1.  A branch of size s is a root with at
+    A profile with k >= 2 other than (a, b, c1, 1) has c >= c1 + 2, and then one of the four arms
+    applies.  So every vertex of an open tree has degree <= 4, and one of degree 4 has a leaf
+    neighbour and a profile (a, b, c1, 1) of open_profiles: the tree is that vertex v (vertex 0), the
+    leaf (vertex 1), and branches A, B, C of sizes a >= b >= c1.  A branch of size s is a root with at
     most three branches below it, a leaf among three, kept when the root's profile, with n - s
-    vertices above it, is open: one memoised verdict per profile.  A tree is kept at its
-    degree-4 vertex whose component sizes, smallest first, and then rooted encoding are least.
+    vertices above it, is open: one memoised verdict per profile.  A tree is kept at its degree-4
+    vertex whose component sizes, smallest first, and then rooted encoding are least.
     """
-    from .obstructions import theorem_decide
-
-    verdicts = {}
-
-    def is_open(sizes: tuple) -> bool:
-        if sizes not in verdicts:
-            verdicts[sizes] = theorem_decide(CutProfile(sizes[0], sizes[1], sizes[2:])) is None
-        return verdicts[sizes]
-
+    is_open = cache(_is_open)
     top = (n,)  # above the key of every degree-4 vertex, which starts with its leaf's 1
     leaf = (top, 1, ())  # a branch: (least key of a degree-4 vertex in it, size, branches below)
     grown = [[], [leaf]]

@@ -318,33 +318,35 @@ def distinct_orderings(mu: tuple, slots: int) -> int:
 # Labeled trees (sequence decoding) for free-tree cross-checks
 
 
-def labeled_trees(n: int) -> Iterator[List[tuple]]:
-    """Every labeled tree on n vertices, via decoding all length-(n-2) codes."""
+def prufer_tree(n: int, code) -> List[tuple]:
+    """The edges of the labeled tree on n >= 2 vertices whose Prufer code (length n - 2) is code."""
     import heapq
 
+    degree = [1] * n
+    for v in code:
+        degree[v] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in code:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u = heapq.heappop(leaves)
+    w = heapq.heappop(leaves)
+    edges.append((u, w))
+    return edges
+
+
+def labeled_trees(n: int) -> Iterator[List[tuple]]:
+    """Every labeled tree on n vertices, via decoding all length-(n-2) codes."""
     if n == 1:
         yield []
         return
-    if n == 2:
-        yield [(0, 1)]
-        return
     for code in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in code:
-            degree[v] += 1
-        leaves = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(leaves)
-        edges = []
-        for v in code:
-            leaf = heapq.heappop(leaves)
-            edges.append((leaf, v))
-            degree[v] -= 1
-            if degree[v] == 1:
-                heapq.heappush(leaves, v)
-        u = heapq.heappop(leaves)
-        w = heapq.heappop(leaves)
-        edges.append((u, w))
-        yield edges
+        yield prufer_tree(n, code)
 
 
 # ---------------------------------------------------------------------------

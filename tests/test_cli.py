@@ -13,6 +13,7 @@ import epolab
 from epolab import cli, graphs, obstructions
 from epolab.cli import main, parse_graph_spec, parse_profile_spec, SpecError
 from epolab.graphs import (
+    Graph,
     cut_profiles,
     enumerate_free_trees,
     has_connected_partition,
@@ -612,17 +613,33 @@ def test_settle_route_agrees_with_csf_and_every_reported_type_is_absent():
             certs = [theorem_decide(profile) for _, profile in cut_profiles(G)]
             for lam in [cert.lam for cert in certs if cert] + missing_types(G):
                 assert has_connected_partition(G, lam) is None, (sorted(G.edges), lam)
-    # the open trees take the scan's route: the matching type, the tree DP, then csf_e
+    # the open trees take the scan's route: a (k, ..., k, r) type, the tree DP, then csf_e
     for n in range(11, 14):
         for G in graphs.open_trees(n):
             verdict = cli._settle_open_tree(G)
             assert verdict == support.settle_tree(G) and not verdict["e_positive"], sorted(G.edges)
-            witness = graphs.matching_witness(G)
+            witness = graphs.block_witness(G)
             if witness:
                 assert has_connected_partition(G, witness) is None, sorted(G.edges)
     # S(6,4,1,1) has every type, so only csf_e settles it
     assert cli._settle_open_tree(spider((6, 4, 1, 1))) == {"e_positive": False, "settled_by": "csf"}
     assert support.settle_tree(spider((6, 4, 1, 1))) == {"e_positive": False, "settled_by": "csf"}
+
+
+def test_settle_route_runs_the_tree_dp_only_on_the_trees_past_the_block_check(monkeypatch):
+    # S(12,4,1,1) with its 4-leg forked at its first vertex: it has every (k, ..., k, r) type,
+    # and the tree DP finds (6,5,5,3) and (5,5,3,3,3) missing
+    G = Graph(19, [(0, 1), (0, 2), (0, 14), (0, 18), (14, 15), (14, 17), (15, 16)]
+              + [(v, v + 1) for v in range(2, 13)])
+    assert graphs.block_witness(G) is None
+    assert cli._settle_open_tree(G) == {"e_positive": False, "settled_by": "missing_type"}
+    for lam in missing_types(G):
+        assert has_connected_partition(G, lam) is None, lam
+    calls = []
+    monkeypatch.setattr(graphs, "missing_types", lambda G: calls.append(G) or missing_types(G))
+    assert cli._scan_size(13)["settled"]["csf"] == 1
+    assert calls == [G for G in graphs.open_trees(13) if graphs.block_witness(G) is None]  # S(6,4,1,1)
+    assert len(calls) == 1
 
 
 def test_trees_scan_matches_the_enumeration_route(capsys, monkeypatch):

@@ -12,13 +12,15 @@ from epolab.graphs import (
     Graph,
     _component_masks,
     _dfs_tree,
+    _has_blocks,
+    _tree_order,
     _tree_type_tally,
+    block_witness,
     cut_profiles,
     degree4_trees,
     enumerate_free_trees,
     has_connected_partition,
     is_connected,
-    matching_witness,
     max_degree,
     missing_types,
     open_profiles,
@@ -28,7 +30,6 @@ from epolab.graphs import (
     star_graph,
     tree_canonical_key,
 )
-from epolab.obstructions import theorem_decide
 from epolab.partitions import PART_UNIT, partitions_of
 
 
@@ -239,27 +240,55 @@ def test_open_trees_are_the_trees_with_no_settled_vertex():
     assert [sum(1 for _ in open_trees(n)) for n in range(11, 18)] == [6, 15, 45, 110, 265, 685, 1698]
 
 
+def test_open_trees_keep_a_tree_with_two_degree_four_vertices_once():
+    # two brooms, each a degree-4 vertex with two leaves and a path of 4, joined at their centres
+    broom = [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (0, 7)]
+    G = Graph(14, broom + [(u + 7, v + 7) for u, v in broom if (u, v) != (0, 7)])
+    key = tree_canonical_key(G)
+    assert [tree_canonical_key(H) for H in open_trees(14)].count(key) == 1
+
+
 def test_open_profiles_are_the_profiles_no_arm_settles():
+    # the arms miss a profile (a, b, c1, 1) exactly when b >= 2c and 2b > c^2, with c = c1 + 1
     for n in range(5, 61):
-        unsettled = [(a, b, c1) for c1 in range(1, n) for b in range(c1, n) for a in [n - 2 - b - c1]
-                     if a >= b and theorem_decide(CutProfile(a, b, (c1, 1))) is None]
-        assert sorted(open_profiles(n)) == sorted(unsettled), n
+        closed_form = [(n - 1 - c - b, b, c - 1) for c in range(2, n)
+                       for b in range(2 * c, (n - 1 - c) // 2 + 1) if 2 * b > c * c]
+        assert open_profiles(n) == closed_form, n
 
 
-def test_matching_witness_is_exactly_the_missing_matching_type():
-    # greedy leaf matching against the tree DP: the witness is missing, and any other tree has the type
-    for n in range(2, 12):
-        lam = (2,) * (n // 2) + (1,) * (n % 2)
-        key = sum(PART_UNIT[p] for p in lam)
+def _block_type(n: int, k: int) -> tuple:
+    m, r = divmod(n, k)
+    return (k,) * m + (r,) * (r > 0)
+
+
+def test_block_counts_agree_with_the_tree_tally_for_every_k():
+    for n in range(1, 13):
         for G in enumerate_free_trees(n):
-            tally = graphs._tree_type_tally(G.adj, 1)
-            assert matching_witness(G) == (lam if key not in tally else None), sorted(G.edges)
-    assert matching_witness(star_graph(5)) == (2, 2, 1) and matching_witness(path_graph(6)) is None
-    for n in (12, 13, 15, 16):
+            tally = _tree_type_tally(G.adj, 1)
+            present = [sum(PART_UNIT[p] for p in _block_type(n, k)) in tally for k in range(1, n + 1)]
+            assert [_has_blocks(_tree_order(G.adj), k) for k in range(1, n + 1)] == present, sorted(G.edges)
+            absent = [_block_type(n, k) for k in range(2, n) if not present[k - 1]]
+            assert block_witness(G) == (absent[0] if absent else None), sorted(G.edges)
+    assert block_witness(star_graph(5)) == (2, 2, 1) and block_witness(path_graph(6)) is None
+    assert block_witness(spider((2, 2, 2))) == (3, 3, 1)  # it has (2, 2, 2, 1), but no two 3-blocks
+
+
+def test_block_counts_agree_with_the_search_on_random_trees():
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        G = Graph(n, support.prufer_tree(n, [rng.randrange(n) for _ in range(n - 2)]))
+        for k in range(1, n + 1):
+            present = has_connected_partition(G, _block_type(n, k)) is not None
+            assert _has_blocks(_tree_order(G.adj), k) == present, (sorted(G.edges), k)
+
+
+def test_every_block_witness_on_the_open_trees_is_absent_from_the_tally():
+    for n in range(11, 17):
         for G in open_trees(n):
-            witness = matching_witness(G)
+            witness = block_witness(G)
             if witness:
-                assert sum(PART_UNIT[p] for p in witness) not in graphs._tree_type_tally(G.adj, 1)
+                assert sum(PART_UNIT[p] for p in witness) not in _tree_type_tally(G.adj, 1), sorted(G.edges)
 
 
 def test_max_degree_examples():

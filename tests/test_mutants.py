@@ -2,13 +2,14 @@
 
 Each mutant moves one decision boundary of `src/epolab` by one token: a
 certificate arm or check, a sweep, a sign of the p->e conversion or of a tally
-DP, the frontier DP's state budget, the open trees' profiles, matching,
-branches or deduplication, the tree pass of the cut profiles, the scan cache's
-field check, the bound on work in flight, or the parser's converters and
-choices.  It is applied to a fresh copy of src/, and the test files the mutant
-names run on that copy: a mutant they fail on is killed.  A mutant that no test
-can kill, because it changes no verdict, is listed as equivalent with the
-argument why, and must then pass them.
+DP, the frontier DP's state budget, the open trees' profiles, branches or
+deduplication, the (k, ..., k, r) block check, the scan's settle route, the
+tree pass of the subtree sizes, the sweeps' c bounds, the scan cache's field
+check, the bound on work in flight, or the parser's converters and choices.
+It is applied to a fresh copy of src/, and the test files the mutant names run
+on that copy: a mutant they fail on is killed.  A mutant that no test can kill,
+because it changes no verdict, is listed as equivalent with the argument why,
+and must then pass them.
 """
 
 import os
@@ -101,6 +102,14 @@ MUTANTS = [
      "a tail claimed one t early skips the gap between (t0-1)*y and t0*x", OBS_TESTS),
     ("uncovered-gap", OBS, "        lo = max(lo, end + 1)", "        lo = max(lo, end)",
      "the last n of each covered range is listed as a gap", OBS_TESTS),
+    ("sweep-c40-c-lo", OBS, '{"c40": (2, 40)', '{"c40": (1, 40)',
+     "c = 1, which has no b in 2c..c^2/2 and an n-window over c - 1 = 0, is accepted", OBS_TESTS),
+    ("sweep-c40-c-hi", OBS, 'SWEEP_C_BOUNDS = {"c40": (2, 40),', 'SWEEP_C_BOUNDS = {"c40": (2, 39),',
+     "c = 40 is in neither sweep", OBS_TESTS),
+    ("sweep-c500-c-lo", OBS, '"c500": (41, 500)}', '"c500": (42, 500)}',
+     "c = 41 is in neither sweep", OBS_TESTS),
+    ("sweep-c-range-one", OBS, "lo <= c_lo <= c_hi <= hi", "lo <= c_lo < c_hi <= hi",
+     "a range of one c, such as 41..41, is refused", OBS_TESTS),
     ("c40-b-range", OBS, "    for b in range(2 * c, c * c // 2 + 1):", "    for b in range(2 * c, c * c // 2):",
      "b = c^2/2 leaves the c40 grid", OBS_TESTS),
     ("c40-n-hi", OBS, "n_hi = (-(-b // (c - 1))) * (b + 1)", "n_hi = (b // (c - 1)) * (b + 1)",
@@ -123,14 +132,24 @@ MUTANTS = [
      "a tree's absent types are searched for again", GRAPHS_TESTS),
     ("cache-int-check", CLI, "if all(type(v) is int for v in", "if all(isinstance(v, int) for v in",
      "a cached count of true is served as 1", CLI_TESTS),
-    ("open-profile-b", GRAPHS, "if b >= 2 * c and 2 * b > c * c]", "if b > 2 * c and 2 * b > c * c]",
-     "the open profiles with b = 2c, such as (4,4,1,1) at n = 11, are never anchors", GRAPHS_TESTS),
-    ("open-profile-c2", GRAPHS, "if b >= 2 * c and 2 * b > c * c]", "if b >= 2 * c and 2 * b >= c * c]",
-     "(a,8,3,1), which arm 3 settles at 2b = c^2, becomes an anchor", GRAPHS_TESTS),
-    ("matching-pair", GRAPHS, "        if free[v] and free[parent[v]]:", "        if free[v] or free[parent[v]]:",
-     "a vertex is paired with a parent already taken", GRAPHS_TESTS),
-    ("matching-left", GRAPHS, "+ (1,) * (G.n % 2) if left > 1 else None", "+ (1,) * (G.n % 2) if left > 2 else None",
-     "two vertices left unmatched no longer miss the type", GRAPHS_TESTS),
+    ("open-profile-b", GRAPHS, "for b in range(c1, (n - 2 - c1) // 2 + 1)", "for b in range(c1, (n - 2 - c1) // 2)",
+     "the open profiles with a = b, such as (4,4,1,1) at n = 11, are never anchors", GRAPHS_TESTS),
+    ("open-profile-c1", GRAPHS, "for c1 in range(1, n)", "for c1 in range(2, n)",
+     "no profile (a, b, 1, 1) is an anchor, so no open tree is generated", GRAPHS_TESTS),
+    ("block-k-low", GRAPHS, "    for k in range(2, G.n):", "    for k in range(3, G.n):",
+     "the (2, ..., 2, r) type is never checked", GRAPHS_TESTS),
+    ("block-k-high", GRAPHS, "    for k in range(2, G.n):", "    for k in range(2, G.n - 1):",
+     EQUIVALENT + "k = n - 1 is the type (n-1, 1), which every tree has: cut the edge of a leaf", GRAPHS_TESTS),
+    ("block-target", GRAPHS, "    return m - (r == 0) in count", "    return m - (r <= 1) in count",
+     "with r = 1 the count must reach m - 1, so a missing (k, ..., k, 1) is found present", GRAPHS_TESTS),
+    ("block-root-count", GRAPHS, "    count = [rest[1:].count(0)] * len(size)", "    count = [rest.count(0)] * len(size)",
+     "the root counts itself when k divides n, so every such type is found missing", GRAPHS_TESTS),
+    ("block-reroot-gain", GRAPHS, "(rest[v] == r) - (rest[v] == 0)", "(rest[v] >= r) - (rest[v] == 0)",
+     "a rerooting past any child of size r or more mod k gains a block", GRAPHS_TESTS),
+    ("block-reroot-loss", GRAPHS, "(rest[v] == r) - (rest[v] == 0)", "(rest[v] == r) - (rest[v] == 1)",
+     "a rerooting past a child of size 1 mod k, not 0, loses a block", GRAPHS_TESTS),
+    ("block-witness-r", GRAPHS, "(G.n % k,) * (G.n % k > 0)", "(G.n % k,) * (G.n % k >= 0)",
+     "a witness with k dividing n gets a part 0", GRAPHS_TESTS),
     ("generator-children", GRAPHS, "            for leaves in (0, 1):", "            for leaves in (0,):",
      "no branch vertex has degree 4, so trees with two degree-4 vertices (n >= 14) are lost", GRAPHS_TESTS),
     ("generator-dedup", GRAPHS, "                    if least < key:", "                    if least <= key:",
@@ -138,10 +157,14 @@ MUTANTS = [
     ("generator-encoding", GRAPHS, "    return all(here <= _rooted_encoding(v, adjsets)",
      "    return all(here < _rooted_encoding(v, adjsets)",
      "a tree with two alike degree-4 vertices is kept at neither", GRAPHS_TESTS),
-    ("cut-profiles-tree-pass", GRAPHS, "            size[parent[v]] += size[v]", "            size[parent[v]] += 1",
+    ("cut-profiles-tree-pass", GRAPHS, "        size[parent[v]] += size[v]", "        size[parent[v]] += 1",
      "a tree's subtree sizes count children only", ("tests/test_graphs.py", "tests/test_properties.py")),
     ("state-budget", SYM, "            if len(new) > STATE_BUDGET:", "            if len(new) >= STATE_BUDGET:",
      "a DP that peaks at exactly the budget is stopped", SYM_TESTS),
+    ("settle-order", CLI, "    if block_witness(G) or missing_types(G):", "    if missing_types(G) or block_witness(G):",
+     "the tree DP runs on every open tree, before the block check", CLI_TESTS),
+    ("settle-dp", CLI, "    if block_witness(G) or missing_types(G):", "    if block_witness(G):",
+     "a tree with every (k, ..., k, r) type but another type missing goes to csf_e", CLI_TESTS),
     ("parse-n-max", CLI, '[("n_max", int, None, f"scan', '[("n_max", str, None, f"scan',
      "n_max is left a string, and comparing it with 1 is an internal error", CLI_TESTS),
     ("parse-jobs", CLI, 'JOBS = ("--jobs", int, 1,', 'JOBS = ("--jobs", str, 1,',

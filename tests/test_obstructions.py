@@ -16,6 +16,7 @@ from epolab.obstructions import (
     _c40_scan_c,
     _uncovered,
     analysis_q,
+    check_c_range,
     check_partsums_obstruction,
     q_interval,
     sixm_connected_partition,
@@ -676,6 +677,16 @@ def test_sweep_range_validation():
         sweep_c500(41, 501)
     with pytest.raises(ValueError):
         sweep_c500(41, 50, mode="other")
+
+
+def test_sweep_c_bounds_meet_at_40_and_41():
+    # each kind's whole range passes and every c from 2 to 500 is in exactly one of them
+    check_c_range("c40", 2, 40)
+    check_c_range("c500", 41, 500)
+    check_c_range("c500", 41, 41)
+    for kind, lo, hi in (("c40", 1, 40), ("c40", 5, 4), ("c500", 40, 500), ("c500", 41, 501)):
+        with pytest.raises(ValueError):
+            check_c_range(kind, lo, hi)
 
 
 def test_sweep_c40_matches_cell_by_cell_oracle():
