@@ -36,7 +36,7 @@ SETTLE_STEPS = ("certificate", "missing_type", "csf")  # a verdict's settled_by,
 # trees-scan's guard on n_max: a cold `trees-scan 22 --jobs 2` takes 7.5-14 s on a 2-core host
 SCAN_MAX_N = 22
 # prove's guard on n: Graph.adj holds about n^2/16 bytes on a path, and
-# prove path:50000 peaks at 206 MB and answers in 1.6 s on a 2-core host.
+# prove path:50000 peaks at 196 MB and answers in about 1 s on a 2-core host.
 PROVE_MAX_N = 50_000
 
 

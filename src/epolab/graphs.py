@@ -222,7 +222,8 @@ def max_degree(G: Graph) -> int:
 
 
 def _tree_order(adj) -> Tuple[List[int], List[int], List[int]]:
-    """Each vertex's parent, the vertices from 0 parents first (breadth first), and their subtree sizes."""
+    """Each vertex's parent, the vertices from 0 parents first (breadth first), and their subtree sizes:
+    the one pass over a tree that block_witness and tree_centroids read."""
     parent, order, seen = [-1] * len(adj), [0], 1
     for v in order:
         below = adj[v] & ~seen
@@ -241,44 +242,39 @@ def cut_profiles(G: Graph) -> List[Tuple[int, CutProfile]]:
 
     Vertices that split the graph into exactly 2 components are omitted;
     the obstruction machinery needs k >= 1, i.e. at least 3 components.
-    One iterative low-link DFS finds every vertex's components: a DFS child u
-    of v with low[u] >= disc[v] roots one, and the n - 1 - (their sizes)
-    vertices left over, when there are any, form one more.  On a tree every
-    child roots one, and the subtree sizes of the BFS order take its place.
+    One iterative low-link DFS over the adjacency masks finds every vertex's
+    components: a DFS child u of v with low[u] >= disc[v] roots one, and the
+    n - 1 - (their sizes) vertices left over, when there are any, form one more.
+    A stack frame holds (v, its parent, the neighbours of v not yet looked at).
     """
-    n = G.n
+    n, adj = G.n, G.adj
     split: List[List[int]] = [[] for _ in range(n)]  # sizes of the components below v
-    if len(G.edges) == n - 1:
-        parent, order, size = _tree_order(G.adj)
-        if len(order) != n:
-            raise ValueError("graph must be connected")
-        for v in order[1:]:
-            split[parent[v]].append(size[v])
-    else:
-        size = [1] * n
-        nbrs = [_mask_vertices(m) for m in G.adj]
-        disc, low = [0] + [-1] * (n - 1), [0] * n
-        seen = 1
-        stack = [(0, -1, iter(nbrs[0]))]
-        while stack:
-            v, parent, it = stack[-1]
-            for u in it:
-                if disc[u] < 0:
-                    disc[u] = low[u] = seen
-                    seen += 1
-                    stack.append((u, v, iter(nbrs[u])))
-                    break
-                if u != parent:
-                    low[v] = min(low[v], disc[u])
-            else:
-                stack.pop()
-                if parent >= 0:
-                    size[parent] += size[v]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] >= disc[parent]:
-                        split[parent].append(size[v])
-        if seen != n:
-            raise ValueError("graph must be connected")
+    size, disc, low = [1] * n, [0] + [-1] * (n - 1), [0] * n
+    seen = 1
+    stack = [(0, -1, adj[0])]
+    while stack:
+        v, parent, rest = stack.pop()
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            if disc[u] < 0:
+                disc[u] = low[u] = seen
+                seen += 1
+                stack.append((v, parent, rest))
+                stack.append((u, v, adj[u] ^ 1 << v))  # u's neighbours less v
+                break
+            if disc[u] < low[v]:
+                low[v] = disc[u]
+        else:
+            if parent >= 0:
+                size[parent] += size[v]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    split[parent].append(size[v])
+    if seen != n:
+        raise ValueError("graph must be connected")
     out = []
     for v in range(n):
         rest = n - 1 - sum(split[v])
@@ -472,19 +468,18 @@ def tree_centroids(G: Graph) -> List[int]:
     return [v for v in range(G.n) if heaviest[v] == best]
 
 
-def _rooted_encoding(root: int, adjsets) -> tuple:
-    def enc(v: int, par: int) -> tuple:
-        return tuple(sorted(enc(u, v) for u in adjsets[v] if u != par))
+def _rooted_encoding(root: int, adj) -> tuple:
+    def enc(v: int, above: int) -> tuple:
+        return tuple(sorted(enc(u, 1 << v) for u in _mask_vertices(adj[v] & ~above)))
 
-    return enc(root, -1)
+    return enc(root, 0)
 
 
 def tree_canonical_key(G: Graph) -> tuple:
     """Canonical encoding of a free tree (equal iff trees are isomorphic)."""
     if len(G.edges) != G.n - 1 or not is_connected(G):
         raise ValueError("not a tree")
-    adjsets = [_mask_vertices(m) for m in G.adj]
-    return min(_rooted_encoding(r, adjsets) for r in tree_centroids(G))
+    return min(_rooted_encoding(r, G.adj) for r in tree_centroids(G))
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
@@ -578,9 +573,8 @@ def open_profiles(n: int) -> List[Tuple[int, int, int]]:
 def _least_rooted(G: Graph, sizes: tuple) -> bool:
     """Whether G rooted at 0 has the least rooted encoding among its vertices with the component
     sizes `sizes`, largest first."""
-    adjsets = [_mask_vertices(m) for m in G.adj]
-    here = _rooted_encoding(0, adjsets)
-    return all(here <= _rooted_encoding(v, adjsets) for v, p in cut_profiles(G) if (p.a, p.b, *p.cs) == sizes)
+    here = _rooted_encoding(0, G.adj)
+    return all(here <= _rooted_encoding(v, G.adj) for v, p in cut_profiles(G) if (p.a, p.b, *p.cs) == sizes)
 
 
 def open_trees(n: int) -> Iterator[Graph]:

@@ -16,8 +16,9 @@ Compositions and their rearrangements live here too: only the tests need
 ordered parts.  So do the disjoint union of two graphs, which only the
 multiplicativity check of csf_e uses, and the product of two e-expansions,
 which that check and the power-sum to e-basis conversion by type share.
-The prefix-sum check on a plain type, part by part, checks the library's
-check on runs.
+A coefficient [e_lam] p_mu by counting brick tabloids shares no code with either
+conversion.  The prefix-sum check on a plain type, part by part, checks the
+library's check on runs.
 """
 
 from __future__ import annotations
@@ -38,17 +39,20 @@ from epolab.graphs import (
     Graph,
     _component_masks,
     _mask_vertices,
+    _tree_type_tally,
+    block_witness,
     cut_profiles,
     enumerate_free_trees,
     has_connected_partition,
     is_connected,
     max_degree,
     missing_types,
+    open_trees,
     tree_canonical_key,
 )
 from epolab.obstructions import theorem_decide
 from epolab.partitions import PART_BITS, format_parts, partitions_of
-from epolab.symfunc import ESymExpansion, is_e_positive
+from epolab.symfunc import ESymExpansion, csf_e, is_e_positive
 
 # the environment of every interpreter the tests start: this checkout's epolab, no PATH,
 # and no bytecode written into the source tree
@@ -583,6 +587,11 @@ def scan_size_by_enumeration(n: int) -> dict:
     return {"degree4_trees": sum(settled.values()), "counterexamples": counterexamples, "settled": settled}
 
 
+def csf_settled_trees(n: int) -> List[Graph]:
+    """The open trees on n vertices that trees-scan settles by csf_e: those with every type."""
+    return [G for G in open_trees(n) if block_witness(G) is None and not missing_types(G)]
+
+
 def partitions_recursive(n: int) -> Iterator[tuple]:
     """All partitions of n in reverse-lexicographic order, by recursion on the first
     part: the generator that partitions_of replaced, one frame per part."""
@@ -768,6 +777,43 @@ def multiply_e(A: ESymExpansion, B: ESymExpansion) -> ESymExpansion:
             key = tuple(sorted(ka + kb, reverse=True))
             out[key] = out.get(key, 0) + ca * cb
     return ESymExpansion(A.degree + B.degree, out)
+
+
+# ---------------------------------------------------------------------------
+# p->e one coefficient at a time, by brick tabloids
+
+
+def p_in_e_coefficient(lam: tuple, mu: tuple) -> int:
+    """[e_lam] p_mu by Egecioglu and Remmel's brick tabloids ("Brick tabloids and the connection
+    matrices between bases of symmetric functions", Discrete Appl. Math. 34, 1991): the rows of
+    lengths mu are filled, left to right, with bricks whose lengths are the parts of lam, and each
+    filling weighs the product of its rows' last bricks.  The sign is (-1)^(n - l(lam))."""
+    return (-1) ** (sum(lam) - len(lam)) * _brick_fillings(0, tuple(mu), tuple(sorted(lam)))
+
+
+@cache
+def _brick_fillings(room: int, rows: tuple, bricks: tuple) -> int:
+    """The weighted fillings that lay the bricks (sorted lengths) in the `room` cells left in the
+    current row, then in the rows after it."""
+    if room == 0:
+        if not rows:
+            return 0 if bricks else 1
+        return _brick_fillings(rows[0], rows[1:], bricks)
+    total = 0
+    for i, b in enumerate(bricks):
+        if b > room:
+            break
+        if not (i and bricks[i - 1] == b):  # equal bricks fill alike
+            total += (b if b == room else 1) * _brick_fillings(room - b, rows, bricks[:i] + bricks[i + 1 :])
+    return total
+
+
+def most_negative_term_by_bricks(G: Graph) -> Tuple[tuple, int, int]:
+    """csf_e's most negative term (lam, c) of the tree G, and [e_lam] X_G again: summed over the
+    tree DP's tally, rooted at the highest label, by brick tabloids."""
+    lam, c = min(csf_e(G).coeffs.items(), key=lambda term: (term[1], term[0]))
+    tally = unpack_tally(_tree_type_tally(G.adj, 1 << (G.n - 1)))
+    return lam, c, sum(count * p_in_e_coefficient(lam, mu) for mu, count in tally.items())
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,12 @@ def test_cut_profiles():
         cut_profiles(Graph(3, []))
 
 
+def test_cut_profiles_run_without_recursion_on_deep_graphs():
+    # DFS paths 20,000 and 8,000 vertices long, far past CPython's default limit of 1,000 frames
+    assert cut_profiles(path_graph(20000)) == []
+    assert cut_profiles(spider((8000, 6000, 4000, 1999))) == [(0, CutProfile(8000, 6000, (4000, 1999)))]
+
+
 def test_cut_profile_validation():
     with pytest.raises(ValueError):
         CutProfile(1, 2, (1,))
@@ -246,6 +252,25 @@ def test_open_trees_keep_a_tree_with_two_degree_four_vertices_once():
     G = Graph(14, broom + [(u + 7, v + 7) for u, v in broom if (u, v) != (0, 7)])
     key = tree_canonical_key(G)
     assert [tree_canonical_key(H) for H in open_trees(14)].count(key) == 1
+
+
+@pytest.mark.parametrize("n", [17, 18] + [pytest.param(n, marks=pytest.mark.slow) for n in range(19, 23)])
+def test_open_trees_past_the_enumeration_are_open_distinct_and_hold_every_sampled_open_tree(n):
+    # past enumerate_free_trees' guard: each generated tree is open, and its keys are distinct, so
+    # _least_rooted keeps one of each tie; every open tree among 2,000 random ones is generated
+    keys, count = set(), 0
+    for G in open_trees(n):
+        assert max_degree(G) == 4 and not support.settled_vertex(G), sorted(G.edges)
+        keys.add(tree_canonical_key(G))
+        count += 1
+    assert len(keys) == count
+    rng, sampled = random.Random(n), 0
+    for _ in range(2000):
+        G = Graph(n, support.prufer_tree(n, [rng.randrange(n) for _ in range(n - 2)]))
+        if max_degree(G) >= 4 and not support.settled_vertex(G):
+            assert tree_canonical_key(G) in keys, sorted(G.edges)
+            sampled += 1
+    assert sampled > 100, sampled
 
 
 def test_open_profiles_are_the_profiles_no_arm_settles():

@@ -4,8 +4,9 @@ Each mutant moves one decision boundary of `src/epolab` by one token: a
 certificate arm or check, a sweep, a sign of the p->e conversion or of a tally
 DP, the frontier DP's state budget, the open trees' profiles, branches or
 deduplication, the (k, ..., k, r) block check, the scan's settle route, the
-tree pass of the subtree sizes, the sweeps' c bounds, the scan cache's field
-check, the bound on work in flight, or the parser's converters and choices.
+tree order's subtree sizes, the cut profiles' low-link pass, the sweeps' c
+bounds, the scan cache's field check, the bound on work in flight, or the
+parser's converters and choices.
 It is applied to a fresh copy of src/, and the test files the mutant names run
 on that copy: a mutant they fail on is killed.  A mutant that no test can kill,
 because it changes no verdict, is listed as equivalent with the argument why,
@@ -154,11 +155,18 @@ MUTANTS = [
      "no branch vertex has degree 4, so trees with two degree-4 vertices (n >= 14) are lost", GRAPHS_TESTS),
     ("generator-dedup", GRAPHS, "                    if least < key:", "                    if least <= key:",
      "a tree whose least degree-4 key ties the anchor's is never kept", GRAPHS_TESTS),
-    ("generator-encoding", GRAPHS, "    return all(here <= _rooted_encoding(v, adjsets)",
-     "    return all(here < _rooted_encoding(v, adjsets)",
+    ("generator-encoding", GRAPHS, "    return all(here <= _rooted_encoding(v, G.adj)",
+     "    return all(here < _rooted_encoding(v, G.adj)",
      "a tree with two alike degree-4 vertices is kept at neither", GRAPHS_TESTS),
-    ("cut-profiles-tree-pass", GRAPHS, "        size[parent[v]] += size[v]", "        size[parent[v]] += 1",
-     "a tree's subtree sizes count children only", ("tests/test_graphs.py", "tests/test_properties.py")),
+    ("tree-order-size", GRAPHS, "        size[parent[v]] += size[v]", "        size[parent[v]] += 1",
+     "a tree's subtree sizes count children only, so block_witness and tree_centroids read them wrong",
+     GRAPHS_TESTS),
+    ("cut-profiles-low-link", GRAPHS, "                if low[v] >= disc[parent]:",
+     "                if low[v] > disc[parent]:",
+     "a child whose subtree reaches back only to v stops counting as a component",
+     ("tests/test_properties.py",)),
+    ("cut-profiles-size", GRAPHS, "                size[parent] += size[v]", "                size[parent] += 1",
+     "a DFS subtree's size counts the children of its root only", ("tests/test_graphs.py", "tests/test_properties.py")),
     ("state-budget", SYM, "            if len(new) > STATE_BUDGET:", "            if len(new) >= STATE_BUDGET:",
      "a DP that peaks at exactly the budget is stopped", SYM_TESTS),
     ("settle-order", CLI, "    if block_witness(G) or missing_types(G):", "    if missing_types(G) or block_witness(G):",

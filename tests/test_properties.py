@@ -139,7 +139,7 @@ def test_cut_profiles_match_per_vertex_components(G):
 
 
 def test_cut_profiles_of_every_free_tree_match_per_vertex_components():
-    # cut_profiles takes its subtree-size pass on a tree: check it on all 436 trees with n <= 11
+    # all 436 free trees with n <= 11, where each DFS child of a vertex roots one of its components
     for n in range(1, 12):
         for G in enumerate_free_trees(n):
             assert cut_profiles(G) == support.cut_profiles_bruteforce(G), sorted(G.edges)

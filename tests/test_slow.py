@@ -79,3 +79,14 @@ def test_open_trees_and_scan_rows_match_the_enumeration_fourteen_to_sixteen():
         assert len(generated) == len(set(generated)), n
         assert set(generated) == {tree_canonical_key(G) for G in support.open_trees_by_enumeration(n)}, n
         assert cli._scan_size(n) == support.scan_size_by_enumeration(n), n
+
+
+@pytest.mark.slow
+def test_csf_e_most_negative_coefficients_match_brick_tabloids_nineteen():
+    """The most negative coefficient of each tree at n = 19 that trees-scan sends to csf_e, again by
+    brick tabloids over the tree DP's tally."""
+    trees = support.csf_settled_trees(19)
+    assert len(trees) == 3
+    for G in trees:
+        lam, c, by_bricks = support.most_negative_term_by_bricks(G)
+        assert c < 0 and by_bricks == c, (sorted(G.edges), lam)

@@ -15,7 +15,7 @@ from support import (
     unpack_tally,
 )
 from epolab.graphs import Graph, path_graph, spider, star_graph
-from epolab.partitions import PACKED_MAX_N, packed_partitions
+from epolab.partitions import PACKED_MAX_N, packed_partitions, partitions_of
 from epolab import symfunc
 from epolab.symfunc import (
     ESymExpansion,
@@ -125,6 +125,23 @@ def test_csf_e_matches_p_to_e_by_type_at_twenty_vertices():
     tree = Graph(20, [(rng.randrange(v), v) for v in range(1, 20)])
     for G in (spider((8, 7, 4)), tree):
         assert csf_e(G) == support.p_to_e_by_type(unpack_tally(_type_tally(G))), sorted(G.edges)
+
+
+def test_brick_tabloids_match_newton_products_to_eight():
+    for n in range(1, 9):
+        for mu in partitions_of(n):
+            want = support.p_to_e_by_type({mu: 1}).coeffs
+            got = {lam: support.p_in_e_coefficient(lam, mu) for lam in partitions_of(n)}
+            assert {lam: c for lam, c in got.items() if c} == want, mu
+
+
+def test_csf_e_most_negative_coefficients_match_brick_tabloids():
+    # S(6,4,1,1) and the three trees at n = 17 that trees-scan sends to csf_e
+    trees = support.csf_settled_trees(17)
+    assert len(trees) == 3
+    for G in [spider((6, 4, 1, 1))] + trees:
+        lam, c, by_bricks = support.most_negative_term_by_bricks(G)
+        assert c < 0 and by_bricks == c, (sorted(G.edges), lam)
 
 
 def test_csf_memory_is_bounded_by_the_call():
